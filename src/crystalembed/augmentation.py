@@ -1,17 +1,19 @@
 """Stochastic graph corruption: node masking and edge dropping.
 
-Views record exactly what was hidden, so the clean reconstruction targets
-and the original edge multiset stay recoverable.
+A view is a pair of masks over its source graph (kept edges, masked nodes),
+so the clean reconstruction targets and the original edge multiset stay
+recoverable and no per-view graph has to be built for training.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .periodic_graph import PeriodicGraph, _lex_order
+from .periodic_graph import GraphBatch, PeriodicGraph, _lex_order, batch_graphs
 
 
 @dataclass
@@ -30,14 +32,32 @@ class DroppedEdges:
 
 @dataclass
 class AugmentedView:
-    graph: PeriodicGraph
+    """A corrupted view as masks over its source graph.
+
+    keep flags the directed edges of `source` the view retains. The view as
+    a graph of its own (`graph`) and the removed edges (`dropped`) are built
+    on first access only.
+    """
+
+    source: PeriodicGraph
+    keep: np.ndarray  # (E,) bool over source edges
     masked_nodes: np.ndarray  # sorted node indices
-    dropped: DroppedEdges
     seed: int
 
     @property
     def masked_set(self) -> frozenset:
         return frozenset(int(i) for i in self.masked_nodes)
+
+    @cached_property
+    def graph(self) -> PeriodicGraph:
+        return batch_graphs([self.source], [self.keep]).graph
+
+    @cached_property
+    def dropped(self) -> DroppedEdges:
+        g, gone = self.source, ~self.keep
+        return DroppedEdges(src=g.src[gone], dst=g.dst[gone],
+                            offsets=g.offsets[gone], distances=g.distances[gone],
+                            directions=g.directions[gone])
 
 
 def _round_half_up(x: float) -> int:
@@ -63,39 +83,24 @@ def augment(
         n_mask = 1
     masked = np.sort(rng.choice(g.num_nodes, size=n_mask, replace=False))
 
+    keep = np.ones(g.num_edges, dtype=bool)
     if g.num_edges:
-        keys = g.unordered_keys()
-        groups, inverse = np.unique(keys, axis=0, return_inverse=True)
-        n_groups = len(groups)
+        n_groups, inverse = g.edge_groups()
         n_drop = _round_half_up(drop_ratio * n_groups)
         drop_ids = rng.choice(n_groups, size=n_drop, replace=False)
         keep = ~np.isin(inverse, drop_ids)
-    else:
-        keep = np.zeros(0, dtype=bool)
+    return AugmentedView(source=g, keep=keep,
+                         masked_nodes=masked.astype(np.int64), seed=int(seed))
 
-    view_graph = PeriodicGraph(
-        num_nodes=g.num_nodes,
-        atomic_numbers=g.atomic_numbers.copy(),
-        src=g.src[keep],
-        dst=g.dst[keep],
-        offsets=g.offsets[keep],
-        distances=g.distances[keep],
-        directions=g.directions[keep],
-        cutoff=g.cutoff,
-    )
-    dropped = DroppedEdges(
-        src=g.src[~keep],
-        dst=g.dst[~keep],
-        offsets=g.offsets[~keep],
-        distances=g.distances[~keep],
-        directions=g.directions[~keep],
-    )
-    return AugmentedView(
-        graph=view_graph,
-        masked_nodes=masked.astype(np.int64),
-        dropped=dropped,
-        seed=int(seed),
-    )
+
+def batch_views(views) -> GraphBatch:
+    """Every view's kept edges in one disjoint-union graph; view b is
+    segment b and its masked nodes move to union indices."""
+    views = list(views)
+    batch = batch_graphs([v.source for v in views], [v.keep for v in views])
+    batch.masked_nodes = np.concatenate([
+        v.masked_nodes + lo for v, lo in zip(views, batch.node_offsets)])
+    return batch
 
 
 def two_views(

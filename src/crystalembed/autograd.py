@@ -333,17 +333,19 @@ def mean_all(a: Tensor) -> Tensor:
     return Tensor(a.data.mean(), (a,), back)
 
 
-def mean_rows(a: Tensor) -> Tensor:
-    """Mean over axis 0 of a 2-D tensor, kept as a 1-row matrix."""
-    if a.data.ndim != 2 or a.data.shape[0] == 0:
-        raise ShapeError(f"mean_rows: need non-empty 2-D, got {a.data.shape}")
-    n = a.data.shape[0]
+def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
+    """Mean of the rows of a 2-D tensor within each segment; (num_segments, d).
 
-    def back(g):
-        _grads(a)
-        a.grad += np.broadcast_to(g / n, a.data.shape)
-
-    return Tensor(a.data.mean(axis=0, keepdims=True), (a,), back)
+    Row r belongs to segment segments[r]; every segment needs a row. Built
+    from row_scatter_add and mul, so it adds no backward rule of its own.
+    """
+    segments = np.asarray(segments, dtype=np.int64)
+    sizes = np.bincount(segments, minlength=num_segments)
+    if sizes.shape != (num_segments,) or np.any(sizes == 0):
+        raise ShapeError("segment_mean: every segment needs at least one row")
+    sums = row_scatter_add(a, segments, num_segments)
+    inv = np.broadcast_to(1.0 / sizes[:, None], sums.data.shape)
+    return mul(sums, constant(inv))
 
 
 def softmax_rows(a: Tensor) -> Tensor:

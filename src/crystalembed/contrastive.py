@@ -59,11 +59,17 @@ def init_projector(
     )
 
 
-def project(h: Tensor, params: ProjectorParams) -> Tensor:
-    """Mean-pool node embeddings and apply the MLP; returns a (1, d_z) row."""
+def project(h: Tensor, params: ProjectorParams, segments=None) -> Tensor:
+    """Mean-pool node embeddings and apply the MLP; returns (S, d_z).
+
+    segments gives the graph of each node row when h holds a batch of S
+    graphs; None means all rows are one graph (S = 1).
+    """
     if h.data.ndim != 2 or h.data.shape[0] < 1:
         raise ValidationError("projection needs at least one node embedding")
-    pooled = ag.mean_rows(h)
+    if segments is None:
+        segments = np.zeros(h.data.shape[0], dtype=np.int64)
+    pooled = ag.segment_mean(h, segments, int(np.max(segments)) + 1)
     hidden = ag.silu(ag.add(ag.matmul(pooled, params.w1), params.b1))
     return ag.add(ag.matmul(hidden, params.w2), params.b2)
 
@@ -101,10 +107,7 @@ def info_nce(z: Tensor, partner, temperature: float) -> Tensor:
     anchors = np.arange(rows, dtype=np.int64)
     pos = ag.take(sims, anchors, partner)
     # every column except the diagonal, flattened row by row
-    off_rows = np.repeat(anchors, rows - 1)
-    off_cols = np.concatenate(
-        [np.concatenate([anchors[:i], anchors[i + 1:]]) for i in range(rows)]
-    )
+    off_rows, off_cols = np.nonzero(~np.eye(rows, dtype=bool))
     denom = ag.logsumexp_rows(
         ag.reshape(ag.take(sims, off_rows, off_cols), (rows, rows - 1))
     )

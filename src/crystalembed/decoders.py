@@ -101,10 +101,37 @@ def node_probs(h: Tensor, params: NodeDecoderParams) -> Tensor:
     return ag.softmax_rows(logits)
 
 
-def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope=None) -> Tensor:
+def _segment_mean_nll(probs: Tensor, rows, cols, weights, segments,
+                      empty: str) -> Tensor:
+    """Mean over segments of each segment's weighted mean of -log p[row, col].
+
+    segments gives the segment of every probability row (None: all rows are
+    one segment); a segment whose picked weights sum to zero, or that has no
+    picked entry, raises ValidationError(empty).
+    """
+    n = probs.data.shape[0]
+    if segments is None:
+        segments = np.zeros(n, dtype=np.int64)
+    segments = np.asarray(segments, dtype=np.int64)
+    if segments.shape != (n,):
+        raise ValidationError("one segment id per probability row required")
+    num_segments = int(segments.max(initial=0)) + 1
+    picked_segments = segments[rows]
+    totals = np.bincount(picked_segments, weights=weights, minlength=num_segments)
+    if np.any(totals <= 0.0):
+        raise ValidationError(empty)
+    w = weights / (totals[picked_segments] * num_segments)
+    picked = ag.take(probs, rows, cols)
+    return ag.sum_all(ag.mul(ag.neg(ag.log(picked)), ag.constant(w)))
+
+
+def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope=None,
+             segments=None) -> Tensor:
     """Mean negative log-likelihood of the true element over scope.
 
-    scope is a node index subset; None means every node.
+    scope is a node index subset; None means every node. For a batch,
+    segments gives the graph of every probability row and the loss is the
+    mean over graphs of each graph's own mean over its scope rows.
     """
     numbers = np.asarray(atomic_numbers, dtype=np.int64)
     n = probs.data.shape[0]
@@ -118,8 +145,8 @@ def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope=None) -> Tensor:
             raise ValidationError("node loss scope is empty")
         if rows.min() < 0 or rows.max() >= n:
             raise ValidationError("scope index out of range")
-    picked = ag.take(probs, rows, numbers[rows] - 1)
-    return ag.scale(ag.sum_all(ag.neg(ag.log(picked))), 1.0 / rows.size)
+    return _segment_mean_nll(probs, rows, numbers[rows] - 1, np.ones(rows.size),
+                             segments, "node loss scope is empty")
 
 
 def adjacency_probs(h: Tensor, params: AdjDecoderParams, pairs: np.ndarray) -> Tensor:
@@ -144,26 +171,24 @@ def adjacency_probs(h: Tensor, params: AdjDecoderParams, pairs: np.ndarray) -> T
 
 def adj_weighted_ce(
     probs: Tensor,
-    counts: np.ndarray,
-    pairs: np.ndarray,
+    classes: np.ndarray,
     class_weights,
+    segments=None,
 ) -> Tensor:
     """Weighted cross entropy over pair multiplicity classes.
 
-    Returns sum_ij w[c_ij] * (-log p_ij[c_ij]) / sum_ij w[c_ij]; the weights
-    are data, not parameters, so the normalizer is a plain float.
+    classes holds the true class of every probability row. Returns
+    sum_p w[c_p] * (-log p_p[c_p]) / sum_p w[c_p]; the weights are data, not
+    parameters. For a batch, segments gives the graph of every row and the
+    loss is the mean over graphs of each graph's own weighted mean.
     """
-    pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
-    if pairs.shape[0] != probs.data.shape[0]:
+    classes = np.asarray(classes, dtype=np.int64)
+    p = probs.data.shape[0]
+    if classes.shape != (p,):
         raise ValidationError("one probability row per pair required")
-    if pairs.shape[0] == 0:
+    if p == 0:
         raise ValidationError("no pairs to score")
     cw = np.asarray(class_weights, dtype=np.float64)
-    classes = np.asarray(counts, dtype=np.int64)[pairs[:, 0], pairs[:, 1]]
-    w = cw[classes]
-    total = float(w.sum())
-    if total <= 0.0:
-        raise ValidationError("class weights sum to zero over these pairs")
-    picked = ag.take(probs, np.arange(pairs.shape[0], dtype=np.int64), classes)
-    weighted = ag.mul(ag.neg(ag.log(picked)), ag.constant(w))
-    return ag.scale(ag.sum_all(weighted), 1.0 / total)
+    return _segment_mean_nll(probs, np.arange(p, dtype=np.int64), classes,
+                             cw[classes], segments,
+                             "class weights sum to zero over these pairs")

@@ -20,7 +20,7 @@ from .embeddings import ElementEmbeddingTable
 from .encoder import LayerParams, apply_layers, init_layers
 from .errors import FeaturizationError, ValidationError
 from .optim import AdamState, adam_step
-from .periodic_graph import PeriodicGraph, build_periodic_graph
+from .periodic_graph import PeriodicGraph, batch_graphs, build_periodic_graph
 
 MODES = ("baseline", "pretrained")
 
@@ -115,11 +115,14 @@ class DownstreamModel:
     head_w: Tensor
     head_b: Tensor
 
-    def predict(self, graph: PeriodicGraph) -> Tensor:
-        h0 = self.featurize(graph)
-        h = apply_layers(self.layers, graph, h0, self.cfg.rbf_count,
+    def predict(self, graphs) -> Tensor:
+        """One prediction per graph, (B, 1), from one forward pass over
+        the graphs' disjoint union."""
+        batch = batch_graphs(graphs)
+        h0 = self.featurize(batch.graph)
+        h = apply_layers(self.layers, batch.graph, h0, self.cfg.rbf_count,
                          self.cfg.cutoff)
-        pooled = ag.mean_rows(h)
+        pooled = ag.segment_mean(h, batch.segments, batch.num_graphs)
         return ag.add(ag.matmul(pooled, self.head_w), self.head_b)
 
     def trainable(self) -> list:
@@ -156,7 +159,7 @@ def split_indices(n: int, seed: int):
 
 
 def _batch_mae(model: DownstreamModel, graphs, labels) -> Tensor:
-    preds = ag.concat([model.predict(g) for g in graphs], axis=0)
+    preds = model.predict(graphs)
     target = ag.constant(np.asarray(labels, dtype=np.float64).reshape(-1, 1))
     return ag.mean_all(ag.abs_(ag.sub(preds, target)))
 

@@ -217,5 +217,6 @@ def encode_graph(
 
 
 def encode(params: EncoderParams, view) -> Tensor:
-    """Embed an augmented view, hiding the features of its masked nodes."""
+    """Embed an augmented view, or a GraphBatch of views, hiding the
+    features of its masked nodes."""
     return encode_graph(params, view.graph, view.masked_nodes)

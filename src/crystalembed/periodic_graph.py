@@ -39,6 +39,8 @@ class PeriodicGraph:
     directions: np.ndarray
     cutoff: float
     validate: bool = field(default=True, repr=False)
+    _groups: tuple | None = field(default=None, init=False, repr=False,
+                                  compare=False)
 
     def __post_init__(self):
         self.atomic_numbers = np.asarray(self.atomic_numbers, dtype=np.int64)
@@ -75,10 +77,16 @@ class PeriodicGraph:
         zero_self = (self.src == self.dst) & np.all(self.offsets == 0, axis=1)
         if np.any(zero_self):
             raise ValidationError("self edge with zero offset")
-        counts = Counter(self.edge_keys())
-        for (i, j, o), c in counts.items():
-            if counts[(j, i, tuple(-x for x in o))] != c:
-                raise ValidationError(f"edge ({i}, {j}, {o}) lacks its mirror")
+        # every unordered connection needs as many (i, j, o) halves as
+        # (j, i, -o) halves
+        num_groups, inverse = self.edge_groups()
+        reverse = self._reverse_half()
+        unbalanced = (np.bincount(inverse[reverse], minlength=num_groups)
+                      != np.bincount(inverse[~reverse], minlength=num_groups))
+        bad = np.flatnonzero(unbalanced[inverse])
+        if bad.size:
+            i, j, o = self.edge_keys()[bad[0]]
+            raise ValidationError(f"edge ({i}, {j}, {o}) lacks its mirror")
 
     @property
     def num_edges(self) -> int:
@@ -94,24 +102,92 @@ class PeriodicGraph:
     def edge_multiset(self) -> Counter:
         return Counter(self.edge_keys())
 
+    def _reverse_half(self) -> np.ndarray:
+        """True where (j, i, -o) sorts before the edge's own (i, j, o)."""
+        o = self.offsets
+        first = o[np.arange(len(o)), np.argmax(o != 0, axis=1)]
+        return (self.dst < self.src) | ((self.dst == self.src) & (first > 0))
+
     def unordered_keys(self) -> np.ndarray:
-        """Canonical unordered key per directed edge, as an (E, 7) int array.
+        """Canonical unordered key per directed edge, as an (E, 5) int array.
 
         The key of (i, j, o) is the lexicographic minimum of (i, j, o) and
         (j, i, -o); the two halves of an unordered connection share it.
         """
         fwd = np.column_stack([self.src, self.dst, self.offsets])
         rev = np.column_stack([self.dst, self.src, -self.offsets])
-        # row-wise lexicographic comparison of rev against fwd
-        less = np.zeros(len(fwd), dtype=bool)
-        decided = np.zeros(len(fwd), dtype=bool)
-        for col in range(5):
-            lt = rev[:, col] < fwd[:, col]
-            gt = rev[:, col] > fwd[:, col]
-            less |= lt & ~decided
-            decided |= lt | gt
-        key = np.where(less[:, None], rev, fwd)
-        return key
+        return np.where(self._reverse_half()[:, None], rev, fwd)
+
+    def edge_groups(self) -> tuple[int, np.ndarray]:
+        """(number of unordered connections, connection id of every directed
+        edge), ids in sorted key order as np.unique numbers them. Computed
+        once per graph and kept, so the edge arrays must not change after
+        construction."""
+        if self._groups is None:
+            keys = self.unordered_keys()
+            order = np.lexsort(keys.T[::-1])
+            ordered = keys[order]
+            starts = np.ones(len(keys), dtype=bool)
+            starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+            inverse = np.empty(len(keys), dtype=np.int64)
+            inverse[order] = np.cumsum(starts) - 1
+            self._groups = (int(starts.sum()), inverse)
+        return self._groups
+
+
+@dataclass
+class GraphBatch:
+    """Disjoint union of B graphs as one PeriodicGraph.
+
+    Graph b owns union nodes node_offsets[b]:node_offsets[b + 1] and
+    segments[v] is the graph that owns union node v. masked_nodes lists
+    union nodes whose features the encoder hides (empty unless set).
+    """
+
+    graph: PeriodicGraph
+    node_offsets: np.ndarray  # (B + 1,)
+    segments: np.ndarray  # (sum of N,)
+    masked_nodes: np.ndarray = field(
+        default_factory=lambda: np.zeros(0, dtype=np.int64))
+
+    @property
+    def num_graphs(self) -> int:
+        return len(self.node_offsets) - 1
+
+
+def batch_graphs(graphs, edge_masks=None) -> GraphBatch:
+    """Place graphs side by side in one validated graph.
+
+    edge_masks[b], when given, selects the directed edges of graph b that
+    are kept; edge order within each graph is preserved.
+    """
+    graphs = list(graphs)
+    if not graphs:
+        raise ValidationError("cannot batch an empty list of graphs")
+    if edge_masks is None:
+        edge_masks = [slice(None)] * len(graphs)
+    sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
+    node_offsets = np.concatenate([[0], np.cumsum(sizes)])
+
+    def stack(attr):
+        return np.concatenate([getattr(g, attr)[m]
+                               for g, m in zip(graphs, edge_masks)])
+
+    src, dst = stack("src"), stack("dst")
+    kept = [len(g.src[m]) for g, m in zip(graphs, edge_masks)]
+    shift = np.repeat(node_offsets[:-1], kept)
+    union = PeriodicGraph(
+        num_nodes=int(node_offsets[-1]),
+        atomic_numbers=np.concatenate([g.atomic_numbers for g in graphs]),
+        src=src + shift,
+        dst=dst + shift,
+        offsets=stack("offsets"),
+        distances=stack("distances"),
+        directions=stack("directions"),
+        cutoff=max(g.cutoff for g in graphs),
+    )
+    segments = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
+    return GraphBatch(union, node_offsets, segments)
 
 
 def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:

@@ -5,6 +5,19 @@ Determinism contract: (seed, config, dataset order) fixes the whole loss
 trajectory bit for bit on one thread. Every random draw comes from a seed
 sequence keyed on (config seed, epoch number), so resuming from an epoch-k
 checkpoint replays exactly the draws an uninterrupted run would make.
+
+Batch layout: a step over B graphs draws two views of each and encodes all
+2B of them as one disjoint-union graph (`batch_views`), in the order
+[g0 view a, g0 view b, g1 view a, ...]. View v owns union nodes
+node_offsets[v]:node_offsets[v + 1], and a per-node segment id (v) tells
+every node, scored pair and pooled row which view it belongs to. Each view
+keeps the weight it would have on its own, whatever its size:
+- L_node is each view's mean NLL over its scored nodes, averaged over views;
+- L_adj is each view's class-weighted pair CE, averaged over views; pairs
+  are (i, j), i <= j, within one view, and their classes come from that
+  graph's own N x N targets;
+- the projector pools each view by a per-segment mean, so InfoNCE sees 2B
+  rows laid out as paired_batch_partners expects.
 """
 
 from dataclasses import dataclass, field
@@ -15,7 +28,7 @@ import time
 import numpy as np
 
 from . import autograd as ag
-from .augmentation import two_views
+from .augmentation import batch_views, two_views
 from .checkpoint import load_checkpoint, save_checkpoint
 from .contrastive import info_nce, paired_batch_partners, project
 from .decoders import (
@@ -30,7 +43,7 @@ from .encoder import encode, encode_graph
 from .errors import ValidationError
 from .model import ModelParams, init_model_params
 from .optim import AdamState, adam_step
-from .periodic_graph import all_unordered_pairs, multiplicity_targets
+from .periodic_graph import multiplicity_targets
 
 LOSS_KEYS = ("L_node", "L_adj", "L_infonce", "L_total")
 
@@ -105,41 +118,39 @@ class PretrainConfig:
         return cls(**kwargs)
 
 
-def _mean_of(terms):
-    total = terms[0]
-    for t in terms[1:]:
-        total = ag.add(total, t)
-    return ag.scale(total, 1.0 / len(terms))
-
-
 def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds):
     """Build the combined loss graph for one batch; returns tensors.
 
     Reconstruction targets (true elements, pair multiplicities) come from
-    each ORIGINAL graph; predictions come from the two corrupted views.
+    each ORIGINAL graph; predictions come from the two corrupted views, all
+    2B of which are encoded, decoded and projected in one disjoint-union
+    pass (see the module docstring for the layout).
     """
     if len(graphs) < 2:
         raise ValidationError("pretraining batch needs at least 2 graphs")
     if len(view_seeds) != len(graphs):
         raise ValidationError("one view seed per graph required")
-    node_terms, adj_terms, projections = [], [], []
-    for g, seed in zip(graphs, view_seeds):
-        numbers = g.atomic_numbers
-        counts = multiplicity_targets(g).classes
-        pairs = np.asarray(all_unordered_pairs(g.num_nodes), dtype=np.int64)
-        for view in two_views(g, cfg.mask_ratio, cfg.drop_ratio, seed):
-            h = encode(model.encoder, view)
-            scope = view.masked_nodes if cfg.node_loss_scope == "masked" else None
-            node_terms.append(node_nll(node_probs(h, model.node_decoder),
-                                       numbers, scope))
-            adj_terms.append(adj_weighted_ce(
-                adjacency_probs(h, model.adj_decoder, pairs),
-                counts, pairs, model.adj_decoder.class_weights))
-            projections.append(project(h, model.projector))
-    loss_node = _mean_of(node_terms)
-    loss_adj = _mean_of(adj_terms)
+    views = [view for g, seed in zip(graphs, view_seeds)
+             for view in two_views(g, cfg.mask_ratio, cfg.drop_ratio, seed)]
+    batch = batch_views(views)
+    h = encode(model.encoder, batch)
+    scope = batch.masked_nodes if cfg.node_loss_scope == "masked" else None
+    loss_node = node_nll(node_probs(h, model.node_decoder),
+                         batch.graph.atomic_numbers, scope, batch.segments)
+    # both views of a graph score its unordered pairs against its own targets
+    targets = [multiplicity_targets(g).classes for g in graphs]
+    pairs, classes = [], []
+    for v, lo in enumerate(batch.node_offsets[:-1]):
+        i, j = np.triu_indices(len(targets[v // 2]))
+        pairs.append(np.column_stack([i, j]) + lo)
+        classes.append(targets[v // 2][i, j])
+    pair_segments = np.repeat(np.arange(len(views)), [len(c) for c in classes])
+    pairs = np.concatenate(pairs)
+    loss_adj = adj_weighted_ce(
+        adjacency_probs(h, model.adj_decoder, pairs), np.concatenate(classes),
+        model.adj_decoder.class_weights, pair_segments)
     loss_nce = info_nce(
-        ag.concat(projections, axis=0),
+        project(h, model.projector, batch.segments),
         paired_batch_partners(len(graphs)),
         cfg.temperature,
     )

@@ -87,3 +87,15 @@ def random_structure(rng, max_sites=6, skewed=False):
             atomic_numbers=rng.integers(1, 119, size=n),
             id="random",
         )
+
+
+def supercell(structure, k):
+    """k x k x k supercell; site c * N + i is site i of the c-th cell."""
+    cells = np.array(list(product(range(k), repeat=3)), dtype=float)
+    frac = (structure.frac_coords[None, :, :] + cells[:, None, :]) / k
+    return CrystalStructure(
+        lattice=structure.lattice * k,
+        frac_coords=frac.reshape(-1, 3),
+        atomic_numbers=np.tile(structure.atomic_numbers, len(cells)),
+        id=f"{structure.id}x{k}",
+    )

@@ -108,7 +108,7 @@ def test_criterion_3_analytic_loss_values():
     pairs = np.asarray(all_unordered_pairs(3), dtype=np.int64)
     uniform_adj = ag.constant(np.full((len(pairs), 6), 1.0 / 6.0))
     counts = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
-    l_adj = float(adj_weighted_ce(uniform_adj, counts, pairs,
+    l_adj = float(adj_weighted_ce(uniform_adj, counts[pairs[:, 0], pairs[:, 1]],
                                   (0.1, 1.0, 1.0, 1.0, 1.0, 1.0)).data)
     assert abs(l_adj - math.log(6.0)) < 1e-9
 

@@ -4,6 +4,7 @@ from helpers import cubic_structure, random_structure, rocksalt_structure
 
 from crystalembed.augmentation import (
     augment,
+    batch_views,
     identity_view,
     reconstruct_original,
     two_views,
@@ -141,3 +142,67 @@ class TestTwoViews:
         v = identity_view(g)
         assert v.graph.edge_multiset() == g.edge_multiset()
         assert len(v.masked_nodes) == 0
+
+
+def _fcc_graph():
+    s = CrystalStructure(
+        lattice=np.eye(3),
+        frac_coords=np.array([[0.0, 0.0, 0.0], [0.5, 0.5, 0.0],
+                              [0.5, 0.0, 0.5], [0.0, 0.5, 0.5]]),
+        atomic_numbers=np.array([29, 29, 79, 79]),
+        id="fcc",
+    )
+    g = build_periodic_graph(s, cutoff=0.75)
+    assert g.num_edges == 48
+    return g
+
+
+# (seed, view) -> (masked nodes, dropped directed-edge indices), recorded
+# from the implementation that built every view as its own graph
+RECORDED_FCC = {  # mask_ratio 0.5, drop_ratio 0.3
+    (0, 0): ([2, 3], [1, 9, 14, 16, 18, 22, 29, 31, 32, 33, 38, 41, 46, 47]),
+    (0, 1): ([2, 3], [0, 6, 7, 10, 15, 18, 19, 23, 24, 25, 28, 29, 37, 40]),
+    (7, 0): ([1, 2], [2, 8, 9, 11, 13, 16, 21, 31, 33, 36, 38, 39, 42, 46]),
+    (7, 1): ([0, 1], [0, 1, 11, 14, 15, 17, 20, 22, 30, 32, 36, 41, 43, 47]),
+    (2**40 + 3, 0): ([0, 3], [2, 5, 6, 13, 16, 17, 19, 20, 25, 26, 28, 30,
+                              31, 43]),
+    (2**40 + 3, 1): ([0, 1], [6, 9, 17, 21, 25, 30, 32, 33, 35, 38, 42, 44,
+                              46, 47]),
+}
+RECORDED_TEN = {  # mask_ratio 0.3, drop_ratio 0.3
+    (0, 0): ([1], [0, 1, 4, 5, 9, 10]),
+    (0, 1): ([1], [0, 5, 8, 11, 16, 17]),
+    (7, 0): ([1], [2, 3, 6, 13, 16, 17]),
+    (7, 1): ([1], [0, 1, 4, 5, 6, 13]),
+    (2**40 + 3, 0): ([0], [6, 9, 10, 13, 14, 19]),
+    (2**40 + 3, 1): ([0], [0, 2, 3, 5, 6, 13]),
+}
+
+
+class TestViewsAsMasks:
+    @pytest.mark.parametrize("make, ratios, recorded", [
+        (_fcc_graph, (0.5, 0.3), RECORDED_FCC),
+        (_ten_unordered_edge_graph, (0.3, 0.3), RECORDED_TEN),
+    ])
+    def test_recorded_views(self, make, ratios, recorded):
+        g = make()
+        for (seed, which), (masked, dropped) in recorded.items():
+            view = two_views(g, *ratios, seed)[which]
+            assert view.masked_nodes.tolist() == masked
+            assert np.flatnonzero(~view.keep).tolist() == dropped
+            # the materialised graph holds exactly the kept edges, in order
+            kept = [k for e, k in enumerate(g.edge_keys()) if e not in dropped]
+            assert view.graph.edge_keys() == kept
+            assert len(view.dropped) == len(dropped)
+
+    def test_batch_views_shifts_masks_and_edges(self):
+        g = _fcc_graph()
+        views = list(two_views(g, 0.5, 0.3, 7)) + [identity_view(g)]
+        batch = batch_views(views)
+        assert batch.masked_nodes.tolist() == [1, 2, 4, 5]
+        assert batch.segments.tolist() == [0] * 4 + [1] * 4 + [2] * 4
+        for v, view in enumerate(views):
+            mine = batch.segments[batch.graph.src] == v
+            assert np.array_equal(batch.graph.src[mine] - 4 * v,
+                                  view.graph.src)
+            assert np.array_equal(batch.graph.offsets[mine], view.graph.offsets)

@@ -31,6 +31,11 @@ def rand_h(rng, n, d):
     return ag.parameter(rng.normal(size=(n, d)), "h")
 
 
+def classes_of(counts, pairs):
+    """Target class of every (i, j) pair from an N x N class matrix."""
+    return counts[pairs[:, 0], pairs[:, 1]]
+
+
 class TestNodeProbs:
     def test_zero_params_give_uniform(self):
         rng = np.random.default_rng(0)
@@ -98,6 +103,16 @@ class TestNodeNll:
         probs[1, 20] = 0.25
         loss = node_nll(ag.constant(probs), np.array([11, 21]), scope=[1])
         assert abs(loss.data - (-math.log(0.25))) < 1e-15
+
+    def test_segments_weigh_graphs_equally(self):
+        probs = np.full((3, 118), 1e-9)
+        probs[0, 10], probs[1, 20], probs[2, 30] = 0.5, 0.25, 0.125
+        numbers, segments = np.array([11, 21, 31]), np.array([0, 1, 1])
+        loss = node_nll(ag.constant(probs), numbers, segments=segments)
+        expected = (math.log(2.0) + (math.log(4.0) + math.log(8.0)) / 2.0) / 2.0
+        assert abs(loss.data - expected) < 1e-15
+        with pytest.raises(ValidationError, match="scope is empty"):
+            node_nll(ag.constant(probs), numbers, scope=[1, 2], segments=segments)
 
     def test_empty_scope_rejected(self):
         probs = np.full((1, 118), 1.0 / 118.0)
@@ -167,7 +182,7 @@ class TestAdjWeightedCe:
         probs[1, 0] = 1.0
         counts = np.array([[0, 1], [1, 0]])
         pairs = np.array([[0, 1], [1, 1]])
-        loss = adj_weighted_ce(ag.constant(probs), counts, pairs,
+        loss = adj_weighted_ce(ag.constant(probs), classes_of(counts, pairs),
                                DEFAULT_CLASS_WEIGHTS)
         assert loss.data == 0.0
 
@@ -176,7 +191,8 @@ class TestAdjWeightedCe:
         counts = np.array([[0, 2], [2, 5]])
         pairs = np.array([[0, 0], [0, 1], [1, 1]])
         for weights in (DEFAULT_CLASS_WEIGHTS, (0.01, 3, 1, 4, 1, 5)):
-            loss = adj_weighted_ce(ag.constant(probs), counts, pairs, weights)
+            loss = adj_weighted_ce(ag.constant(probs),
+                                   classes_of(counts, pairs), weights)
             assert abs(loss.data - math.log(6.0)) < 1e-15
             assert abs(loss.data - 1.791759469228055) < 1e-12
 
@@ -188,23 +204,37 @@ class TestAdjWeightedCe:
         probs[1, 2] = 0.5
         counts = np.array([[0, 2], [2, 0]])
         pairs = np.array([[0, 0], [0, 1]])
-        loss = adj_weighted_ce(ag.constant(probs), counts, pairs,
+        loss = adj_weighted_ce(ag.constant(probs), classes_of(counts, pairs),
                                (0.1, 1.0, 1.0, 1.0, 1.0, 1.0))
         assert abs(loss.data - math.log(2.0)) < 1e-15
+
+    def test_segments_weigh_graphs_equally(self):
+        probs = np.full((3, 6), 0.1)
+        probs[0, 1], probs[1, 0], probs[2, 2] = 0.5, 0.25, 0.125
+        weights = (0.1, 1.0, 1.0, 1.0, 1.0, 1.0)
+        loss = adj_weighted_ce(ag.constant(probs), np.array([1, 0, 2]), weights,
+                               segments=np.array([0, 1, 1]))
+        second = (0.1 * math.log(4.0) + math.log(8.0)) / 1.1
+        assert abs(loss.data - (math.log(2.0) + second) / 2.0) < 1e-15
+        with pytest.raises(ValidationError, match="sum to zero"):
+            adj_weighted_ce(ag.constant(probs), np.array([1, 0, 0]),
+                            (0.0, 1.0, 1.0, 1.0, 1.0, 1.0),
+                            segments=np.array([0, 1, 1]))
 
     def test_zero_weight_sum_rejected(self):
         probs = np.full((1, 6), 1.0 / 6.0)
         counts = np.zeros((2, 2), dtype=int)
         with pytest.raises(ValidationError):
-            adj_weighted_ce(ag.constant(probs), counts, np.array([[0, 1]]),
-                            (0.0,) * 6)
+            adj_weighted_ce(ag.constant(probs),
+                            classes_of(counts, np.array([[0, 1]])), (0.0,) * 6)
 
     def test_row_count_mismatch_rejected(self):
         probs = np.full((1, 6), 1.0 / 6.0)
         counts = np.zeros((2, 2), dtype=int)
         with pytest.raises(ValidationError):
-            adj_weighted_ce(ag.constant(probs), counts,
-                            np.array([[0, 0], [0, 1]]), DEFAULT_CLASS_WEIGHTS)
+            adj_weighted_ce(ag.constant(probs),
+                            classes_of(counts, np.array([[0, 0], [0, 1]])),
+                            DEFAULT_CLASS_WEIGHTS)
 
 
 class TestParamValidation:
@@ -263,7 +293,8 @@ class TestDecoderGradients:
 
         def f():
             probs = adjacency_probs(h, p, pairs)
-            return adj_weighted_ce(probs, counts, pairs, p.class_weights)
+            return adj_weighted_ce(probs, classes_of(counts, pairs),
+                                   p.class_weights)
 
         err = ag.grad_check(f, [h] + p.tensors(), h=1e-5, floor=1e-3)
         assert err < 1e-4, err

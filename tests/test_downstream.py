@@ -6,6 +6,7 @@ import pytest
 from crystalembed import autograd as ag
 from crystalembed.downstream import (
     DownstreamConfig,
+    _batch_mae,
     evaluate_mae,
     improvement_pct,
     init_downstream_model,
@@ -23,7 +24,7 @@ from crystalembed.optim import AdamState, adam_step
 from crystalembed.periodic_graph import build_periodic_graph
 from crystalembed.synthetic import make_labeled_structures
 
-from helpers import cubic_structure
+from helpers import cubic_structure, supercell
 
 FAST = dict(dim=8, num_layers=1, rbf_count=4, epochs=6, batch_size=8)
 
@@ -137,6 +138,36 @@ def test_adapter_training_leaves_table_bitwise_unchanged():
         loss.backward()
         adam_step(opt, tensors)
     assert np.array_equal(table.vectors, before)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "pretrained"])
+def test_batched_mae_matches_per_graph_predict_loop(mode):
+    cfg = DownstreamConfig(mode=mode, dim=8, num_layers=2, rbf_count=4)
+    model = init_downstream_model(cfg, np.random.default_rng(4), full_table())
+    structures = make_labeled_structures(5, seed=2)
+    structures.insert(2, supercell(structures[0], 2))
+    graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
+    assert len({g.num_nodes for g in graphs}) > 1
+    labels = np.linspace(-1.0, 2.0, len(graphs))
+    params = model.trainable()
+
+    def loop_mae():
+        preds = ag.concat([model.predict([g]) for g in graphs], axis=0)
+        target = ag.constant(labels.reshape(-1, 1))
+        return ag.mean_all(ag.abs_(ag.sub(preds, target)))
+
+    results = []
+    for mae in (lambda: _batch_mae(model, graphs, labels), loop_mae):
+        for p in params:
+            p.zero_grad()
+        loss = mae()
+        loss.backward()
+        results.append((float(loss.data), [p.grad.copy() for p in params]))
+    (got, got_grads), (want, want_grads) = results
+    assert abs(got - want) <= 1e-12 * abs(want)
+    for g, w in zip(got_grads, want_grads):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+    assert evaluate_mae(model, graphs, labels) == got
 
 
 # -- splits ------------------------------------------------------------

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from helpers import (
@@ -10,7 +12,9 @@ from helpers import (
 
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import (
+    PeriodicGraph,
     all_unordered_pairs,
+    batch_graphs,
     build_periodic_graph,
     multiplicity_targets,
 )
@@ -114,3 +118,84 @@ def test_unordered_keys_pair_up():
     counts = Counter(keys)
     assert all(c == 2 for c in counts.values())
     assert len(counts) == g.num_edges // 2
+
+
+
+def _graph_kwargs(g, idx, extra=None):
+    """g's edge arrays at the indices idx, plus one appended edge if given."""
+    arrays = [g.src[idx], g.dst[idx], g.offsets[idx], g.distances[idx],
+              g.directions[idx]]
+    if extra is not None:
+        arrays = [np.concatenate([a, np.reshape(x, (1,) + a.shape[1:])])
+                  for a, x in zip(arrays, extra)]
+    src, dst, offsets, distances, directions = arrays
+    return dict(num_nodes=g.num_nodes, atomic_numbers=g.atomic_numbers,
+                src=src, dst=dst, offsets=offsets, distances=distances,
+                directions=directions, cutoff=g.cutoff)
+
+
+def _mirror_index(g, e):
+    i, j, o = g.edge_keys()[e]
+    return g.edge_keys().index((j, i, tuple(-x for x in o)))
+
+
+class TestGraphValidation:
+    @pytest.mark.parametrize("drop", [0, 5, 27])
+    def test_missing_mirror_rejected_naming_survivor(self, drop):
+        g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=1.05)
+        assert g.num_edges == 28
+        survivor = g.edge_keys()[_mirror_index(g, drop)]
+        i, j, o = survivor
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"edge ({i}, {j}, {o}) lacks its mirror")):
+            PeriodicGraph(**_graph_kwargs(g, np.delete(np.arange(28), drop)))
+
+    def test_zero_offset_self_edge_rejected(self):
+        # distance and direction are valid, so only the self-edge rule fires
+        g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=1.05)
+        edge = (0, 0, (0, 0, 0), 0.5, (1.0, 0.0, 0.0))
+        with pytest.raises(ValidationError, match="self edge with zero offset"):
+            PeriodicGraph(**_graph_kwargs(g, np.arange(g.num_edges), edge))
+
+    def test_repeated_mirror_pair_accepted(self):
+        g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=1.05)
+        idx = np.concatenate([np.arange(g.num_edges), [3, _mirror_index(g, 3)]])
+        assert PeriodicGraph(**_graph_kwargs(g, idx)).num_edges == g.num_edges + 2
+
+
+class TestBatchGraphs:
+    def test_offsets_segments_and_shifted_edges(self):
+        a = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=1.05)
+        b = build_periodic_graph(cubic_structure(), cutoff=1.05)
+        batch = batch_graphs([a, b, a])
+        assert batch.node_offsets.tolist() == [0, 2, 3, 5]
+        assert batch.segments.tolist() == [0, 0, 1, 2, 2]
+        u = batch.graph
+        assert u.num_edges == 2 * a.num_edges + b.num_edges
+        tail = slice(a.num_edges + b.num_edges, None)
+        assert np.array_equal(u.src[tail], a.src + 3)
+        assert np.array_equal(u.dst[tail], a.dst + 3)
+        assert np.array_equal(u.offsets[tail], a.offsets)
+        assert u.atomic_numbers.tolist() == [11, 17, 11, 11, 17]
+
+    def test_edge_masks_keep_order(self):
+        g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=1.05)
+        u = batch_graphs([g], [g.src != g.dst]).graph
+        assert u.edge_keys() == [k for k in g.edge_keys() if k[0] != k[1]]
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValidationError):
+            batch_graphs([])
+
+
+def test_edge_groups_number_connections_like_np_unique():
+    # augment draws group ids from the RNG, so their numbering is fixed
+    rng = np.random.default_rng(23)
+    for k in range(10):
+        s = random_structure(rng, max_sites=5, skewed=(k % 2 == 0))
+        g = build_periodic_graph(s, cutoff=3.5)
+        groups, inverse = np.unique(g.unordered_keys(), axis=0,
+                                    return_inverse=True)
+        num_groups, got = g.edge_groups()
+        assert num_groups == len(groups) == g.num_edges // 2
+        assert np.array_equal(got, inverse.ravel())

@@ -3,11 +3,25 @@ import json
 import numpy as np
 import pytest
 
+from crystalembed import autograd as ag
+from crystalembed.augmentation import two_views
 from crystalembed.checkpoint import load_checkpoint
+from crystalembed.contrastive import info_nce, paired_batch_partners, project
+from crystalembed.decoders import (
+    adj_weighted_ce,
+    adjacency_probs,
+    node_nll,
+    node_probs,
+)
+from crystalembed.encoder import encode_graph
 from crystalembed.errors import ParseError, ValidationError
 from crystalembed.model import init_model_params
 from crystalembed.optim import AdamState
-from crystalembed.periodic_graph import build_periodic_graph
+from crystalembed.periodic_graph import (
+    all_unordered_pairs,
+    build_periodic_graph,
+    multiplicity_targets,
+)
 from crystalembed.synthetic import make_pretraining_structures
 from crystalembed.training import (
     PretrainConfig,
@@ -19,7 +33,7 @@ from crystalembed.training import (
     save_state,
 )
 
-from helpers import cubic_structure, rocksalt_structure
+from helpers import cubic_structure, rocksalt_structure, supercell
 
 FAST = dict(dim=8, num_layers=1, rbf_count=4, cutoff=5.0, batch_size=4)
 
@@ -112,6 +126,67 @@ class TestPretrainStep:
         opt = AdamState.for_params(model.tensors(), lr=cfg.lr)
         losses = pretrain_step(graphs[:2], model, opt, cfg, [0, 1])
         assert np.isfinite(losses["L_total"])
+
+
+def per_view_losses(graphs, model, cfg, view_seeds):
+    """Reference for pretrain_losses: every view encoded, decoded and
+    projected on its own, per-view terms averaged in a Python loop."""
+    node, adj, zs = [], [], []
+    for g, seed in zip(graphs, view_seeds):
+        pairs = np.asarray(all_unordered_pairs(g.num_nodes))
+        classes = multiplicity_targets(g).classes[pairs[:, 0], pairs[:, 1]]
+        for view in two_views(g, cfg.mask_ratio, cfg.drop_ratio, seed):
+            h = encode_graph(model.encoder, view.graph, view.masked_nodes)
+            scope = view.masked_nodes if cfg.node_loss_scope == "masked" else None
+            node.append(node_nll(node_probs(h, model.node_decoder),
+                                 g.atomic_numbers, scope))
+            adj.append(adj_weighted_ce(
+                adjacency_probs(h, model.adj_decoder, pairs), classes,
+                model.adj_decoder.class_weights))
+            zs.append(project(h, model.projector))
+
+    def mean(terms):
+        total = terms[0]
+        for t in terms[1:]:
+            total = ag.add(total, t)
+        return ag.scale(total, 1.0 / len(terms))
+
+    l_node, l_adj = mean(node), mean(adj)
+    l_nce = info_nce(ag.concat(zs, axis=0),
+                     paired_batch_partners(len(graphs)), cfg.temperature)
+    total = ag.add(ag.add(ag.scale(l_node, cfg.alpha), ag.scale(l_adj, cfg.beta)),
+                   ag.scale(l_nce, cfg.gamma))
+    return l_node, l_adj, l_nce, total
+
+
+class TestBatchedLossesMatchPerViewLoop:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        # per-view weights only matter when views differ in size
+        cells = make_pretraining_structures(3, seed=4)
+        structures = cells[:2] + [supercell(cells[2], 2)] + cells[:1]
+        return [build_periodic_graph(s, 5.0) for s in structures]
+
+    @pytest.mark.parametrize("scope", ["all", "masked"])
+    def test_losses_and_gradients(self, mixed, scope):
+        assert sorted({g.num_nodes for g in mixed}) == [2, 16]
+        cfg = fast_cfg(node_loss_scope=scope, mask_ratio=0.3, drop_ratio=0.2)
+        model = fast_model(cfg, seed=2)
+        params = model.tensors()
+        seeds = [11, 12, 13, 14]
+        results = []
+        for build in (pretrain_losses, per_view_losses):
+            for p in params:
+                p.zero_grad()
+            losses = build(mixed, model, cfg, seeds)
+            losses[3].backward()
+            results.append(([float(t.data) for t in losses],
+                            [p.grad.copy() for p in params]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        for p, g, w in zip(params, got_grads, want_grads):
+            err = np.linalg.norm(g - w)
+            assert err <= 1e-12 * np.linalg.norm(w), (p.name, err)
 
 
 class TestPretrain:
