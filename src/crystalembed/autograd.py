@@ -1,9 +1,12 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
-Every operation records its inputs and a backward closure on the implicit
-tape (the operation graph); `backward` runs one reverse-topological sweep,
-accumulating gradients additively across fan-out. All values are checked
-finite after every op. Broadcasting is limited to row-wise bias addition;
+Every operation records its inputs on the implicit tape (the operation
+graph), with one gradient function per input that maps the output's gradient
+to that input's contribution. `backward` runs one reverse-topological sweep
+and accumulates the contributions additively across fan-out. Only tensors
+that depend on a parameter are on the tape: constants, and anything computed
+from constants alone, get no gradient. All values are checked finite after
+every op. Broadcasting is limited to row-wise bias addition;
 everything else demands exact shapes.
 """
 
@@ -21,9 +24,10 @@ logger = logging.getLogger(__name__)
 class Tensor:
     """A node on the tape: float64 data plus gradient slot and parents."""
 
-    __slots__ = ("data", "grad", "name", "_parents", "_backward")
+    __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_grad_fns")
 
-    def __init__(self, data, parents=(), backward=None, name=None):
+    def __init__(self, data, parents=(), grad_fns=(), name=None,
+                 requires_grad=False):
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NumericsError(
@@ -31,8 +35,10 @@ class Tensor:
             )
         self.grad = None
         self.name = name
-        self._parents = parents
-        self._backward = backward
+        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        # off the tape, a tensor needs neither its inputs nor their rules
+        self._parents = parents if self.requires_grad else ()
+        self._grad_fns = grad_fns if self.requires_grad else ()
 
     @property
     def shape(self):
@@ -41,9 +47,15 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _ensure_grad(self):
+    def _accumulate(self, contribution):
+        """Add one gradient contribution: an array, or (index, rows) to
+        scatter-add with np.add.at."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
+        if isinstance(contribution, tuple):
+            np.add.at(self.grad, *contribution)
+        else:
+            self.grad += contribution
 
     def zero_grad(self):
         self.grad = None
@@ -65,13 +77,13 @@ class Tensor:
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
-                if id(p) not in visited:
+                if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
-        self._ensure_grad()
         self.grad = np.ones_like(self.data)
         for node in reversed(topo):
-            if node._backward is not None:
-                node._backward(node.grad)
+            for p, grad_fn in zip(node._parents, node._grad_fns):
+                if p.requires_grad:
+                    p._accumulate(grad_fn(node.grad))
         for node in topo:
             if node.grad is not None and not np.all(np.isfinite(node.grad)):
                 raise NumericsError("non-finite gradient encountered")
@@ -82,68 +94,41 @@ class Tensor:
 
 def parameter(data, name: str) -> Tensor:
     """A trainable leaf tensor."""
-    return Tensor(np.array(data, dtype=np.float64), name=name)
+    return Tensor(np.array(data, dtype=np.float64), name=name, requires_grad=True)
 
 
 def constant(data) -> Tensor:
+    """A leaf that gets no gradient."""
     return Tensor(data)
-
-
-def _grads(*tensors: Tensor):
-    for t in tensors:
-        t._ensure_grad()
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a row-vector bias against a 2-D tensor."""
     if a.data.shape == b.data.shape:
-        def back(g):
-            _grads(a, b)
-            a.grad += g
-            b.grad += g
-        return Tensor(a.data + b.data, (a, b), back)
+        return Tensor(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
-        def back(g):
-            _grads(a, b)
-            a.grad += g
-            b.grad += g.sum(axis=0)
-        return Tensor(a.data + b.data[None, :], (a, b), back)
+        return Tensor(a.data + b.data[None, :], (a, b),
+                      (lambda g: g, lambda g: g.sum(axis=0)))
     raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-    def back(g):
-        _grads(a, b)
-        a.grad += g
-        b.grad -= g
-
-    return Tensor(a.data - b.data, (a, b), back)
+    return Tensor(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise product of same-shape tensors."""
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
-
-    def back(g):
-        _grads(a, b)
-        a.grad += g * b.data
-        b.grad += g * a.data
-
-    return Tensor(a.data * b.data, (a, b), back)
+    return Tensor(a.data * b.data, (a, b),
+                  (lambda g: g * b.data, lambda g: g * a.data))
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-
-    def back(g):
-        _grads(a)
-        a.grad += c * g
-
-    return Tensor(a.data * c, (a,), back)
+    return Tensor(a.data * c, (a,), (lambda g: c * g,))
 
 
 def neg(a: Tensor) -> Tensor:
@@ -155,24 +140,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError(
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
-
-    def back(g):
-        _grads(a, b)
-        a.grad += g @ b.data.T
-        b.grad += a.data.T @ g
-
-    return Tensor(a.data @ b.data, (a, b), back)
+    return Tensor(a.data @ b.data, (a, b),
+                  (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: need 2-D, got {a.data.shape}")
-
-    def back(g):
-        _grads(a)
-        a.grad += g.T
-
-    return Tensor(a.data.T.copy(), (a,), back)
+    return Tensor(a.data.T.copy(), (a,), (lambda g: g.T,))
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -182,24 +157,16 @@ def concat(tensors, axis: int = 0) -> Tensor:
     ndim = tensors[0].data.ndim
     if any(t.data.ndim != ndim for t in tensors) or axis >= ndim:
         raise ShapeError("concat: rank mismatch")
-    sizes = [t.data.shape[axis] for t in tensors]
-    bounds = np.cumsum(sizes)[:-1]
-
-    def back(g):
-        pieces = np.split(g, bounds, axis=axis)
-        for t, piece in zip(tensors, pieces):
-            _grads(t)
-            t.grad += piece
-
-    return Tensor(np.concatenate([t.data for t in tensors], axis=axis), tuple(tensors), back)
+    ends = np.cumsum([t.data.shape[axis] for t in tensors])
+    pieces = [(slice(None),) * axis + (slice(end - t.data.shape[axis], end),)
+              for t, end in zip(tensors, ends)]
+    return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
+                  tuple(tensors), tuple(lambda g, s=s: g[s] for s in pieces))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    def back(g):
-        _grads(a)
-        a.grad += g.reshape(a.data.shape)
-
-    return Tensor(a.data.reshape(shape), (a,), back)
+    return Tensor(a.data.reshape(shape), (a,),
+                  (lambda g: g.reshape(a.data.shape),))
 
 
 def row_gather(a: Tensor, idx) -> Tensor:
@@ -209,12 +176,7 @@ def row_gather(a: Tensor, idx) -> Tensor:
         raise ShapeError(f"row_gather: need 2-D, got {a.data.shape}")
     if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
         raise ShapeError("row_gather: index out of range")
-
-    def back(g):
-        _grads(a)
-        np.add.at(a.grad, idx, g)
-
-    return Tensor(a.data[idx], (a,), back)
+    return Tensor(a.data[idx], (a,), (lambda g: (idx, g),))
 
 
 def row_scatter_add(m: Tensor, idx, num_rows: int) -> Tensor:
@@ -227,13 +189,7 @@ def row_scatter_add(m: Tensor, idx, num_rows: int) -> Tensor:
     out = np.zeros((num_rows, m.data.shape[1]))
     if idx.size:
         np.add.at(out, idx, m.data)
-
-    def back(g):
-        _grads(m)
-        if idx.size:
-            m.grad += g[idx]
-
-    return Tensor(out, (m,), back)
+    return Tensor(out, (m,), (lambda g: g[idx],))
 
 
 def take(a: Tensor, rows, cols) -> Tensor:
@@ -242,12 +198,7 @@ def take(a: Tensor, rows, cols) -> Tensor:
     cols = np.asarray(cols, dtype=np.int64)
     if a.data.ndim != 2 or rows.shape != cols.shape:
         raise ShapeError("take: need 2-D tensor and matching index arrays")
-
-    def back(g):
-        _grads(a)
-        np.add.at(a.grad, (rows, cols), g)
-
-    return Tensor(a.data[rows, cols], (a,), back)
+    return Tensor(a.data[rows, cols], (a,), (lambda g: ((rows, cols), g),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -261,76 +212,43 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
-
-    def back(g):
-        _grads(a)
-        a.grad += g * s * (1.0 - s)
-
-    return Tensor(s, (a,), back)
+    return Tensor(s, (a,), (lambda g: g * s * (1.0 - s),))
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     s = _sigmoid(a.data)
-
-    def back(g):
-        _grads(a)
-        a.grad += g * (s + a.data * s * (1.0 - s))
-
-    return Tensor(a.data * s, (a,), back)
+    return Tensor(a.data * s, (a,),
+                  (lambda g: g * (s + a.data * s * (1.0 - s)),))
 
 
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow becomes inf, caught by Tensor
         out = np.exp(a.data)
-
-    def back(g):
-        _grads(a)
-        a.grad += g * out
-
-    return Tensor(out, (a,), back)
+    return Tensor(out, (a,), (lambda g: g * out,))
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise NumericsError("log: non-positive input")
-
-    def back(g):
-        _grads(a)
-        a.grad += g / a.data
-
-    return Tensor(np.log(a.data), (a,), back)
+    return Tensor(np.log(a.data), (a,), (lambda g: g / a.data,))
 
 
 def abs_(a: Tensor) -> Tensor:
     """|x| with sign subgradient (0 at 0)."""
     sgn = np.sign(a.data)
-
-    def back(g):
-        _grads(a)
-        a.grad += g * sgn
-
-    return Tensor(np.abs(a.data), (a,), back)
+    return Tensor(np.abs(a.data), (a,), (lambda g: g * sgn,))
 
 
 def sum_all(a: Tensor) -> Tensor:
-    def back(g):
-        _grads(a)
-        a.grad += g
-
-    return Tensor(a.data.sum(), (a,), back)
+    return Tensor(a.data.sum(), (a,), (lambda g: g,))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise ShapeError("mean_all: empty tensor")
-
-    def back(g):
-        _grads(a)
-        a.grad += g / n
-
-    return Tensor(a.data.mean(), (a,), back)
+    return Tensor(a.data.mean(), (a,), (lambda g: g / n,))
 
 
 def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
@@ -356,12 +274,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
 
-    def back(g):
-        _grads(a)
+    def grad(g):
         inner = (g * s).sum(axis=1, keepdims=True)
-        a.grad += s * (g - inner)
+        return s * (g - inner)
 
-    return Tensor(s, (a,), back)
+    return Tensor(s, (a,), (grad,))
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -374,11 +291,7 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     out = (m + np.log(z)).ravel()
     soft = e / z
 
-    def back(g):
-        _grads(a)
-        a.grad += soft * g[:, None]
-
-    return Tensor(out, (a,), back)
+    return Tensor(out, (a,), (lambda g: soft * g[:, None],))
 
 
 def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -393,16 +306,15 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
     denom = np.where(small, eps, norms)
     y = a.data / denom
 
-    def back(g):
-        _grads(a)
+    def grad(g):
         # unit-norm rows: project out the radial component; guarded rows are
         # a constant 1/eps scaling
         inner = (g * y).sum(axis=1, keepdims=True)
         full = (g - y * inner) / denom
         guarded = g / eps
-        a.grad += np.where(small, guarded, full)
+        return np.where(small, guarded, full)
 
-    return Tensor(y, (a,), back)
+    return Tensor(y, (a,), (grad,))
 
 
 def bilinear(hi: Tensor, w: Tensor, hj: Tensor, b: Tensor) -> Tensor:
@@ -419,16 +331,22 @@ def bilinear(hi: Tensor, w: Tensor, hj: Tensor, b: Tensor) -> Tensor:
             f"bilinear: incompatible shapes {hi.data.shape}, {w.data.shape}, "
             f"{hj.data.shape}, {b.data.shape}"
         )
-    out = np.einsum("pd,dke,pe->pk", hi.data, w.data, hj.data) + b.data[None, :]
+    # BLAS products over w2, w viewed as (d, k*d): row p of outer(g, h) holds
+    # g[p, k] * h[p, e] at column k*d + e. Each (P, k*d) temporary lives only
+    # inside the call that builds it; none is kept on the tape.
+    p, d = hi.data.shape
+    k = w.data.shape[1]
+    w2 = w.data.reshape(d, k * d)
 
-    def back(g):
-        _grads(hi, w, hj, b)
-        hi.grad += np.einsum("pk,dke,pe->pd", g, w.data, hj.data)
-        hj.grad += np.einsum("pk,dke,pd->pe", g, w.data, hi.data)
-        w.grad += np.einsum("pd,pk,pe->dke", hi.data, g, hj.data)
-        b.grad += g.sum(axis=0)
+    def outer(g, h):
+        return (g[:, :, None] * h[:, None, :]).reshape(p, k * d)
 
-    return Tensor(out, (hi, w, hj, b), back)
+    out = np.einsum("pke,pe->pk", (hi.data @ w2).reshape(p, k, d), hj.data) + b.data
+    return Tensor(out, (hi, w, hj, b), (
+        lambda g: outer(g, hj.data) @ w2.T,
+        lambda g: (hi.data.T @ outer(g, hj.data)).reshape(d, k, d),
+        lambda g: outer(g, hi.data) @ w.data.transpose(1, 0, 2).reshape(k * d, d),
+        lambda g: g.sum(axis=0)))
 
 
 def grad_check(f, params, h: float = 1e-5, floor: float = 1e-2) -> float:

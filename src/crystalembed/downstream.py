@@ -20,7 +20,8 @@ from .embeddings import ElementEmbeddingTable
 from .encoder import LayerParams, apply_layers, init_layers
 from .errors import FeaturizationError, ValidationError
 from .optim import AdamState, adam_step
-from .periodic_graph import PeriodicGraph, batch_graphs, build_periodic_graph
+from .periodic_graph import (GraphBatch, PeriodicGraph, batch_graphs,
+                             build_periodic_graph)
 
 MODES = ("baseline", "pretrained")
 
@@ -115,10 +116,9 @@ class DownstreamModel:
     head_w: Tensor
     head_b: Tensor
 
-    def predict(self, graphs) -> Tensor:
-        """One prediction per graph, (B, 1), from one forward pass over
-        the graphs' disjoint union."""
-        batch = batch_graphs(graphs)
+    def predict(self, batch: GraphBatch) -> Tensor:
+        """One prediction per graph of the batch, (B, 1), from one forward
+        pass over its disjoint union."""
         h0 = self.featurize(batch.graph)
         h = apply_layers(self.layers, batch.graph, h0, self.cfg.rbf_count,
                          self.cfg.cutoff)
@@ -158,14 +158,14 @@ def split_indices(n: int, seed: int):
             order[n_train + n_val:])
 
 
-def _batch_mae(model: DownstreamModel, graphs, labels) -> Tensor:
-    preds = model.predict(graphs)
+def _batch_mae(model: DownstreamModel, batch: GraphBatch, labels) -> Tensor:
+    preds = model.predict(batch)
     target = ag.constant(np.asarray(labels, dtype=np.float64).reshape(-1, 1))
     return ag.mean_all(ag.abs_(ag.sub(preds, target)))
 
 
-def evaluate_mae(model: DownstreamModel, graphs, labels) -> float:
-    return float(_batch_mae(model, graphs, labels).data)
+def evaluate_mae(model: DownstreamModel, batch: GraphBatch, labels) -> float:
+    return float(_batch_mae(model, batch, labels).data)
 
 
 @dataclass
@@ -238,7 +238,9 @@ def train_supervised(structures, cfg: DownstreamConfig,
     params = model.trainable()
     opt = AdamState.for_params(params, lr=cfg.lr)
 
-    val_graphs = [graphs[i] for i in val_idx]
+    # the evaluation sets do not change during a run: batch each once
+    val_batch = batch_graphs([graphs[i] for i in val_idx])
+    test_batch = batch_graphs([graphs[i] for i in test_idx])
     val_labels = labels[val_idx]
     best_val = float("inf")
     best_snapshot = [p.data.copy() for p in params]
@@ -248,19 +250,19 @@ def train_supervised(structures, cfg: DownstreamConfig,
         order = epoch_rng.permutation(len(train_idx))
         for lo in range(0, len(order), cfg.batch_size):
             chunk = train_idx[order[lo:lo + cfg.batch_size]]
-            loss = _batch_mae(model, [graphs[i] for i in chunk], labels[chunk])
+            loss = _batch_mae(model, batch_graphs([graphs[i] for i in chunk]),
+                              labels[chunk])
             for p in params:
                 p.zero_grad()
             loss.backward()
             adam_step(opt, params)
-        val_mae = evaluate_mae(model, val_graphs, val_labels)
+        val_mae = evaluate_mae(model, val_batch, val_labels)
         if val_mae < best_val:
             best_val = val_mae
             best_snapshot = [p.data.copy() for p in params]
     for p, data in zip(params, best_snapshot):
         p.data = data
-    test_mae = evaluate_mae(model, [graphs[i] for i in test_idx],
-                            labels[test_idx])
+    test_mae = evaluate_mae(model, test_batch, labels[test_idx])
     report = summarize_runs(cfg.dim, cfg.label_fraction, cfg.mode,
                             [cfg.seed], [test_mae])
     return model, report

@@ -1,7 +1,8 @@
 """Crystal structures: the core record type plus CIF-subset and JSON-lines I/O.
 
 The CIF support is deliberately minimal: cell parameters and one atom_site
-loop, P1 only. Symmetry operators are never expanded. JSON-lines is the
+loop, P1 only. Symmetry operators are never expanded; a CIF whose symmetry
+loop lists more than the identity is rejected. JSON-lines is the
 primary interchange format.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import shlex
 from dataclasses import dataclass
 
 import numpy as np
@@ -136,12 +138,69 @@ def _cif_number(token: str, context: str) -> float:
         raise ParseError(f"non-numeric CIF value {token!r} for {context}") from None
 
 
+# loops listing symmetry operations, one per row, as "x,y,z"-style triplets
+_SYMOP_TAGS = ("_symmetry_equiv_pos_as_xyz", "_space_group_symop_operation_xyz")
+
+
+def _cif_loops(lines):
+    """Yield (lower-cased headers, data rows) of every loop_ block.
+
+    A loop's rows end at a blank line, a tag, a comment, or the next loop_
+    or data_ block.
+    """
+    i = 0
+    while i < len(lines):
+        if lines[i].strip().lower() != "loop_":
+            i += 1
+            continue
+        j = i + 1
+        headers: list[str] = []
+        while j < len(lines) and lines[j].strip().startswith("_"):
+            headers.append(lines[j].strip().split()[0].lower())
+            j += 1
+        rows: list[str] = []
+        while j < len(lines):
+            row = lines[j].strip()
+            if not row or row.startswith(("_", "#")) or row.lower().startswith(
+                ("loop_", "data_")
+            ):
+                break
+            rows.append(row)
+            j += 1
+        yield headers, rows
+        i = j
+
+
+def _check_symmetry_identity(headers: list[str], rows: list[str]) -> None:
+    """Reject a symmetry loop with any operation besides the identity.
+
+    Sites are read as the full cell, so a CIF that lists only the asymmetric
+    unit plus operations would silently lose every generated site.
+    """
+    col = next(headers.index(t) for t in _SYMOP_TAGS if t in headers)
+    for row in rows:
+        try:
+            tokens = shlex.split(row)
+        except ValueError:
+            raise ParseError(f"unbalanced quotes in symmetry row: {row!r}") from None
+        if len(tokens) <= col:
+            raise ParseError(f"short symmetry row: {row!r}")
+        # an unquoted operation with spaces spills over into later tokens
+        op = "".join(tokens[col:]) if col == len(headers) - 1 else tokens[col]
+        if op.replace(" ", "").lower() not in ("x,y,z", "+x,+y,+z"):
+            raise ParseError(
+                f"CIF symmetry operation {op!r} is not the identity; symmetry "
+                "expansion is not supported, so list every site of the cell (P1)"
+            )
+
+
 def parse_cif(text: str) -> CrystalStructure:
     """Parse the supported CIF subset into a CrystalStructure.
 
     Requires the six cell tags and one atom_site loop carrying an element
     symbol column (type_symbol or label) and fractional coordinates. Sites
-    with fractional occupancy are rejected.
+    with fractional occupancy are rejected, and so is a symmetry-operation
+    loop holding anything beyond the identity.
     """
     lines = text.splitlines()
     cell: dict[str, float] = {}
@@ -159,28 +218,19 @@ def parse_cif(text: str) -> CrystalStructure:
         if tag not in cell:
             raise ParseError(f"missing required CIF tag {tag}")
 
-    # locate the atom_site loop
+    # the symmetry loops, then the first atom_site loop
     symbols: list[str] = []
     coords: list[list[float]] = []
-    i = 0
     found_loop = False
-    while i < len(lines):
-        if lines[i].strip().lower() != "loop_":
-            i += 1
-            continue
-        j = i + 1
-        headers: list[str] = []
-        while j < len(lines) and lines[j].strip().startswith("_"):
-            headers.append(lines[j].strip().split()[0])
-            j += 1
-        lowered = [h.lower() for h in headers]
-        if not any(h.startswith("_atom_site_fract") for h in lowered):
-            i = j
+    for headers, rows in _cif_loops(lines):
+        if any(t in headers for t in _SYMOP_TAGS):
+            _check_symmetry_identity(headers, rows)
+        if found_loop or not any(h.startswith("_atom_site_fract") for h in headers):
             continue
         found_loop = True
 
         def col(name: str) -> int | None:
-            return lowered.index(name) if name in lowered else None
+            return headers.index(name) if name in headers else None
 
         fx, fy, fz = (col(f"_atom_site_fract_{ax}") for ax in "xyz")
         if fx is None or fy is None or fz is None:
@@ -194,12 +244,7 @@ def parse_cif(text: str) -> CrystalStructure:
             )
         occ_col = col("_atom_site_occupancy")
 
-        while j < len(lines):
-            row = lines[j].strip()
-            if not row or row.startswith(("_", "#")) or row.lower().startswith(
-                ("loop_", "data_")
-            ):
-                break
+        for row in rows:
             tokens = row.split()
             if len(tokens) < len(headers):
                 raise ParseError(f"short atom_site row: {row!r}")
@@ -217,8 +262,6 @@ def parse_cif(text: str) -> CrystalStructure:
                     _cif_number(tokens[fz], "_atom_site_fract_z"),
                 ]
             )
-            j += 1
-        break
     if not found_loop:
         raise ParseError("missing atom_site loop")
     if not symbols:

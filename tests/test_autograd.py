@@ -175,6 +175,63 @@ class TestBackward:
         with pytest.raises(ShapeError):
             ag.mul(x, x).backward()
 
+    def test_constants_get_no_gradient(self):
+        x = ag.parameter(np.array([1.0, -2.0]), "x")
+        c = ag.constant(np.array([3.0, 4.0]))
+        doubled = ag.scale(c, 2.0)  # computed from constants alone
+        ag.sum_all(ag.mul(x, doubled)).backward()
+        assert c.grad is None and doubled.grad is None
+        assert np.array_equal(x.grad, [6.0, 8.0])
+
+
+def _bilinear_oracle(hi, w, hj, b, g):
+    """The einsum forms: output, then the gradients of sum(g * output) with
+    respect to hi, w, hj and b."""
+    return (np.einsum("pd,dke,pe->pk", hi, w, hj) + b,
+            np.einsum("pk,dke,pe->pd", g, w, hj),
+            np.einsum("pd,pk,pe->dke", hi, g, hj),
+            np.einsum("pk,dke,pd->pe", g, w, hi),
+            g.sum(axis=0))
+
+
+def _assert_close(got, want, rtol=1e-12):
+    """Max-abs error within rtol of the largest reference entry."""
+    assert got.shape == want.shape
+    err = np.max(np.abs(got - want), initial=0.0)
+    assert err <= rtol * np.max(np.abs(want), initial=0.0), err
+
+
+class TestBilinearAgainstEinsum:
+    D, K = 64, 6
+
+    def _inputs(self, pairs, seed):
+        rng = np.random.default_rng(seed)
+        w = rand_param(rng, (self.D, self.K, self.D), "w")
+        w.data /= self.D
+        return (rand_param(rng, (pairs, self.D), "hi"), w,
+                rand_param(rng, (pairs, self.D), "hj"),
+                rand_param(rng, (self.K,), "b"), rng.normal(size=(pairs, self.K)))
+
+    @pytest.mark.parametrize("pairs", [0, 1, 1485])
+    def test_forward_and_gradients(self, pairs):
+        hi, w, hj, b, g = self._inputs(pairs, seed=pairs)
+        out = ag.bilinear(hi, w, hj, b)
+        ag.sum_all(ag.mul(out, ag.constant(g))).backward()
+        want = _bilinear_oracle(hi.data, w.data, hj.data, b.data, g)
+        for got, ref in zip((out.data, hi.grad, w.grad, hj.grad, b.grad), want):
+            _assert_close(got, ref)
+
+    def test_same_tensor_on_both_sides(self):
+        h, w, _, b, g = self._inputs(40, seed=7)
+        out = ag.bilinear(h, w, h, b)
+        ag.sum_all(ag.mul(out, ag.constant(g))).backward()
+        fwd, d_hi, d_w, d_hj, d_b = _bilinear_oracle(h.data, w.data, h.data,
+                                                     b.data, g)
+        _assert_close(out.data, fwd)
+        _assert_close(h.grad, d_hi + d_hj)
+        _assert_close(w.grad, d_w)
+        _assert_close(b.grad, d_b)
+
 
 def _check(op_builder, shapes, seed, floor=1e-3):
     # Scalarize with a fixed random mixing tensor so every output entry

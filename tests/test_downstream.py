@@ -21,7 +21,7 @@ from crystalembed.downstream import (
 from crystalembed.embeddings import ElementEmbeddingTable
 from crystalembed.errors import FeaturizationError, ValidationError
 from crystalembed.optim import AdamState, adam_step
-from crystalembed.periodic_graph import build_periodic_graph
+from crystalembed.periodic_graph import batch_graphs, build_periodic_graph
 from crystalembed.synthetic import make_labeled_structures
 
 from helpers import cubic_structure, supercell
@@ -152,12 +152,14 @@ def test_batched_mae_matches_per_graph_predict_loop(mode):
     params = model.trainable()
 
     def loop_mae():
-        preds = ag.concat([model.predict([g]) for g in graphs], axis=0)
+        preds = ag.concat([model.predict(batch_graphs([g])) for g in graphs],
+                          axis=0)
         target = ag.constant(labels.reshape(-1, 1))
         return ag.mean_all(ag.abs_(ag.sub(preds, target)))
 
     results = []
-    for mae in (lambda: _batch_mae(model, graphs, labels), loop_mae):
+    for mae in (lambda: _batch_mae(model, batch_graphs(graphs), labels),
+                loop_mae):
         for p in params:
             p.zero_grad()
         loss = mae()
@@ -167,7 +169,7 @@ def test_batched_mae_matches_per_graph_predict_loop(mode):
     assert abs(got - want) <= 1e-12 * abs(want)
     for g, w in zip(got_grads, want_grads):
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
-    assert evaluate_mae(model, graphs, labels) == got
+    assert evaluate_mae(model, batch_graphs(graphs), labels) == got
 
 
 # -- splits ------------------------------------------------------------
@@ -241,13 +243,13 @@ def test_more_epochs_never_hurt_best_validation(labeled):
     graphs = [build_periodic_graph(s, 5.0) for s in labeled]
     labels = np.array([s.label for s in labeled])
     _, val_idx, _ = split_indices(len(labeled), seed=0)
-    val_graphs = [graphs[i] for i in val_idx]
+    val_batch = batch_graphs([graphs[i] for i in val_idx])
 
     def best_val(epochs):
         cfg = DownstreamConfig(dim=8, num_layers=1, rbf_count=4,
                                batch_size=8, epochs=epochs, seed=0)
         model, _ = train_supervised(labeled, cfg)
-        return evaluate_mae(model, val_graphs, labels[val_idx])
+        return evaluate_mae(model, val_batch, labels[val_idx])
 
     assert best_val(12) <= best_val(2) + 1e-12
 

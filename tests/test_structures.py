@@ -29,6 +29,33 @@ _atom_site_fract_z
 Na 0.0 0.0 0.0
 """
 
+ROCKSALT_ASYMMETRIC_CIF = """\
+data_nacl
+_cell_length_a 5.64
+_cell_length_b 5.64
+_cell_length_c 5.64
+_cell_angle_alpha 90.0
+_cell_angle_beta 90.0
+_cell_angle_gamma 90.0
+_symmetry_space_group_name_H-M 'F m -3 m'
+loop_
+_symmetry_equiv_pos_site_id
+_symmetry_equiv_pos_as_xyz
+1 'x, y, z'
+2 '-x, -y, -z'
+3 'x, y+1/2, z+1/2'
+4 'x+1/2, y, z+1/2'
+5 'x+1/2, y+1/2, z'
+loop_
+_atom_site_label
+_atom_site_type_symbol
+_atom_site_fract_x
+_atom_site_fract_y
+_atom_site_fract_z
+Na1 Na 0.0 0.0 0.0
+Cl1 Cl 0.5 0.5 0.5
+"""
+
 
 class TestParseCif:
     def test_cubic_cell_is_diagonal(self):
@@ -93,6 +120,26 @@ class TestParseCif:
         ).replace("Na 0.0 0.0 0.0", "Na 0.0 0.0 0.0 0.5")
         with pytest.raises(ValidationError, match="occupancy"):
             parse_cif(text)
+
+    def test_symmetry_generated_sites_rejected(self):
+        # rock salt as asymmetric unit plus (some of) the Fm-3m operations;
+        # read as a full cell it would hold 2 sites instead of 8
+        with pytest.raises(ParseError, match=r"'-x, -y, -z'"):
+            parse_cif(ROCKSALT_ASYMMETRIC_CIF)
+
+    @pytest.mark.parametrize("loop", [
+        "loop_\n_symmetry_equiv_pos_as_xyz\n'x, y, z'\n",
+        "loop_\n_space_group_symop_id\n_space_group_symop_operation_xyz\n1 x,y,z\n",
+    ])
+    def test_identity_only_symmetry_loop_parses(self, loop):
+        s = parse_cif(CUBIC_NA_CIF.replace("loop_\n", loop + "loop_\n", 1))
+        assert list(s.atomic_numbers) == [11]
+
+    def test_operation_loop_after_sites_rejected(self):
+        loop = "loop_\n_space_group_symop_id\n_space_group_symop_operation_xyz\n" \
+               "1 x,y,z\n2 x+1/2,y+1/2,z\n"
+        with pytest.raises(ParseError, match=r"x\+1/2,y\+1/2,z"):
+            parse_cif(CUBIC_NA_CIF + loop)
 
 
 class TestLatticeFromCell:

@@ -120,6 +120,33 @@ class TestPretrainStep:
         with pytest.raises(ValidationError):
             pretrain_step(graphs[:1], model, opt, cfg, [0])
 
+    def test_constants_get_no_gradient(self, graphs, monkeypatch):
+        # Skipping constants must leave every parameter gradient bitwise as
+        # it is when each constant is put on the tape like a parameter.
+        cfg = fast_cfg(mask_ratio=0.3, drop_ratio=0.2)
+        model = fast_model(cfg, seed=5)
+        params = model.tensors()
+
+        def step(requires_grad):
+            made = []
+
+            def constant(data):
+                made.append(ag.Tensor(data, requires_grad=requires_grad))
+                return made[-1]
+
+            monkeypatch.setattr(ag, "constant", constant)
+            for p in params:
+                p.zero_grad()
+            pretrain_losses(graphs[:4], model, cfg, [3, 4, 5, 6])[3].backward()
+            return made, [p.grad.copy() for p in params]
+
+        skipped, grads = step(requires_grad=False)
+        kept, want = step(requires_grad=True)
+        assert skipped and all(c.grad is None for c in skipped)
+        assert all(c.grad is not None for c in kept)
+        for p, g, w in zip(params, grads, want):
+            assert g.tobytes() == w.tobytes(), p.name
+
     def test_masked_scope_runs(self, graphs):
         cfg = fast_cfg(node_loss_scope="masked", mask_ratio=0.5)
         model = fast_model(cfg)
