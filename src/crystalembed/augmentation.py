@@ -44,10 +44,6 @@ class AugmentedView:
     masked_nodes: np.ndarray  # sorted node indices
     seed: int
 
-    @property
-    def masked_set(self) -> frozenset:
-        return frozenset(int(i) for i in self.masked_nodes)
-
     @cached_property
     def graph(self) -> PeriodicGraph:
         return batch_graphs([self.source], [self.keep]).graph

@@ -6,7 +6,7 @@ array as little-endian float64 in directory order. Everything that goes in
 is float64, so a round trip is bitwise exact.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 import json
 
@@ -81,11 +81,14 @@ def load_checkpoint(path) -> CheckpointData:
         header = json.loads(raw[:nl].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
-    if header.get("format") != FORMAT_NAME:
+    if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ParseError(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version "
                          f"{header.get('version')}")
+    for f in fields(CheckpointData):
+        if f.name != "path" and f.name not in header:
+            raise ParseError(f"{path}: checkpoint header lacks {f.name!r}")
     body = raw[nl + 1:]
     arrays = {}
     offset = 0

@@ -9,6 +9,7 @@ errors, 3 numeric failures.
 """
 
 import argparse
+from dataclasses import fields
 import json
 import sys
 from pathlib import Path
@@ -18,10 +19,10 @@ import numpy as np
 from .downstream import (DownstreamConfig, label_fraction_sweep,
                          render_sweep_table, train_supervised)
 from .elements import category_of, z_to_symbol
-from .embeddings import load_table, project_2d, save_table_csv, save_table_json
+from .embeddings import (format_float17, load_table, project_2d,
+                         save_table_csv, save_table_json)
 from .errors import (CrystalEmbedError, NumericsError, ParseError, ShapeError,
                      ValidationError)
-from .ioutil import format_float17
 from .periodic_graph import (NUM_MULTIPLICITY_CLASSES, build_periodic_graph,
                              multiplicity_targets)
 from .structures import load_jsonl, parse_cif, save_jsonl
@@ -55,9 +56,11 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _merge_config(cls, config_path, overrides: dict):
-    data = {} if config_path is None else _load_config_file(config_path)
-    data.update({k: v for k, v in overrides.items() if v is not None})
+def _merge_config(cls, args):
+    """Defaults, then the --config file, then every config flag given."""
+    data = {} if args.config is None else _load_config_file(args.config)
+    data.update({f.name: getattr(args, f.name) for f in fields(cls)
+                 if getattr(args, f.name, None) is not None})
     return cls.from_dict(data)
 
 
@@ -137,13 +140,7 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_pretrain(args) -> int:
-    overrides = {key: getattr(args, key) for key in (
-        "dim", "num_layers", "rbf_count", "cutoff", "alpha", "beta", "gamma",
-        "lr", "batch_size", "epochs", "mask_ratio", "drop_ratio",
-        "temperature", "node_loss_scope", "seed")}
-    if args.class_weights is not None:
-        overrides["class_weights"] = args.class_weights
-    cfg = _merge_config(PretrainConfig, args.config, overrides)
+    cfg = _merge_config(PretrainConfig, args)
     structures = _load_structures(args.data)
     graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
     out_dir = Path(args.out)
@@ -177,10 +174,7 @@ def cmd_extract(args) -> int:
 
 
 def cmd_downstream(args) -> int:
-    overrides = {key: getattr(args, key) for key in (
-        "mode", "dim", "num_layers", "rbf_count", "cutoff", "label_fraction",
-        "epochs", "lr", "batch_size", "adapter_noise", "seed")}
-    cfg = _merge_config(DownstreamConfig, args.config, overrides)
+    cfg = _merge_config(DownstreamConfig, args)
     table = None
     if cfg.mode == "pretrained":
         if args.table is None:
@@ -202,10 +196,7 @@ def cmd_downstream(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    overrides = {key: getattr(args, key) for key in (
-        "dim", "num_layers", "rbf_count", "cutoff", "epochs", "lr",
-        "batch_size", "adapter_noise")}
-    cfg = _merge_config(DownstreamConfig, args.config, overrides)
+    cfg = _merge_config(DownstreamConfig, args)
     table = load_table(args.table)
     structures = _load_structures(args.data)
     out_dir = Path(args.out)
@@ -244,39 +235,14 @@ def cmd_project(args) -> int:
 
 # -- parser ---------------------------------------------------------------
 
-def _add_pretrain_flags(p):
-    p.add_argument("--dim", type=int)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--rbf-count", dest="rbf_count", type=int)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--alpha", type=float)
-    p.add_argument("--beta", type=float)
-    p.add_argument("--gamma", type=float)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--mask-ratio", dest="mask_ratio", type=float)
-    p.add_argument("--drop-ratio", dest="drop_ratio", type=float)
-    p.add_argument("--temperature", type=float)
-    p.add_argument("--class-weights", dest="class_weights", type=_float_list)
-    p.add_argument("--node-loss-scope", dest="node_loss_scope",
-                   choices=("all", "masked"))
-    p.add_argument("--seed", type=int)
-
-
-def _add_downstream_flags(p, with_run_identity=True):
-    p.add_argument("--dim", type=int)
-    p.add_argument("--num-layers", dest="num_layers", type=int)
-    p.add_argument("--rbf-count", dest="rbf_count", type=int)
-    p.add_argument("--cutoff", type=float)
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--lr", type=float)
-    p.add_argument("--batch-size", dest="batch_size", type=int)
-    p.add_argument("--adapter-noise", dest="adapter_noise", type=float)
-    if with_run_identity:
-        p.add_argument("--mode", choices=("baseline", "pretrained"))
-        p.add_argument("--label-fraction", dest="label_fraction", type=float)
-        p.add_argument("--seed", type=int)
+def _add_config_flags(p, cls, skip=()):
+    """One --field-name flag per config field, typed by the field default;
+    values are checked by the config itself (see _merge_config)."""
+    for f in fields(cls):
+        if f.name not in skip:
+            kind = _float_list if isinstance(f.default, tuple) else type(f.default)
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                           type=kind)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--resume", help="checkpoint to resume from")
-    _add_pretrain_flags(p)
+    _add_config_flags(p, PretrainConfig)
     p.set_defaults(func=cmd_pretrain)
 
     p = sub.add_parser("extract", help="export per-element embeddings")
@@ -312,7 +278,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--table", help="embedding table CSV/JSON")
-    _add_downstream_flags(p)
+    _add_config_flags(p, DownstreamConfig)
     p.set_defaults(func=cmd_downstream)
 
     p = sub.add_parser("sweep", help="label-fraction sweep of both modes")
@@ -323,7 +289,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--fractions", type=_float_list, default=[1.0, 0.5, 0.25])
     p.add_argument("--runs", type=int, default=4)
     p.add_argument("--base-seed", dest="base_seed", type=int, default=0)
-    _add_downstream_flags(p, with_run_identity=False)
+    # the sweep sets mode, label fraction and seed of every run itself
+    _add_config_flags(p, DownstreamConfig,
+                      skip=("mode", "label_fraction", "seed"))
     p.set_defaults(func=cmd_sweep)
 
     p = sub.add_parser("project", help="2-D PCA export of an embedding table")

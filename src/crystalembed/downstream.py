@@ -8,7 +8,7 @@ adapter (pretrained). The label-fraction sweep shrinks the training split
 while leaving validation and test untouched, then compares the two modes.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, fields, replace
 import math
 
 import numpy as np
@@ -18,7 +18,7 @@ from .autograd import Tensor
 from .elements import MAX_Z, z_to_symbol
 from .embeddings import ElementEmbeddingTable
 from .encoder import LayerParams, apply_layers, init_layers
-from .errors import FeaturizationError, ValidationError
+from .errors import FeaturizationError, ValidationError, from_dict
 from .optim import AdamState, adam_step
 from .periodic_graph import (GraphBatch, PeriodicGraph, batch_graphs,
                              build_periodic_graph)
@@ -54,15 +54,8 @@ class DownstreamConfig:
         if self.adapter_noise < 0.0:
             raise ValidationError("adapter_noise must be nonnegative")
 
-    def to_dict(self) -> dict:
-        return {k: getattr(self, k) for k in self.__dataclass_fields__}
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "DownstreamConfig":
-        extra = set(data) - set(cls.__dataclass_fields__)
-        if extra:
-            raise ValidationError(f"unknown config keys: {sorted(extra)}")
-        return cls(**data)
+    to_dict = asdict
+    from_dict = classmethod(from_dict)
 
 
 def make_atom_featurizer(cfg: DownstreamConfig, rng: np.random.Generator,
@@ -179,17 +172,7 @@ class EvalReport:
     std: float | None
     improvement_pct: float | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "fraction": self.fraction,
-            "mode": self.mode,
-            "seeds": list(self.seeds),
-            "maes": list(self.maes),
-            "mean": self.mean,
-            "std": self.std,
-            "improvement_pct": self.improvement_pct,
-        }
+    to_dict = asdict
 
 
 def summarize_runs(dim, fraction, mode, seeds, maes,
@@ -319,23 +302,18 @@ def label_fraction_sweep(structures, cfg: DownstreamConfig,
     return report
 
 
-_RECORD_FIELDS = {
-    "dim": int, "fraction": float, "mode": str, "seeds": list,
-    "maes": list, "mean": float, "std": (float, type(None)),
-    "improvement_pct": (float, type(None)),
-}
-
-
 def validate_report(report: dict) -> None:
-    """Schema check for the sweep report; raises ValidationError."""
+    """Schema check for the sweep report, whose records carry the annotated
+    fields of EvalReport; raises ValidationError."""
+    record_types = {f.name: f.type for f in fields(EvalReport)}
     for key in ("dim", "n_runs", "fractions", "records", "rows"):
         if key not in report:
             raise ValidationError(f"report missing key {key!r}")
     for record in report["records"]:
-        if set(record) != set(_RECORD_FIELDS):
+        if set(record) != set(record_types):
             raise ValidationError(
-                f"record keys {sorted(record)} != {sorted(_RECORD_FIELDS)}")
-        for key, types in _RECORD_FIELDS.items():
+                f"record keys {sorted(record)} != {sorted(record_types)}")
+        for key, types in record_types.items():
             if not isinstance(record[key], types):
                 raise ValidationError(f"record field {key!r} has wrong type")
         if record["mode"] not in MODES:

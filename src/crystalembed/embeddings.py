@@ -15,7 +15,11 @@ import numpy as np
 
 from .elements import MAX_Z, symbol_to_z, z_to_symbol
 from .errors import ParseError, ValidationError
-from .ioutil import format_float17
+
+
+def format_float17(x: float) -> str:
+    """Format a float with 17 significant digits (lossless for float64)."""
+    return f"{float(x):.17g}"
 
 
 @dataclass

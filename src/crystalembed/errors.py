@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the checked
+dict-to-dataclass conversion that turns bad config input into one of them."""
+
+from dataclasses import fields
 
 
 class CrystalEmbedError(Exception):
@@ -23,3 +26,35 @@ class NumericsError(CrystalEmbedError):
 
 class FeaturizationError(CrystalEmbedError):
     """Raised when node features cannot be built for a structure."""
+
+
+def _fits(value, default) -> bool:
+    """Whether value has the type of a field whose default is `default`:
+    an int passes for a float, a list for a tuple (item by item)."""
+    if isinstance(default, tuple):
+        return isinstance(value, (list, tuple)) and all(
+            _fits(v, default[0]) for v in value)
+    if isinstance(value, bool):
+        return isinstance(default, bool)
+    if isinstance(default, float):
+        return isinstance(value, (int, float))
+    return isinstance(value, type(default))
+
+
+def from_dict(cls, data: dict):
+    """Build the dataclass `cls` from a dict keyed by its field names.
+
+    Absent keys take their defaults; an unknown key, or a value whose type
+    differs from its field's default, raises ValidationError naming the key.
+    Configs bind this as their `from_dict` classmethod.
+    """
+    defaults = {f.name: f.default for f in fields(cls)}
+    extra = set(data) - set(defaults)
+    if extra:
+        raise ValidationError(f"unknown {cls.__name__} keys: {sorted(extra)}")
+    for key, value in data.items():
+        if not _fits(value, defaults[key]):
+            raise ValidationError(
+                f"{cls.__name__} key {key!r} must be "
+                f"{type(defaults[key]).__name__}, got {value!r}")
+    return cls(**data)

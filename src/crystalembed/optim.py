@@ -23,8 +23,8 @@ class AdamState:
     v: dict[str, np.ndarray] = field(default_factory=dict)
 
     @classmethod
-    def for_params(cls, params, lr=3e-2, beta1=0.9, beta2=0.999, eps=1e-8):
-        state = cls(lr=lr, beta1=beta1, beta2=beta2, eps=eps)
+    def for_params(cls, params, lr=3e-2):
+        state = cls(lr=lr)
         for p in params:
             state.m[p.name] = np.zeros_like(p.data)
             state.v[p.name] = np.zeros_like(p.data)

@@ -38,7 +38,6 @@ class PeriodicGraph:
     distances: np.ndarray
     directions: np.ndarray
     cutoff: float
-    validate: bool = field(default=True, repr=False)
     _groups: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
 
@@ -49,8 +48,7 @@ class PeriodicGraph:
         self.offsets = np.asarray(self.offsets, dtype=np.int64).reshape(-1, 3)
         self.distances = np.asarray(self.distances, dtype=np.float64)
         self.directions = np.asarray(self.directions, dtype=np.float64).reshape(-1, 3)
-        if self.validate:
-            self._check()
+        self._check()
 
     def _check(self):
         e = len(self.src)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .elements import MAX_Z, symbol_to_z
 from .errors import ParseError, ValidationError
-from .ioutil import format_float17
+from .embeddings import format_float17
 
 
 def _wrap_frac(coords: np.ndarray) -> np.ndarray:

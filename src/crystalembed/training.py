@@ -20,7 +20,7 @@ keeps the weight it would have on its own, whatever its size:
   rows laid out as paired_batch_partners expects.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 import json
 import time
@@ -40,7 +40,7 @@ from .decoders import (
 )
 from .embeddings import ElementEmbeddingTable, table_from_sums
 from .encoder import encode, encode_graph
-from .errors import ValidationError
+from .errors import ParseError, ValidationError, from_dict
 from .model import ModelParams, init_model_params
 from .optim import AdamState, adam_step
 from .periodic_graph import multiplicity_targets
@@ -86,36 +86,8 @@ class PretrainConfig:
             raise ValidationError("masked-node loss scope needs mask_ratio > 0")
         self.class_weights = tuple(float(w) for w in self.class_weights)
 
-    def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "num_layers": self.num_layers,
-            "rbf_count": self.rbf_count,
-            "cutoff": self.cutoff,
-            "alpha": self.alpha,
-            "beta": self.beta,
-            "gamma": self.gamma,
-            "lr": self.lr,
-            "batch_size": self.batch_size,
-            "epochs": self.epochs,
-            "mask_ratio": self.mask_ratio,
-            "drop_ratio": self.drop_ratio,
-            "temperature": self.temperature,
-            "class_weights": list(self.class_weights),
-            "node_loss_scope": self.node_loss_scope,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PretrainConfig":
-        known = set(cls.__dataclass_fields__)
-        extra = set(data) - known
-        if extra:
-            raise ValidationError(f"unknown config keys: {sorted(extra)}")
-        kwargs = dict(data)
-        if "class_weights" in kwargs:
-            kwargs["class_weights"] = tuple(kwargs["class_weights"])
-        return cls(**kwargs)
+    to_dict = asdict
+    from_dict = classmethod(from_dict)
 
 
 def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds):
@@ -187,6 +159,10 @@ def _epoch_seeds(seed: int, epoch: int, n: int):
     return order, [int(w) for w in words[1:]]
 
 
+# the optimizer's scalars go in the checkpoint header; m and v are arrays
+ADAM_HEADER = tuple(f.name for f in fields(AdamState) if f.name not in ("m", "v"))
+
+
 def model_arrays(model: ModelParams, opt: AdamState) -> dict:
     arrays = {name: t.data for name, t in model.named().items()}
     for name in model.named():
@@ -203,8 +179,7 @@ def save_state(path, model: ModelParams, opt: AdamState, cfg: PretrainConfig,
         config=cfg.to_dict(),
         epoch=epoch,
         history=history,
-        adam={"step": opt.step, "lr": opt.lr, "beta1": opt.beta1,
-              "beta2": opt.beta2, "eps": opt.eps},
+        adam={name: getattr(opt, name) for name in ADAM_HEADER},
     )
 
 
@@ -216,11 +191,11 @@ def load_state(path):
         np.random.default_rng(0), cfg.dim, cfg.num_layers, cfg.rbf_count,
         cfg.cutoff, cfg.temperature, cfg.class_weights,
     )
-    opt = AdamState(
-        lr=float(ck.adam["lr"]), beta1=float(ck.adam["beta1"]),
-        beta2=float(ck.adam["beta2"]), eps=float(ck.adam["eps"]),
-        step=int(ck.adam["step"]),
-    )
+    wrong = set(ADAM_HEADER) ^ set(ck.adam)
+    if wrong:
+        raise ParseError(f"{path}: checkpoint adam header keys {sorted(wrong)} "
+                         f"are missing or unknown")
+    opt = from_dict(AdamState, ck.adam)
     for name, tensor in model.named().items():
         for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
             if key not in ck.arrays:
@@ -266,9 +241,8 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
 
     if resume_from is not None:
         model, opt, saved_cfg, start_epoch, history = load_state(resume_from)
-        saved, current = saved_cfg.to_dict(), cfg.to_dict()
-        saved.pop("epochs"), current.pop("epochs")  # only the stop point may move
-        if saved != current:
+        # only the stop point may move
+        if replace(saved_cfg, epochs=cfg.epochs) != cfg:
             raise ValidationError("resume config differs from checkpoint config")
         log_mode = "a"
     else:

@@ -1,17 +1,19 @@
 """CLI subcommands called in-process through main(argv)."""
 
+import argparse
 import json
 
 import numpy as np
 import pytest
 
-from crystalembed.cli import main
+from crystalembed.cli import build_parser, main
 from crystalembed.downstream import validate_report
 from crystalembed.embeddings import load_table, save_table_csv
 from crystalembed.errors import NumericsError
 from crystalembed.structures import save_jsonl
 from crystalembed.synthetic import (make_labeled_structures,
                                     make_pretraining_structures)
+from crystalembed.training import load_state
 
 from test_downstream import small_table
 
@@ -301,3 +303,119 @@ def test_sweep_run_counting_and_outputs(tmp_path, lab_jsonl, capsys):
     assert "Improv.%" in table_text
     assert "Improv.%" in capsys.readouterr().out
     assert (out / "sweep_config.json").exists()
+
+
+# -- config schema ----------------------------------------------------------
+
+# (option string, dest) of every flag, as the hand-written parser had them
+PARSER_FLAGS = {
+    "pretrain": [
+        ("-h", "help"), ("--help", "help"), ("--data", "data"),
+        ("--out", "out"), ("--config", "config"), ("--resume", "resume"),
+        ("--dim", "dim"), ("--num-layers", "num_layers"),
+        ("--rbf-count", "rbf_count"), ("--cutoff", "cutoff"),
+        ("--alpha", "alpha"), ("--beta", "beta"), ("--gamma", "gamma"),
+        ("--lr", "lr"), ("--batch-size", "batch_size"),
+        ("--epochs", "epochs"), ("--mask-ratio", "mask_ratio"),
+        ("--drop-ratio", "drop_ratio"), ("--temperature", "temperature"),
+        ("--class-weights", "class_weights"),
+        ("--node-loss-scope", "node_loss_scope"), ("--seed", "seed"),
+    ],
+    "downstream": [
+        ("-h", "help"), ("--help", "help"), ("--data", "data"),
+        ("--out", "out"), ("--config", "config"), ("--table", "table"),
+        ("--mode", "mode"), ("--dim", "dim"), ("--num-layers", "num_layers"),
+        ("--rbf-count", "rbf_count"), ("--cutoff", "cutoff"),
+        ("--label-fraction", "label_fraction"), ("--epochs", "epochs"),
+        ("--lr", "lr"), ("--batch-size", "batch_size"),
+        ("--adapter-noise", "adapter_noise"), ("--seed", "seed"),
+    ],
+    "sweep": [
+        ("-h", "help"), ("--help", "help"), ("--data", "data"),
+        ("--table", "table"), ("--out", "out"), ("--config", "config"),
+        ("--fractions", "fractions"), ("--runs", "runs"),
+        ("--base-seed", "base_seed"), ("--dim", "dim"),
+        ("--num-layers", "num_layers"), ("--rbf-count", "rbf_count"),
+        ("--cutoff", "cutoff"), ("--epochs", "epochs"), ("--lr", "lr"),
+        ("--batch-size", "batch_size"), ("--adapter-noise", "adapter_noise"),
+    ],
+}
+
+
+@pytest.mark.parametrize("command", sorted(PARSER_FLAGS))
+def test_parser_flags_match_recorded_schema(command):
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {(opt, action.dest) for action in sub.choices[command]._actions
+           for opt in action.option_strings}
+    assert got == set(PARSER_FLAGS[command])
+
+
+@pytest.mark.parametrize("command, data, flag, allowed", [
+    ("pretrain", "pre_jsonl", "--node-loss-scope", ("all", "masked")),
+    ("downstream", "lab_jsonl", "--mode", ("baseline", "pretrained")),
+])
+def test_bad_choice_exits_2_naming_allowed_values(tmp_path, request, capsys,
+                                                  command, data, flag,
+                                                  allowed):
+    code = main([command, "--data", str(request.getfixturevalue(data)),
+                 "--out", str(tmp_path / "run"), flag, "bogus"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert all(f"'{value}'" in err for value in allowed)
+
+
+def test_class_weights_flag_lands_in_effective_config(tmp_path, pre_jsonl):
+    out = run_pretrain(tmp_path, pre_jsonl,
+                       ["--class-weights", "0.2,1,1,1,1,1"])
+    weights = [0.2, 1.0, 1.0, 1.0, 1.0, 1.0]
+    effective = json.loads((out / "pretrain_config.json").read_text())
+    assert effective["config"]["class_weights"] == weights
+    assert list(load_state(out / "final.ckpt")[2].class_weights) == weights
+
+
+@pytest.mark.parametrize("command, data, config, key", [
+    ("pretrain", "pre_jsonl", {"dim": "8"}, "dim"),
+    ("pretrain", "pre_jsonl", {"epochs": True}, "epochs"),
+    ("pretrain", "pre_jsonl", {"class_weights": [1, "2", 1, 1, 1, 1]},
+     "class_weights"),
+    ("downstream", "lab_jsonl", {"label_fraction": "0.5"}, "label_fraction"),
+    ("downstream", "lab_jsonl", {"seed": 1.5}, "seed"),
+])
+def test_config_value_of_wrong_type_exits_2(tmp_path, request, capsys,
+                                            command, data, config, key):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    code = main([command, "--data", str(request.getfixturevalue(data)),
+                 "--out", str(tmp_path / "run"), "--config", str(cfg_path)])
+    assert code == 2
+    assert repr(key) in capsys.readouterr().err
+
+
+def test_config_takes_int_for_float_and_list_for_tuple(tmp_path, pre_jsonl,
+                                                       lab_jsonl):
+    cfg_path = tmp_path / "pre.json"
+    cfg_path.write_text(json.dumps({"cutoff": 5, "alpha": 10,
+                                    "class_weights": [1, 2, 2, 2, 2, 3]}))
+    out = run_pretrain(tmp_path, pre_jsonl, ["--config", str(cfg_path)])
+    effective = json.loads((out / "pretrain_config.json").read_text())
+    assert effective["config"]["class_weights"] == [1.0, 2.0, 2.0, 2.0, 2.0, 3.0]
+
+    cfg_path = tmp_path / "ds.json"
+    cfg_path.write_text(json.dumps({"label_fraction": 1, "lr": 1}))
+    assert main(["downstream", "--data", str(lab_jsonl),
+                 "--out", str(tmp_path / "ds"), "--config", str(cfg_path),
+                 *FAST_DOWNSTREAM]) == 0
+
+
+def test_extract_checkpoint_without_arrays_exits_2(tmp_path, pre_jsonl,
+                                                   capsys):
+    ckpt = run_pretrain(tmp_path, pre_jsonl) / "final.ckpt"
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    del header["arrays"]
+    ckpt.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    code = main(["extract", "--checkpoint", str(ckpt), "--data",
+                 str(pre_jsonl), "--out", str(tmp_path / "emb")])
+    assert code == 2
+    assert "lacks 'arrays'" in capsys.readouterr().err

@@ -318,6 +318,46 @@ class TestSaveLoadState:
         ck = load_checkpoint(path)
         assert "encoder.atom_table" in ck.arrays
 
+    @staticmethod
+    def _edited_header(tmp_path, edit):
+        """A saved state whose JSON header line went through edit(header)."""
+        cfg = fast_cfg(epochs=1)
+        model = fast_model(cfg)
+        path = tmp_path / "s.ckpt"
+        save_state(path, model, AdamState.for_params(model.tensors(), lr=cfg.lr),
+                   cfg, 1, [])
+        line, body = path.read_bytes().split(b"\n", 1)
+        header = json.loads(line)
+        edit(header)
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        return path
+
+    @pytest.mark.parametrize("key", ["arrays", "config", "epoch", "history",
+                                     "adam"])
+    def test_header_missing_key_is_parse_error(self, tmp_path, key):
+        path = self._edited_header(tmp_path, lambda h: h.pop(key))
+        with pytest.raises(ParseError, match=f"lacks '{key}'"):
+            load_state(path)
+
+    @pytest.mark.parametrize("key", ["step", "lr", "beta1", "beta2", "eps"])
+    def test_adam_header_missing_key_is_parse_error(self, tmp_path, key):
+        path = self._edited_header(tmp_path, lambda h: h["adam"].pop(key))
+        with pytest.raises(ParseError, match=rf"adam header keys \['{key}'\]"):
+            load_state(path)
+
+    def test_adam_header_extra_key_is_parse_error(self, tmp_path):
+        path = self._edited_header(
+            tmp_path, lambda h: h["adam"].update(momentum=0.9))
+        with pytest.raises(ParseError, match="momentum"):
+            load_state(path)
+
+    def test_adam_header_round_trips(self, tmp_path):
+        path = self._edited_header(
+            tmp_path, lambda h: h["adam"].update(step=4, beta2=0.99))
+        _, opt, _, _, _ = load_state(path)
+        assert (opt.step, opt.lr, opt.beta1, opt.beta2, opt.eps) == (
+            4, 3e-2, 0.9, 0.99, 1e-8)
+
 
 class TestExtractEmbeddings:
     def test_unit_rows_and_counts(self, graphs):
