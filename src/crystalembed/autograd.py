@@ -2,12 +2,13 @@
 
 Every operation records its inputs on the implicit tape (the operation
 graph), with one gradient function per input that maps the output's gradient
-to that input's contribution. `backward` runs one reverse-topological sweep
-and accumulates the contributions additively across fan-out. Only tensors
-that depend on a parameter are on the tape: constants, and anything computed
-from constants alone, get no gradient. All values are checked finite after
-every op. Broadcasting is limited to row-wise bias addition;
-everything else demands exact shapes.
+to that input's contribution, always an array shaped like that input (gathers
+scatter-add theirs back with `_scatter_rows`). `backward` runs one
+reverse-topological sweep and adds the contributions up across fan-out. Only
+tensors that depend on a parameter are on the tape: constants, and anything
+computed from constants alone, get no gradient. All values are checked finite
+after every op. Broadcasting is limited to row-wise bias addition; everything
+else demands exact shapes.
 """
 
 from __future__ import annotations
@@ -48,14 +49,10 @@ class Tensor:
         return float(self.data)
 
     def _accumulate(self, contribution):
-        """Add one gradient contribution: an array, or (index, rows) to
-        scatter-add with np.add.at."""
+        """Add one gradient contribution, an array shaped like the data."""
         if self.grad is None:
             self.grad = np.zeros_like(self.data)
-        if isinstance(contribution, tuple):
-            np.add.at(self.grad, *contribution)
-        else:
-            self.grad += contribution
+        self.grad += contribution
 
     def zero_grad(self):
         self.grad = None
@@ -131,10 +128,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(a.data * c, (a,), (lambda g: c * g,))
 
 
-def neg(a: Tensor) -> Tensor:
-    return scale(a, -1.0)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeError(
@@ -169,45 +162,57 @@ def reshape(a: Tensor, shape) -> Tensor:
                   (lambda g: g.reshape(a.data.shape),))
 
 
+def _index(op: str, idx, size: int) -> np.ndarray:
+    """idx as int64, every entry in 0..size-1 (no wrap-around)."""
+    idx = np.asarray(idx, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= size):
+        raise ShapeError(f"{op}: index out of range")
+    return idx
+
+
+def _scatter_rows(idx: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
+    """out[idx[k]] += rows[k] for every k, into zeros((num_rows, d)): one
+    np.bincount over flat positions, which adds each position's terms in
+    index order, bitwise as NumPy's unbuffered in-place ufunc add does."""
+    d = rows.shape[1]
+    flat = (idx[:, None] * d + np.arange(d)).ravel()
+    return np.bincount(flat, weights=rows.ravel(),
+                       minlength=num_rows * d).reshape(num_rows, d)
+
+
 def row_gather(a: Tensor, idx) -> Tensor:
     """Select rows of a 2-D tensor; gradients scatter-add back."""
-    idx = np.asarray(idx, dtype=np.int64)
     if a.data.ndim != 2:
         raise ShapeError(f"row_gather: need 2-D, got {a.data.shape}")
-    if idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0]):
-        raise ShapeError("row_gather: index out of range")
-    return Tensor(a.data[idx], (a,), (lambda g: (idx, g),))
+    idx = _index("row_gather", idx, a.data.shape[0])
+    return Tensor(a.data[idx], (a,),
+                  (lambda g: _scatter_rows(idx, g, a.data.shape[0]),))
 
 
 def row_scatter_add(m: Tensor, idx, num_rows: int) -> Tensor:
     """Sum rows of m into num_rows buckets given by idx (empty m allowed)."""
-    idx = np.asarray(idx, dtype=np.int64)
     if m.data.ndim != 2:
         raise ShapeError(f"row_scatter_add: need 2-D, got {m.data.shape}")
+    idx = _index("row_scatter_add", idx, num_rows)
     if len(idx) != m.data.shape[0]:
         raise ShapeError("row_scatter_add: index length mismatch")
-    out = np.zeros((num_rows, m.data.shape[1]))
-    if idx.size:
-        np.add.at(out, idx, m.data)
-    return Tensor(out, (m,), (lambda g: g[idx],))
+    return Tensor(_scatter_rows(idx, m.data, num_rows), (m,), (lambda g: g[idx],))
 
 
 def take(a: Tensor, rows, cols) -> Tensor:
     """Gather a.data[rows, cols] into a 1-D tensor."""
-    rows = np.asarray(rows, dtype=np.int64)
-    cols = np.asarray(cols, dtype=np.int64)
-    if a.data.ndim != 2 or rows.shape != cols.shape:
+    if a.data.ndim != 2 or np.shape(rows) != np.shape(cols):
         raise ShapeError("take: need 2-D tensor and matching index arrays")
-    return Tensor(a.data[rows, cols], (a,), (lambda g: ((rows, cols), g),))
+    n, c = a.data.shape
+    flat = _index("take", rows, n) * c + _index("take", cols, c)
+    return Tensor(a.data.ravel()[flat], (a,), (lambda g: _scatter_rows(
+        flat.ravel(), g.reshape(-1, 1), n * c).reshape(n, c),))
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x), from e^-|x| so neither sign overflows."""
+    z = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, z) / (1.0 + z)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -241,14 +246,14 @@ def abs_(a: Tensor) -> Tensor:
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.data.sum(), (a,), (lambda g: g,))
+    return Tensor(a.data.sum(), (a,), (lambda g: np.full(a.data.shape, g),))
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise ShapeError("mean_all: empty tensor")
-    return Tensor(a.data.mean(), (a,), (lambda g: g / n,))
+    return Tensor(a.data.mean(), (a,), (lambda g: np.full(a.data.shape, g / n),))
 
 
 def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:

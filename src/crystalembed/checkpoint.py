@@ -9,6 +9,7 @@ is float64, so a round trip is bitwise exact.
 from dataclasses import dataclass, fields
 from pathlib import Path
 import json
+import math
 
 import numpy as np
 
@@ -28,18 +29,6 @@ class CheckpointData:
     path: str = ""
 
 
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_jsonable(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
-
-
 def save_checkpoint(
     path,
     arrays: dict,
@@ -52,9 +41,9 @@ def save_checkpoint(
         "format": FORMAT_NAME,
         "version": FORMAT_VERSION,
         "epoch": int(epoch),
-        "config": _jsonable(config),
-        "history": _jsonable(history),
-        "adam": _jsonable(adam),
+        "config": config,
+        "history": history,
+        "adam": adam,
         "arrays": [
             {"name": name, "shape": list(arr.shape)}
             for name, arr in arrays.items()
@@ -63,7 +52,9 @@ def save_checkpoint(
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "wb") as fh:
-        fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
+        # NumPy arrays and scalars in the header become lists and numbers
+        fh.write(json.dumps(header, sort_keys=True,
+                            default=lambda obj: obj.tolist()).encode("utf-8"))
         fh.write(b"\n")
         for arr in arrays.values():
             a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
@@ -86,16 +77,24 @@ def load_checkpoint(path) -> CheckpointData:
     if header.get("version") != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version "
                          f"{header.get('version')}")
-    for f in fields(CheckpointData):
-        if f.name != "path" and f.name not in header:
-            raise ParseError(f"{path}: checkpoint header lacks {f.name!r}")
+    kinds = {f.name: f.type for f in fields(CheckpointData) if f.name != "path"}
+    kinds["arrays"] = list  # a directory in the header, a dict once loaded
+    for key, kind in kinds.items():
+        if key not in header:
+            raise ParseError(f"{path}: checkpoint header lacks {key!r}")
+        if type(header[key]) is not kind:  # JSON values: a bool is no int
+            raise ParseError(f"{path}: checkpoint header {key!r} must be "
+                             f"{kind.__name__}, got {header[key]!r:.40}")
     body = raw[nl + 1:]
     arrays = {}
     offset = 0
     for entry in header["arrays"]:
-        shape = tuple(int(s) for s in entry["shape"])
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
+        shape = entry.get("shape") if type(entry) is dict else None
+        if not (type(shape) is list and type(entry.get("name")) is str
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ParseError(f"{path}: checkpoint array entry {entry!r:.60} needs "
+                             "a string 'name' and a 'shape' of sizes >= 0")
+        nbytes = math.prod(shape) * 8
         if offset + nbytes > len(body):
             raise ParseError(f"{path}: truncated array data for {entry['name']}")
         arr = np.frombuffer(body[offset:offset + nbytes], dtype="<f8").copy()
@@ -105,7 +104,7 @@ def load_checkpoint(path) -> CheckpointData:
         raise ParseError(f"{path}: {len(body) - offset} trailing bytes")
     return CheckpointData(
         config=header["config"],
-        epoch=int(header["epoch"]),
+        epoch=header["epoch"],
         history=header["history"],
         adam=header["adam"],
         arrays=arrays,

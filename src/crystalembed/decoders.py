@@ -122,7 +122,7 @@ def _segment_mean_nll(probs: Tensor, rows, cols, weights, segments,
         raise ValidationError(empty)
     w = weights / (totals[picked_segments] * num_segments)
     picked = ag.take(probs, rows, cols)
-    return ag.sum_all(ag.mul(ag.neg(ag.log(picked)), ag.constant(w)))
+    return ag.sum_all(ag.mul(ag.log(picked), ag.constant(-w)))
 
 
 def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope=None,

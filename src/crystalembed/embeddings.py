@@ -88,6 +88,26 @@ def save_table_csv(table: ElementEmbeddingTable, path) -> None:
             )
 
 
+def _table_from_rows(dim: int, rows) -> ElementEmbeddingTable:
+    """Table from (where, Z, symbol, count, vector) rows, as both loaders
+    read them. Each Z must lie in 1..MAX_Z, come once and match its symbol;
+    `where` names the row in the error."""
+    vectors = np.zeros((MAX_Z, dim))
+    counts = np.zeros(MAX_Z, dtype=np.int64)
+    seen = set()
+    for where, z, symbol, count, vector in rows:
+        if not 1 <= z <= MAX_Z:
+            raise ParseError(f"{where}: Z={z} out of range")
+        if z in seen:
+            raise ParseError(f"{where}: duplicate Z={z}")
+        if symbol_to_z(symbol) != z:
+            raise ParseError(f"{where}: symbol/Z mismatch")
+        seen.add(z)
+        vectors[z - 1] = vector
+        counts[z - 1] = count
+    return ElementEmbeddingTable(vectors=vectors, counts=counts)
+
+
 def load_table_csv(path) -> ElementEmbeddingTable:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -100,28 +120,16 @@ def load_table_csv(path) -> ElementEmbeddingTable:
         dim = len(header) - 3
         if dim < 1 or header[3:] != [f"e{k}" for k in range(dim)]:
             raise ParseError(f"{path}: malformed embedding columns")
-        vectors = np.zeros((MAX_Z, dim))
-        counts = np.zeros(MAX_Z, dtype=np.int64)
-        seen = set()
+        rows = []
         for line_no, row in enumerate(reader, start=2):
             if len(row) != len(header):
                 raise ParseError(f"{path}:{line_no}: wrong column count")
             try:
-                z = int(row[0])
-                count = int(row[2])
-                values = [float(x) for x in row[3:]]
+                rows.append((f"{path}:{line_no}", int(row[0]), row[1],
+                             int(row[2]), [float(x) for x in row[3:]]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from exc
-            if not 1 <= z <= MAX_Z:
-                raise ParseError(f"{path}:{line_no}: Z={z} out of range")
-            if z in seen:
-                raise ParseError(f"{path}:{line_no}: duplicate Z={z}")
-            if symbol_to_z(row[1]) != z:
-                raise ParseError(f"{path}:{line_no}: symbol/Z mismatch")
-            seen.add(z)
-            vectors[z - 1] = values
-            counts[z - 1] = count
-    return ElementEmbeddingTable(vectors=vectors, counts=counts)
+    return _table_from_rows(dim, rows)
 
 
 def save_table_json(table: ElementEmbeddingTable, path) -> None:
@@ -147,16 +155,12 @@ def load_table_json(path) -> ElementEmbeddingTable:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        dim = int(obj["dim"])
-        vectors = np.zeros((MAX_Z, dim))
-        counts = np.zeros(MAX_Z, dtype=np.int64)
-        for entry in obj["elements"]:
-            z = int(entry["z"])
-            vectors[z - 1] = [float(x) for x in entry["vector"]]
-            counts[z - 1] = int(entry["count"])
+        return _table_from_rows(int(obj["dim"]), [
+            (f"{path}: element {k}", int(e["z"]), str(e["symbol"]),
+             int(e["count"]), [float(x) for x in e["vector"]])
+            for k, e in enumerate(obj["elements"])])
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise ParseError(f"{path}: malformed embedding JSON: {exc}") from exc
-    return ElementEmbeddingTable(vectors=vectors, counts=counts)
 
 
 def load_table(path) -> ElementEmbeddingTable:

@@ -253,9 +253,8 @@ class MultiplicityTargets:
 
 def multiplicity_targets(g: PeriodicGraph) -> MultiplicityTargets:
     """Count unordered image connections per pair; diagonal +-o pairs count once."""
-    counts = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)
-    if g.num_edges:
-        np.add.at(counts, (g.src, g.dst), 1)
+    n = g.num_nodes
+    counts = np.bincount(g.src * n + g.dst, minlength=n * n).reshape(n, n)
     # directed self edges come in +-o pairs; one unordered connection each
     diag = counts.diagonal().copy() // 2
     np.fill_diagonal(counts, diag)

@@ -38,6 +38,7 @@ from .decoders import (
     node_nll,
     node_probs,
 )
+from .elements import MAX_Z
 from .embeddings import ElementEmbeddingTable, table_from_sums
 from .encoder import encode, encode_graph
 from .errors import ParseError, ValidationError, from_dict
@@ -300,11 +301,10 @@ def extract_embeddings(model: ModelParams, graphs) -> ElementEmbeddingTable:
     graphs = list(graphs)
     if not graphs:
         raise ValidationError("cannot extract embeddings from an empty dataset")
-    dim = model.encoder.dim
-    sums = np.zeros((118, dim))
-    counts = np.zeros(118, dtype=np.int64)
+    sums = np.zeros((MAX_Z, model.encoder.dim))
+    counts = np.zeros(MAX_Z, dtype=np.int64)
     for g in graphs:
         h = encode_graph(model.encoder, g)
-        np.add.at(sums, g.atomic_numbers - 1, h.data)
-        np.add.at(counts, g.atomic_numbers - 1, 1)
+        sums += ag.row_scatter_add(h, g.atomic_numbers - 1, MAX_Z).data
+        counts += np.bincount(g.atomic_numbers - 1, minlength=MAX_Z)
     return table_from_sums(sums, counts)

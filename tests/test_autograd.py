@@ -365,3 +365,109 @@ class TestAdam:
         state = AdamState.for_params([p])
         with pytest.raises(ShapeError):
             adam_step(state, [p], grads=[np.zeros(4)])
+
+
+def _ufunc_scatter(shape, index, values):
+    """Reference scatter-add: np.add.at into zeros."""
+    out = np.zeros(shape)
+    np.add.at(out, index, values)
+    return out
+
+
+def _two_branch_sigmoid(x):
+    """Reference sigmoid: 1 / (1 + e^-x) for x >= 0, e^x / (1 + e^x) below."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+def _same_bits(got, want):
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+class TestScatterAddAgainstUfuncAt:
+    """row_scatter_add and the gather gradients, bitwise against np.add.at on
+    fresh zeros; duplicate indices wherever there are more entries than rows."""
+
+    SIZES = [(6, 4, 0), (6, 4, 1), (6, 4, 40), (64, 16, 640), (5, 0, 7)]
+
+    @pytest.mark.parametrize("rows, d, m", SIZES)
+    def test_row_scatter_add_forward(self, rows, d, m):
+        rng = np.random.default_rng(rows + m)
+        idx, x = rng.integers(0, rows, size=m), rng.normal(size=(m, d))
+        got = ag.row_scatter_add(ag.constant(x), idx, rows).data
+        assert _same_bits(got, _ufunc_scatter((rows, d), idx, x))
+
+    @pytest.mark.parametrize("rows, d, m", SIZES)
+    def test_row_gather_gradient(self, rows, d, m):
+        rng = np.random.default_rng(rows + m + 1)
+        table = rand_param(rng, (rows, d), "table")
+        idx, g = rng.integers(0, rows, size=m), rng.normal(size=(m, d))
+        ag.sum_all(ag.mul(ag.row_gather(table, idx), ag.constant(g))).backward()
+        assert _same_bits(table.grad, _ufunc_scatter((rows, d), idx, g))
+
+    @pytest.mark.parametrize("rows, d, m", [s for s in SIZES if s[1]])
+    def test_take_gradient(self, rows, d, m):
+        rng = np.random.default_rng(rows + m + 2)
+        table = rand_param(rng, (rows, d), "table")
+        r, c = rng.integers(0, rows, size=m), rng.integers(0, d, size=m)
+        g = rng.normal(size=m)
+        taken = ag.take(table, r, c)
+        assert np.array_equal(taken.data, table.data[r, c])
+        ag.sum_all(ag.mul(taken, ag.constant(g))).backward()
+        assert _same_bits(table.grad, _ufunc_scatter((rows, d), (r, c), g))
+
+    def test_dense_then_scatter_contributions(self):
+        # integer values keep every sum exact, so the order the contributions
+        # are added in cannot change a bit
+        rng = np.random.default_rng(9)
+
+        def ints(*shape):
+            return rng.integers(-8, 9, size=shape).astype(float)
+
+        table = ag.parameter(ints(6, 4), "table")
+        dense, g_rows, g_take = ints(6, 4), ints(30, 4), ints(25)
+        idx = rng.integers(0, 6, size=30)
+        r, c = rng.integers(0, 6, size=25), rng.integers(0, 4, size=25)
+        ag.add(
+            ag.add(ag.sum_all(ag.mul(table, ag.constant(dense))),
+                   ag.sum_all(ag.mul(ag.row_gather(table, idx), ag.constant(g_rows)))),
+            ag.sum_all(ag.mul(ag.take(table, r, c), ag.constant(g_take))),
+        ).backward()
+        want = dense.copy()
+        np.add.at(want, idx, g_rows)
+        np.add.at(want, (r, c), g_take)
+        assert _same_bits(table.grad, want)
+
+    @pytest.mark.parametrize("op", [
+        lambda a: ag.row_scatter_add(a, [0, -1], 3),
+        lambda a: ag.row_scatter_add(a, [0, 3], 3),
+        lambda a: ag.row_gather(a, [-1]),
+        lambda a: ag.take(a, [0, 1], [0, -1]),
+        lambda a: ag.take(a, [2, 0], [0, 0]),
+    ], ids=["scatter-negative", "scatter-past-end", "gather-negative",
+            "take-negative-col", "take-past-last-row"])
+    def test_index_out_of_range(self, op):
+        with pytest.raises(ShapeError, match="index out of range"):
+            op(ag.constant(np.ones((2, 2))))
+
+
+SIGMOID_EDGES = np.array([0.0, -0.0, 1e-300, -1e-300, 745.0, -745.0, 800.0, -800.0])
+
+
+@pytest.mark.parametrize("x", [
+    SIGMOID_EDGES, np.random.default_rng(5).normal(scale=20.0, size=(40, 16)),
+], ids=["edges", "random"])
+def test_sigmoid_and_silu_match_two_branch_form_bitwise(x):
+    s = _two_branch_sigmoid(x)
+    assert _same_bits(ag.sigmoid(ag.constant(x)).data, s)
+    assert _same_bits(ag.silu(ag.constant(x)).data, x * s)
+    g = np.random.default_rng(6).normal(size=x.shape)
+    for op, want in ((ag.sigmoid, g * s * (1.0 - s)),
+                     (ag.silu, g * (s + x * s * (1.0 - s)))):
+        p = ag.parameter(x, "x")
+        ag.sum_all(ag.mul(op(p), ag.constant(g))).backward()
+        assert _same_bits(p.grad, 0.0 + want)  # a gradient starts at +0.0

@@ -419,3 +419,46 @@ def test_extract_checkpoint_without_arrays_exits_2(tmp_path, pre_jsonl,
                  str(pre_jsonl), "--out", str(tmp_path / "emb")])
     assert code == 2
     assert "lacks 'arrays'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """(final checkpoint, data) of one short pretraining run; read only."""
+    root = tmp_path_factory.mktemp("trained")
+    data = root / "pre.jsonl"
+    save_jsonl(data, make_pretraining_structures(24, seed=1))
+    assert main(["pretrain", "--data", str(data), "--out", str(root / "run"),
+                 *FAST_PRETRAIN]) == 0
+    return root / "run" / "final.ckpt", data
+
+
+ENTRY = "needs a string 'name' and a 'shape' of sizes >= 0"
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda h: h["arrays"][0].pop("shape"), ENTRY),
+    (lambda h: h["arrays"][0].pop("name"), ENTRY),
+    (lambda h: h["arrays"][0].update(shape=[-1]), ENTRY),
+    (lambda h: h["arrays"][0].update(shape=[2.0]), ENTRY),
+    (lambda h: h["arrays"].__setitem__(0, "w"), ENTRY),
+    (lambda h: h.update(epoch="x"), "'epoch' must be int, got 'x'"),
+    (lambda h: h.update(epoch=True), "'epoch' must be int, got True"),
+    (lambda h: h.update(arrays={}), "'arrays' must be list, got {}"),
+    (lambda h: h.update(history=5), "'history' must be list, got 5"),
+    (lambda h: h.update(config=[]), "'config' must be dict, got []"),
+    (lambda h: h.update(adam=None), "'adam' must be dict, got None"),
+], ids=["no-shape", "no-name", "negative-size", "float-size", "entry-not-object",
+        "epoch-str", "epoch-bool", "arrays-object", "history-int", "config-list",
+        "adam-null"])
+def test_extract_malformed_checkpoint_header_exits_2(tmp_path, trained, capsys,
+                                                     edit, message):
+    ckpt, data = trained
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    code = main(["extract", "--checkpoint", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "emb")])
+    assert code == 2
+    assert message in capsys.readouterr().err

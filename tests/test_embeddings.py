@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -115,6 +117,24 @@ class TestJsonRoundTrip:
                               load_table(tmp_path / "t.json").vectors)
         with pytest.raises(ValidationError):
             load_table(tmp_path / "t.txt")
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda els: els[0].update(z=0), "Z=0 out of range"),
+        (lambda els: els[0].update(z=-1), "Z=-1 out of range"),
+        (lambda els: els[0].update(z=119), "Z=119 out of range"),
+        (lambda els: els[1].update(z=1, symbol="H"), "element 1: duplicate Z=1"),
+        (lambda els: els[0].update(symbol="He"), "symbol/Z mismatch"),
+        (lambda els: els[0].pop("symbol"), "malformed embedding JSON"),
+    ], ids=["z-0", "z-negative", "z-119", "duplicate", "symbol-mismatch",
+            "no-symbol"])
+    def test_bad_z_rejected(self, tmp_path, edit, message):
+        path = tmp_path / "emb.json"
+        save_table_json(random_table(np.random.default_rng(4)), path)
+        obj = json.loads(path.read_text())
+        edit(obj["elements"])
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=message):
+            load_table_json(path)
 
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"

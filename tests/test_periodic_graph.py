@@ -8,6 +8,7 @@ from helpers import (
     cubic_structure,
     random_structure,
     rocksalt_structure,
+    supercell,
 )
 
 from crystalembed.errors import ValidationError
@@ -18,6 +19,7 @@ from crystalembed.periodic_graph import (
     build_periodic_graph,
     multiplicity_targets,
 )
+from crystalembed.synthetic import make_pretraining_structures
 
 
 class TestBuildPeriodicGraph:
@@ -96,6 +98,18 @@ class TestMultiplicityTargets:
                 brute_force_edges(s, 3.0), s.num_sites
             )
             assert np.array_equal(multiplicity_targets(g).classes, expected)
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_classes_match_ufunc_scatter_counts(self, k):
+        # reference: np.add.at counts of (src, dst), diagonal halved, clamped
+        for s in make_pretraining_structures(3, seed=k):
+            g = build_periodic_graph(supercell(s, k), cutoff=5.0)
+            counts = np.zeros((g.num_nodes, g.num_nodes), dtype=np.int64)
+            np.add.at(counts, (g.src, g.dst), 1)
+            np.fill_diagonal(counts, counts.diagonal() // 2)
+            classes = multiplicity_targets(g).classes
+            assert classes.dtype == np.int64
+            assert np.array_equal(classes, np.minimum(counts, 5))
 
     def test_symmetry_always(self):
         rng = np.random.default_rng(17)

@@ -186,6 +186,63 @@ def per_view_losses(graphs, model, cfg, view_seeds):
     return l_node, l_adj, l_nce, total
 
 
+# One pretrain_losses step on the mixed batch below, recorded when gathers
+# scatter-added their gradients with np.add.at and the sigmoid split its
+# input into two masked branches: the four losses (L_node, L_adj, L_infonce,
+# L_total), then per parameter (name, |grad|, r . grad) with
+# r = default_rng(position).normal(size=grad.size).
+RECORDED_STEP = {
+    "all": (
+        [4.731368687626803, 1.7893068840222912, 1.6389855530542177, 1076.6321389112825],
+        [
+            ('encoder.atom_table', 15.105008807091467, -12.794529704997014),
+            ('encoder.mask_vector', 13.06201304311491, 2.0878918163535003),
+            ('encoder.layer0.msg_w1', 117.11051197054145, -159.23337097749157),
+            ('encoder.layer0.msg_b1', 42.52058007945987, -47.87207835075537),
+            ('encoder.layer0.msg_w2', 74.39448599754074, 14.637114638506809),
+            ('encoder.layer0.msg_b2', 84.22062737949953, -43.68161633927235),
+            ('encoder.layer0.gate_w1', 24.50569153269657, 6.169098851572818),
+            ('encoder.layer0.gate_b1', 8.194125930778604, -8.728028587750373),
+            ('encoder.layer0.gate_w2', 10.319289927894875, -3.4378093208702962),
+            ('encoder.layer0.gate_b2', 11.41331346911613, 20.8253890837696),
+            ('decoder.node.w', 85.50179989983373, 102.17766249373845),
+            ('decoder.node.b', 103.11942795877107, 27.69275506021012),
+            ('decoder.adj.w_b', 0.747111487312001, -1.0206587455576788),
+            ('decoder.adj.b_b', 0.8368685610831672, 1.5453806109964674),
+            ('decoder.adj.w_a', 0.27181202955764816, -0.31052882739081683),
+            ('decoder.adj.b_a', 1.7158189916507132, -0.0215415574444983),
+            ('projector.w1', 7.170570496473258, -5.908539180415112),
+            ('projector.b1', 1.5944639771905513, -1.52501795699094),
+            ('projector.w2', 2.5456347406548705, -2.6279976942694634),
+            ('projector.b2', 2.073058517273211, 1.477980929166839),
+        ]),
+    "masked": (
+        [4.682262240069858, 1.7893068840222912, 1.6389855530542177, 1065.5831882109699],
+        [
+            ('encoder.atom_table', 11.533067350622662, 2.6317844171866014),
+            ('encoder.mask_vector', 9.722184212034206, 0.35121966572197455),
+            ('encoder.layer0.msg_w1', 95.5572984429055, -42.66547382083654),
+            ('encoder.layer0.msg_b1', 28.016876657568513, -34.81194162169481),
+            ('encoder.layer0.msg_w2', 78.14699386571326, -4.826031473764996),
+            ('encoder.layer0.msg_b2', 49.26868863395338, -33.90500561768744),
+            ('encoder.layer0.gate_w1', 21.074764543075364, -6.6681788347644435),
+            ('encoder.layer0.gate_b1', 5.789730563874346, -5.304824873146329),
+            ('encoder.layer0.gate_w2', 9.792280172590702, 3.969188434374323),
+            ('encoder.layer0.gate_b2', 8.769167662202225, 14.030098002353503),
+            ('decoder.node.w', 105.56008124428227, 117.11297540919853),
+            ('decoder.node.b', 105.7522087380559, 12.352631353754472),
+            ('decoder.adj.w_b', 0.747111487312001, -1.0206587455576788),
+            ('decoder.adj.b_b', 0.8368685610831672, 1.5453806109964674),
+            ('decoder.adj.w_a', 0.27181202955764816, -0.31052882739081683),
+            ('decoder.adj.b_a', 1.7158189916507132, -0.0215415574444983),
+            ('projector.w1', 7.170570496473258, -5.908539180415112),
+            ('projector.b1', 1.5944639771905513, -1.52501795699094),
+            ('projector.w2', 2.5456347406548705, -2.6279976942694634),
+            ('projector.b2', 2.073058517273211, 1.477980929166839),
+        ]),
+}
+
+
 class TestBatchedLossesMatchPerViewLoop:
     @pytest.fixture(scope="class")
     def mixed(self):
@@ -214,6 +271,22 @@ class TestBatchedLossesMatchPerViewLoop:
         for p, g, w in zip(params, got_grads, want_grads):
             err = np.linalg.norm(g - w)
             assert err <= 1e-12 * np.linalg.norm(w), (p.name, err)
+
+    @pytest.mark.parametrize("scope", ["all", "masked"])
+    def test_first_step_matches_recorded(self, mixed, scope):
+        # losses bitwise; a scatter-add onto a nonzero gradient may reassociate
+        cfg = fast_cfg(node_loss_scope=scope, mask_ratio=0.3, drop_ratio=0.2)
+        model = fast_model(cfg, seed=2)
+        losses = pretrain_losses(mixed, model, cfg, [11, 12, 13, 14])
+        losses[3].backward()
+        want_losses, want_grads = RECORDED_STEP[scope]
+        assert [float(t.data).hex() for t in losses] == [x.hex() for x in want_losses]
+        assert [p.name for p in model.tensors()] == [w[0] for w in want_grads]
+        for i, (p, (name, norm, proj)) in enumerate(zip(model.tensors(), want_grads)):
+            g = p.grad.ravel()
+            r = np.random.default_rng(i).normal(size=g.size)
+            assert abs(np.linalg.norm(g) - norm) <= 1e-12 * norm, name
+            assert abs(r @ g - proj) <= 1e-12 * norm * np.linalg.norm(r), name
 
 
 class TestPretrain:
