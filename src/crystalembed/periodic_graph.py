@@ -19,6 +19,7 @@ from .structures import CrystalStructure
 
 DIRECTION_NORM_TOL = 1e-9
 NUM_MULTIPLICITY_CLASSES = 6  # unordered connection counts 0..4, then "5+"
+BIN_REACH_RTOL = 1e-9  # rounding slack on the bins an edge can span
 
 
 def _lex_order(src, dst, offsets):
@@ -191,8 +192,14 @@ def batch_graphs(graphs, edge_masks=None) -> GraphBatch:
 def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     """All directed pairs (i, j, o) with 0 < |r_j + o.L - r_i| <= cutoff.
 
-    The image-offset search box is derived from the inverse lattice per axis,
-    so heavily skewed cells keep all their edges.
+    Linked-cell search (Allen & Tildesley, Computer Simulation of Liquids):
+    sites are binned on a grid of fractional cells at least one cutoff reach
+    wide per axis, the reach taken from the inverse lattice so heavily skewed
+    cells keep all their edges. Each site is paired only with the sites of
+    the bins within that reach, each periodic image of a bin visited once,
+    so time and memory are linear in the candidate pairs, not in N^2 times
+    the lattice images. At most N bins are allocated, so a mostly-vacuum
+    cell cannot ask for a huge bin table.
     """
     if not (cutoff > 0 and math.isfinite(cutoff)):
         raise ValidationError(f"cutoff must be positive, got {cutoff}")
@@ -202,24 +209,45 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     inv = np.linalg.inv(s.lattice)
     # cartesian -> fractional is r @ inv; column norms bound how far one
     # cutoff length reaches along each fractional axis
-    reach = cutoff * np.linalg.norm(inv, axis=0)
-    bounds = np.ceil(reach).astype(int) + 1
+    reach = (cutoff * np.linalg.norm(inv, axis=0)).tolist()
+    n = s.num_sites
+    # bins per axis at least one reach wide, at most n bins in all
+    nb = [max(1, int(1.0 / max(x, 1.0 / n))) for x in reach]
+    while nb[0] * nb[1] * nb[2] > n:
+        nb[nb.index(max(nb))] //= 2
+    # bin shifts an edge can span; the slack keeps rounding from dropping
+    # an edge at exactly the cutoff
+    m = [math.ceil(x * k * (1 + BIN_REACH_RTOL)) for x, k in zip(reach, nb)]
+    shifts = np.indices([2 * k + 1 for k in m]).reshape(3, -1).T - m
 
-    grids = np.meshgrid(*(np.arange(-b, b + 1) for b in bounds), indexing="ij")
-    all_offsets = np.stack([g.ravel() for g in grids], axis=1)
+    # frac_coords lie in [0, 1); sites sorted by flat bin id
+    strides = np.array([nb[1] * nb[2], nb[2], 1])
+    nb = np.array(nb)
+    bins = np.minimum((s.frac_coords * nb).astype(np.int64), nb - 1)
+    site_bin = bins @ strides
+    order = np.argsort(site_bin, kind="stable")
+    counts = np.bincount(site_bin, minlength=strides[0] * nb[0])
+    starts = np.cumsum(counts) - counts
+
+    # each (site, shift) pair names one wrapped bin and its lattice image;
+    # shifts are distinct, so no (j, offset) candidate is emitted twice
+    images, wrapped = np.divmod(bins[:, None, :] + shifts, nb)
+    images = images.reshape(-1, 3)
+    flat = (wrapped @ strides).ravel()
+    per_pair = counts[flat]
+    pair = np.repeat(np.arange(len(flat)), per_pair)
+    # candidate c is site starts[bin] + (c - first candidate of its pair)
+    lag = np.cumsum(per_pair) - per_pair - starts[flat]
+    i_idx = pair // len(shifts)
+    j_idx = order[np.arange(len(pair)) - lag[pair]]
 
     r = s.cart_coords()
-    n = s.num_sites
-    base = r[None, :, :] - r[:, None, :]  # [i, j] = r_j - r_i
-    shift = all_offsets.astype(np.float64) @ s.lattice
-    disp = base[None, :, :, :] + shift[:, None, None, :]
+    disp = (r[j_idx] - r[i_idx]) + (images.astype(np.float64) @ s.lattice)[pair]
     dist = np.linalg.norm(disp, axis=-1)
-    mask = (dist > 0.0) & (dist <= cutoff)
-
-    o_idx, i_idx, j_idx = np.nonzero(mask)
-    distances = dist[o_idx, i_idx, j_idx]
-    directions = disp[o_idx, i_idx, j_idx] / distances[:, None]
-    offsets = all_offsets[o_idx]
+    keep = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
+    i_idx, j_idx, offsets = i_idx[keep], j_idx[keep], images[pair[keep]]
+    distances = dist[keep]
+    directions = disp[keep] / distances[:, None]
 
     order = _lex_order(i_idx, j_idx, offsets)
     return PeriodicGraph(

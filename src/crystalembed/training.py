@@ -23,6 +23,7 @@ keeps the weight it would have on its own, whatever its size:
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 import json
+import math
 import time
 
 import numpy as np
@@ -209,6 +210,13 @@ def load_state(path):
         tensor.data = ck.arrays[name]
         opt.m[name] = ck.arrays[f"adam.m.{name}"]
         opt.v[name] = ck.arrays[f"adam.v.{name}"]
+    for k, rec in enumerate(ck.history):
+        if not (isinstance(rec, dict) and type(rec.get("epoch")) is int
+                and all(type(rec.get(key)) in (int, float)
+                        and math.isfinite(rec[key]) for key in LOSS_KEYS)):
+            raise ParseError(
+                f"{path}: checkpoint history entry {k} ({rec!r}) needs an int "
+                f"'epoch' and a finite number under each of {list(LOSS_KEYS)}")
     return model, opt, cfg, ck.epoch, list(ck.history)
 
 

@@ -462,3 +462,18 @@ def test_extract_malformed_checkpoint_header_exits_2(tmp_path, trained, capsys,
                  "--out", str(tmp_path / "emb")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("history", [[5], [{"epoch": 1}]],
+                         ids=["entry-int", "entry-without-losses"])
+def test_resume_malformed_history_exits_2(tmp_path, trained, capsys, history):
+    ckpt, data = trained
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["history"] = history
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    code = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--resume", str(bad), *FAST_PRETRAIN])
+    assert code == 2
+    assert "checkpoint history entry 0" in capsys.readouterr().err

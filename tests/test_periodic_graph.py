@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from helpers import (
 )
 
 from crystalembed.errors import ValidationError
+from crystalembed.structures import CrystalStructure, lattice_from_cell
 from crystalembed.periodic_graph import (
     PeriodicGraph,
     all_unordered_pairs,
@@ -72,6 +74,99 @@ class TestBuildPeriodicGraph:
             build_periodic_graph(cubic_structure(), cutoff=0.0)
         with pytest.raises(ValidationError):
             build_periodic_graph(cubic_structure(), cutoff=-2.0)
+
+
+def _cell(lattice, frac_coords):
+    frac_coords = np.asarray(frac_coords, dtype=float)
+    return CrystalStructure(lattice=np.asarray(lattice, dtype=float),
+                            frac_coords=frac_coords,
+                            atomic_numbers=np.full(len(frac_coords), 8),
+                            id="cell")
+
+
+class TestLinkedCellRegimes:
+    """Bin layouts of the linked-cell search, each against the oracle."""
+
+    def test_cutoff_longer_than_cell_on_every_axis(self):
+        # one bin per axis, neighbour shifts reach several images
+        s = cubic_structure(a=1.0, numbers=(11, 17),
+                            coords=((0.1, 0.2, 0.3), (0.6, 0.5, 0.9)))
+        g = build_periodic_graph(s, cutoff=2.3)
+        assert g.edge_multiset() == brute_force_edges(s, 2.3)
+        assert np.abs(g.offsets).max() > 1
+
+    def test_one_thin_axis(self):
+        rng = np.random.default_rng(31)
+        s = _cell(np.diag([8.0, 8.0, 1.5]), rng.random((8, 3)))
+        g = build_periodic_graph(s, cutoff=2.0)
+        assert g.num_edges > 0
+        assert g.edge_multiset() == brute_force_edges(s, 2.0)
+
+    def test_skewed_cells(self):
+        rng = np.random.default_rng(37)
+        for _ in range(6):
+            s = random_structure(rng, max_sites=5, skewed=True)
+            assert build_periodic_graph(s, 3.0).edge_multiset() == \
+                brute_force_edges(s, 3.0), s.lattice
+        # two bins per axis of a larger skewed cell
+        s = _cell(lattice_from_cell(12.0, 12.0, 6.0, 80.0, 100.0, 30.0),
+                  rng.random((12, 3)))
+        g = build_periodic_graph(s, 2.0)
+        assert g.num_edges > 0
+        assert g.edge_multiset() == brute_force_edges(s, 2.0)
+
+    def test_sites_on_the_cell_faces(self):
+        # 2 bins per axis; sites at 0 and just below 1 neighbour each other
+        # through the periodic boundary
+        edge = [0.0, 1.0 - 1e-12, np.nextafter(1.0, 0.0)]
+        frac = [(x, y, z) for x in edge[:2] for y in edge[:2] for z in edge]
+        s = _cell(6.0 * np.eye(3), frac)
+        g = build_periodic_graph(s, cutoff=2.9)
+        assert g.num_edges > 0
+        assert g.edge_multiset() == brute_force_edges(s, 2.9)
+
+    def test_edge_at_exactly_the_cutoff(self):
+        s = cubic_structure(a=1.0)
+        g = build_periodic_graph(s, cutoff=1.0)
+        assert g.edge_multiset() == brute_force_edges(s, 1.0)
+        assert g.num_edges == 6 and np.all(g.distances == 1.0)
+        # the same with two bins per axis, neighbours on the bin edges
+        frac = [(x, y, z) for x in (0, 0.5) for y in (0, 0.5) for z in (0, 0.5)]
+        s = _cell(2.0 * np.eye(3), frac)
+        g = build_periodic_graph(s, cutoff=1.0)
+        assert g.edge_multiset() == brute_force_edges(s, 1.0)
+        assert g.num_edges == 6 * 8
+
+    def test_mostly_vacuum_cell_caps_the_bins(self):
+        s = _cell(50.0 * np.eye(3), [(0.5, 0.5, 0.5), (0.52, 0.5, 0.5)])
+        base = build_periodic_graph(s, cutoff=2.0)
+        assert base.edge_multiset() == brute_force_edges(s, 2.0)
+        assert base.num_edges == 2
+        # 128 sites in a 200 A box: uncapped, cutoff 2 asks for 10^6 bins
+        big = supercell(s, 4)
+        tracemalloc.start()
+        try:
+            g = build_periodic_graph(big, cutoff=2.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert g.num_edges == 64 * base.num_edges
+        assert np.allclose(g.distances, 1.0)
+        assert peak < 1e6
+
+    def test_memory_bounded_on_a_250_site_supercell(self):
+        base = make_pretraining_structures(1, seed=0)[0]
+        s = supercell(base, 5)
+        tracemalloc.start()
+        try:
+            g = build_periodic_graph(s, cutoff=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.num_sites == 250
+        assert g.num_edges == 125 * build_periodic_graph(base, 5.0).num_edges
+        # the (images x N x N x 3) displacement array alone was ~500 MB
+        assert peak < 16e6
 
 
 class TestMultiplicityTargets:
