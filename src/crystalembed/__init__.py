@@ -17,8 +17,7 @@ from .errors import (CrystalEmbedError, FeaturizationError, NumericsError,
                      ParseError, ShapeError, ValidationError)
 from .model import ModelParams, init_model_params
 from .periodic_graph import (NUM_MULTIPLICITY_CLASSES, PeriodicGraph,
-                             all_unordered_pairs, build_periodic_graph,
-                             multiplicity_targets)
+                             build_periodic_graph, multiplicity_targets)
 from .structures import (CrystalStructure, lattice_from_cell, load_jsonl,
                          parse_cif, parse_jsonl, save_jsonl, serialize_jsonl)
 from .synthetic import make_labeled_structures, make_pretraining_structures
@@ -38,8 +37,8 @@ __all__ = [
     "CrystalEmbedError", "FeaturizationError", "NumericsError", "ParseError",
     "ShapeError", "ValidationError",
     "ModelParams", "init_model_params",
-    "NUM_MULTIPLICITY_CLASSES", "PeriodicGraph", "all_unordered_pairs",
-    "build_periodic_graph", "multiplicity_targets",
+    "NUM_MULTIPLICITY_CLASSES", "PeriodicGraph", "build_periodic_graph",
+    "multiplicity_targets",
     "CrystalStructure", "lattice_from_cell", "load_jsonl", "parse_cif",
     "parse_jsonl", "save_jsonl", "serialize_jsonl",
     "make_labeled_structures", "make_pretraining_structures",

@@ -322,35 +322,102 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
     return Tensor(y, (a,), (grad,))
 
 
-def bilinear(hi: Tensor, w: Tensor, hj: Tensor, b: Tensor) -> Tensor:
-    """Pairwise bilinear form: out[p, k] = hi[p] . w[:, k, :] . hj[p] + b[k]."""
+def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
+    """Bilinear scores of node pairs: out[p, k] = h[i] . w[:, k, :] . h[j] + b[k]
+    for pairs[p] = (i, j).
+
+    segments gives the segment of every row of h (None: all rows are one
+    segment), and both nodes of a pair must share one. A segment of n rows
+    is scored as one dense block holding S_k = (h W_k) h^T for every class
+    k, made by one (n*k, d) x (d, n) product; segments of equal n are
+    stacked into one batched product, so the Python loop runs over distinct
+    sizes, not segments. Pairs pick their k scores
+    from the blocks in the order given, and a repeated pair adds its
+    gradient once per occurrence. Backward scatters the pair gradients into
+    the blocks and stays in BLAS products; no per-pair (P, d) array is built.
+    """
     if (
-        hi.data.ndim != 2
-        or hj.data.shape != hi.data.shape
+        h.data.ndim != 2
         or w.data.ndim != 3
-        or w.data.shape[0] != hi.data.shape[1]
-        or w.data.shape[2] != hj.data.shape[1]
+        or w.data.shape[0] != h.data.shape[1]
+        or w.data.shape[2] != h.data.shape[1]
         or b.data.shape != (w.data.shape[1],)
     ):
         raise ShapeError(
-            f"bilinear: incompatible shapes {hi.data.shape}, {w.data.shape}, "
-            f"{hj.data.shape}, {b.data.shape}"
+            f"bilinear: incompatible shapes {h.data.shape}, {w.data.shape}, "
+            f"{b.data.shape}"
         )
-    # BLAS products over w2, w viewed as (d, k*d): row p of outer(g, h) holds
-    # g[p, k] * h[p, e] at column k*d + e. Each (P, k*d) temporary lives only
-    # inside the call that builds it; none is kept on the tape.
-    p, d = hi.data.shape
+    n, d = h.data.shape
     k = w.data.shape[1]
+    pairs = _index("bilinear", pairs, n)
+    if pairs.ndim != 2 or pairs.shape[1] != 2:
+        raise ShapeError(f"bilinear: pairs must be (P, 2), got {pairs.shape}")
+    seg = (np.zeros(n, dtype=np.int64) if segments is None
+           else np.asarray(segments, dtype=np.int64))
+    if seg.shape != (n,) or (n and seg.min() < 0):
+        raise ShapeError("bilinear: one nonnegative segment id per row required")
+    i, j = pairs.T
+    pair_seg = seg[i]
+    if np.any(seg[j] != pair_seg):
+        raise ShapeError("bilinear: a pair joins two segments")
+
+    # rows grouped by segment (stable), each with its index inside it
+    sizes = np.bincount(seg, minlength=1)
+    starts = np.cumsum(sizes) - sizes
+    order = np.argsort(seg, kind="stable")
+    local = np.empty(n, dtype=np.int64)
+    local[order] = np.arange(n) - starts[seg[order]]
+    # every segment gets an (n, k, n) block in one flat buffer, entry
+    # [i, c, j] scoring pair (i, j) in class c; a group stacks the blocks of
+    # its equal-size segments
+    base = np.zeros(len(sizes), dtype=np.int64)
+    groups = []  # (member rows (m, s), first block entry)
+    total = 0
+    for s in sorted(set(sizes.tolist()) - {0}):
+        ids = np.flatnonzero(sizes == s)
+        base[ids] = total + np.arange(len(ids)) * (k * s * s)
+        groups.append((order[starts[ids][:, None] + np.arange(s)], total))
+        total += len(ids) * k * s * s
+    s_p = sizes[pair_seg]
+    flat = ((base[pair_seg] + local[i] * k * s_p + local[j])[:, None]
+            + np.arange(k) * s_p[:, None])
+
     w2 = w.data.reshape(d, k * d)
+    t = h.data @ w2  # row r holds h[r] . w[:, k, :] at columns k*d..(k+1)*d
 
-    def outer(g, h):
-        return (g[:, :, None] * h[:, None, :]).reshape(p, k * d)
+    def group(rows, start):
+        """A group's rows of h as (m, s, d), of t as (m, s*k, d) (one row
+        per node and class), and the slice and shape of its blocks in the
+        flat buffer."""
+        m, s = rows.shape
+        return (h.data[rows], t[rows].reshape(m, s * k, d),
+                slice(start, start + m * s * k * s), (m, s * k, s))
 
-    out = np.einsum("pke,pe->pk", (hi.data @ w2).reshape(p, k, d), hj.data) + b.data
-    return Tensor(out, (hi, w, hj, b), (
-        lambda g: outer(g, hj.data) @ w2.T,
-        lambda g: (hi.data.T @ outer(g, hj.data)).reshape(d, k, d),
-        lambda g: outer(g, hi.data) @ w.data.transpose(1, 0, 2).reshape(k * d, d),
+    blocks = np.empty(total)
+    for rows, start in groups:
+        hg, tg, part, shape = group(rows, start)
+        np.matmul(tg, hg.swapaxes(-1, -2), out=blocks[part].reshape(shape))
+
+    memo = {}
+
+    def back(g):
+        """Gradients of t and, through the right factor, of h, in node rows;
+        made once per backward and shared by the h and w rules."""
+        if memo.get("g") is not g:
+            g_blocks = np.bincount(flat.ravel(), weights=g.ravel(), minlength=total)
+            # the groups partition the rows, so every row is written once
+            g_t, g_h = np.empty_like(t), np.empty_like(h.data)
+            for rows, start in groups:
+                hg, tg, part, shape = group(rows, start)
+                gb = g_blocks[part].reshape(shape)
+                g_t[rows.ravel()] = (gb @ hg).reshape(-1, k * d)
+                g_h[rows.ravel()] = (gb.swapaxes(-1, -2) @ tg).reshape(-1, d)
+            memo.update(g=g, grads=(g_t, g_h))
+        return memo["grads"]
+
+    return Tensor(blocks[flat] + b.data, (h, w, b), (
+        lambda g: back(g)[0] @ w2.T + back(g)[1],
+        lambda g: (h.data.T @ back(g)[0]).reshape(d, k, d),
         lambda g: g.sum(axis=0)))
 
 

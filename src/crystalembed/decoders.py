@@ -149,11 +149,14 @@ def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope=None,
                              segments, "node loss scope is empty")
 
 
-def adjacency_probs(h: Tensor, params: AdjDecoderParams, pairs: np.ndarray) -> Tensor:
+def adjacency_probs(h: Tensor, params: AdjDecoderParams, pairs: np.ndarray,
+                    segments=None) -> Tensor:
     """Multiplicity distribution for each unordered node pair; (|pairs|, 6).
 
-    Embeddings are L2-normalized first; the bilinear form is evaluated once
-    per pair in (i, j) order with i <= j.
+    Embeddings are L2-normalized first. segments gives the segment (graph or
+    view) of every row of h, None meaning one segment; both nodes of a pair
+    (i, j), i <= j, lie in one, and every pair of a segment is scored from
+    one dense bilinear block over that segment's rows.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n = h.data.shape[0]
@@ -162,9 +165,7 @@ def adjacency_probs(h: Tensor, params: AdjDecoderParams, pairs: np.ndarray) -> T
     if np.any(pairs[:, 0] > pairs[:, 1]):
         raise ValidationError("pairs must be ordered i <= j")
     hn = ag.l2_normalize_rows(h)
-    hi = ag.row_gather(hn, pairs[:, 0])
-    hj = ag.row_gather(hn, pairs[:, 1])
-    s = ag.bilinear(hi, params.w_b, hj, params.b_b)
+    s = ag.bilinear(hn, params.w_b, params.b_b, pairs, segments)
     logits = ag.add(ag.matmul(s, ag.transpose(params.w_a)), params.b_a)
     return ag.softmax_rows(logits)
 

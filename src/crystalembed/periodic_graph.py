@@ -158,12 +158,16 @@ def batch_graphs(graphs, edge_masks=None) -> GraphBatch:
     """Place graphs side by side in one validated graph.
 
     edge_masks[b], when given, selects the directed edges of graph b that
-    are kept; edge order within each graph is preserved.
+    are kept; edge order within each graph is preserved. A masked union is
+    validated afresh, since a mask can break mirror balance. An unmasked one
+    is not: it only shifts the node indices of graphs that were validated
+    when they were built, so every invariant carries over.
     """
     graphs = list(graphs)
     if not graphs:
         raise ValidationError("cannot batch an empty list of graphs")
-    if edge_masks is None:
+    masked = edge_masks is not None
+    if not masked:
         edge_masks = [slice(None)] * len(graphs)
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     node_offsets = np.concatenate([[0], np.cumsum(sizes)])
@@ -175,7 +179,7 @@ def batch_graphs(graphs, edge_masks=None) -> GraphBatch:
     src, dst = stack("src"), stack("dst")
     kept = [len(g.src[m]) for g, m in zip(graphs, edge_masks)]
     shift = np.repeat(node_offsets[:-1], kept)
-    union = PeriodicGraph(
+    arrays = dict(
         num_nodes=int(node_offsets[-1]),
         atomic_numbers=np.concatenate([g.atomic_numbers for g in graphs]),
         src=src + shift,
@@ -185,6 +189,12 @@ def batch_graphs(graphs, edge_masks=None) -> GraphBatch:
         directions=stack("directions"),
         cutoff=max(g.cutoff for g in graphs),
     )
+    if masked:
+        union = PeriodicGraph(**arrays)
+    else:
+        # skip the dataclass __init__, whose __post_init__ runs _check
+        union = PeriodicGraph.__new__(PeriodicGraph)
+        vars(union).update(arrays, _groups=None)
     segments = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     return GraphBatch(union, node_offsets, segments)
 
@@ -287,8 +297,3 @@ def multiplicity_targets(g: PeriodicGraph) -> MultiplicityTargets:
     diag = counts.diagonal().copy() // 2
     np.fill_diagonal(counts, diag)
     return MultiplicityTargets(classes=np.minimum(counts, NUM_MULTIPLICITY_CLASSES - 1))
-
-
-def all_unordered_pairs(num_nodes: int) -> list[tuple[int, int]]:
-    """Every unordered node pair (i, j) with i <= j, in row-major order."""
-    return [(i, j) for i in range(num_nodes) for j in range(i, num_nodes)]

@@ -118,11 +118,11 @@ def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds)
         i, j = np.triu_indices(len(targets[v // 2]))
         pairs.append(np.column_stack([i, j]) + lo)
         classes.append(targets[v // 2][i, j])
-    pair_segments = np.repeat(np.arange(len(views)), [len(c) for c in classes])
     pairs = np.concatenate(pairs)
     loss_adj = adj_weighted_ce(
-        adjacency_probs(h, model.adj_decoder, pairs), np.concatenate(classes),
-        model.adj_decoder.class_weights, pair_segments)
+        adjacency_probs(h, model.adj_decoder, pairs, batch.segments),
+        np.concatenate(classes), model.adj_decoder.class_weights,
+        batch.segments[pairs[:, 0]])
     loss_nce = info_nce(
         project(h, model.projector, batch.segments),
         paired_batch_partners(len(graphs)),

@@ -41,6 +41,11 @@ def brute_force_multiplicities(edges, n):
     return np.minimum(counts, 5)
 
 
+def all_unordered_pairs(num_nodes):
+    """Every unordered node pair (i, j) with i <= j, in row-major order."""
+    return [(i, j) for i in range(num_nodes) for j in range(i, num_nodes)]
+
+
 def cubic_structure(a=1.0, numbers=(11,), coords=((0.0, 0.0, 0.0)), sid="cubic"):
     coords = np.atleast_2d(coords)
     return CrystalStructure(

@@ -23,15 +23,14 @@ from crystalembed.downstream import (DownstreamConfig, improvement_pct,
                                      render_sweep_table, validate_report)
 from crystalembed.embeddings import load_table_csv, save_table_csv
 from crystalembed.model import init_model_params
-from crystalembed.periodic_graph import (all_unordered_pairs,
-                                         build_periodic_graph,
+from crystalembed.periodic_graph import (build_periodic_graph,
                                          multiplicity_targets)
 from crystalembed.synthetic import (make_labeled_structures,
                                     make_pretraining_structures)
 from crystalembed.training import (PretrainConfig, extract_embeddings,
                                    pretrain, pretrain_losses)
 
-from helpers import brute_force_edges, random_structure
+from helpers import all_unordered_pairs, brute_force_edges, random_structure
 
 # Frozen benchmark: pretraining corpus covers all 20 synthetic elements;
 # the labeled corpus has fixed cell geometry so only atom identity carries

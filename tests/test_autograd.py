@@ -78,11 +78,10 @@ class TestForwardValues:
 
     def test_bilinear_zero_weight_returns_bias(self):
         rng = np.random.default_rng(2)
-        hi = ag.constant(rng.normal(size=(4, 3)))
-        hj = ag.constant(rng.normal(size=(4, 3)))
+        h = ag.constant(rng.normal(size=(5, 3)))
         b = ag.constant(np.arange(6.0))
         w = ag.constant(np.zeros((3, 6, 3)))
-        out = ag.bilinear(hi, w, hj, b)
+        out = ag.bilinear(h, w, b, np.array([[0, 1], [2, 2], [4, 3], [1, 0]]))
         assert np.array_equal(out.data, np.tile(np.arange(6.0), (4, 1)))
 
     def test_bilinear_d1_ramp(self):
@@ -91,18 +90,18 @@ class TestForwardValues:
         out = ag.bilinear(
             ag.constant(np.ones((1, 1))),
             ag.constant(w),
-            ag.constant(np.ones((1, 1))),
             ag.constant(np.zeros(6)),
+            np.array([[0, 0]]),
         )
         assert np.array_equal(out.data, [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]])
 
     def test_bilinear_matches_loop_oracle(self):
         rng = np.random.default_rng(3)
-        hi, hj = rng.normal(size=(5, 4)), rng.normal(size=(5, 4))
+        h = rng.normal(size=(6, 4))
         w, b = rng.normal(size=(4, 6, 4)), rng.normal(size=6)
-        out = ag.bilinear(
-            ag.constant(hi), ag.constant(w), ag.constant(hj), ag.constant(b)
-        )
+        pairs = np.array([[0, 5], [3, 3], [5, 0], [2, 4], [1, 2]])
+        hi, hj = h[pairs[:, 0]], h[pairs[:, 1]]
+        out = ag.bilinear(ag.constant(h), ag.constant(w), ag.constant(b), pairs)
         expected = np.zeros((5, 6))
         for p in range(5):
             for k in range(6):
@@ -201,36 +200,72 @@ def _assert_close(got, want, rtol=1e-12):
     assert err <= rtol * np.max(np.abs(want), initial=0.0), err
 
 
+def _gathered_oracle(h, w, b, pairs, g):
+    """_bilinear_oracle on the gathered rows hi = h[i], hj = h[j]: output,
+    then the gradients with respect to h (both sides scatter-added), w and b."""
+    i, j = pairs[:, 0], pairs[:, 1]
+    fwd, d_hi, d_w, d_hj, d_b = _bilinear_oracle(h[i], w, h[j], b, g)
+    d_h = np.zeros_like(h)
+    np.add.at(d_h, i, d_hi)
+    np.add.at(d_h, j, d_hj)
+    return fwd, d_h, d_w, d_b
+
+
 class TestBilinearAgainstEinsum:
     D, K = 64, 6
 
-    def _inputs(self, pairs, seed):
+    def _inputs(self, nodes, pairs, seed):
         rng = np.random.default_rng(seed)
         w = rand_param(rng, (self.D, self.K, self.D), "w")
         w.data /= self.D
-        return (rand_param(rng, (pairs, self.D), "hi"), w,
-                rand_param(rng, (pairs, self.D), "hj"),
+        return (rand_param(rng, (nodes, self.D), "h"), w,
                 rand_param(rng, (self.K,), "b"), rng.normal(size=(pairs, self.K)))
+
+    def _check_against_oracle(self, h, w, b, g, pairs, segments=None):
+        out = ag.bilinear(h, w, b, pairs, segments)
+        ag.sum_all(ag.mul(out, ag.constant(g))).backward()
+        want = _gathered_oracle(h.data, w.data, b.data, pairs, g)
+        for got, ref in zip((out.data, h.grad, w.grad, b.grad), want):
+            _assert_close(got, ref)
 
     @pytest.mark.parametrize("pairs", [0, 1, 1485])
     def test_forward_and_gradients(self, pairs):
-        hi, w, hj, b, g = self._inputs(pairs, seed=pairs)
-        out = ag.bilinear(hi, w, hj, b)
-        ag.sum_all(ag.mul(out, ag.constant(g))).backward()
-        want = _bilinear_oracle(hi.data, w.data, hj.data, b.data, g)
-        for got, ref in zip((out.data, hi.grad, w.grad, hj.grad, b.grad), want):
-            _assert_close(got, ref)
+        # the 1,485 unordered pairs of 54 nodes, in a shuffled order
+        h, w, b, g = self._inputs(54, pairs, seed=pairs)
+        triu = np.column_stack(np.triu_indices(54))
+        order = np.random.default_rng(pairs).permutation(len(triu))[:pairs]
+        self._check_against_oracle(h, w, b, g, triu[order])
 
     def test_same_tensor_on_both_sides(self):
-        h, w, _, b, g = self._inputs(40, seed=7)
-        out = ag.bilinear(h, w, h, b)
-        ag.sum_all(ag.mul(out, ag.constant(g))).backward()
-        fwd, d_hi, d_w, d_hj, d_b = _bilinear_oracle(h.data, w.data, h.data,
-                                                     b.data, g)
-        _assert_close(out.data, fwd)
-        _assert_close(h.grad, d_hi + d_hj)
-        _assert_close(w.grad, d_w)
-        _assert_close(b.grad, d_b)
+        h, w, b, g = self._inputs(40, 40, seed=7)
+        self._check_against_oracle(h, w, b, g, np.repeat(np.arange(40), 2).reshape(40, 2))
+
+    def test_mixed_block_sizes_in_one_call(self):
+        # segments of 16, 1, 54, 2, 16 and 2 rows, their rows interleaved
+        sizes = [16, 1, 54, 2, 16, 2]
+        rng = np.random.default_rng(5)
+        segments = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+        pairs = np.concatenate([
+            np.flatnonzero(segments == s)[np.column_stack(np.triu_indices(n))]
+            for s, n in enumerate(sizes)])
+        pairs = pairs[rng.permutation(len(pairs))]
+        h, w, b, g = self._inputs(len(segments), len(pairs), seed=6)
+        self._check_against_oracle(h, w, b, g, pairs, segments)
+
+    def test_shuffled_repeated_pairs_accumulate(self):
+        rng = np.random.default_rng(8)
+        segments = np.repeat([0, 1], [5, 3])
+        once = np.array([[0, 4], [4, 0], [2, 2], [5, 7], [6, 6], [1, 3]])
+        pairs = np.concatenate([once, once, once[:2]])[rng.permutation(14)]
+        h, w, b, g = self._inputs(8, len(pairs), seed=9)
+        self._check_against_oracle(h, w, b, g, pairs, segments)
+
+    def test_cross_segment_pair_rejected(self):
+        h, w, b, _ = self._inputs(4, 0, seed=10)
+        with pytest.raises(ShapeError):
+            ag.bilinear(h, w, b, np.array([[0, 1], [1, 2]]), [0, 0, 1, 1])
+        with pytest.raises(ShapeError):
+            ag.bilinear(h, w, b, np.array([[0, 1]]), [0, 0, 1])
 
 
 def _check(op_builder, shapes, seed, floor=1e-3):
@@ -274,8 +309,10 @@ class TestGradCheckPerOp:
             (lambda a: ag.mean_all(a), [(3, 3)]),
             (lambda a: ag.abs_(a), [(3, 3)]),
             (
-                lambda hi, w, hj, b: ag.bilinear(hi, w, hj, b),
-                [(3, 4), (4, 6, 4), (3, 4), (6,)],
+                lambda h, w, b: ag.bilinear(
+                    h, w, b, np.array([[0, 1], [2, 4], [4, 2], [3, 3], [0, 1]]),
+                    [0, 0, 1, 1, 1]),
+                [(5, 4), (4, 6, 4), (6,)],
             ),
         ]
         for case_idx, (op_builder, shapes) in enumerate(cases):

@@ -17,14 +17,10 @@ from crystalembed.decoders import (
     node_probs,
 )
 from crystalembed.errors import ValidationError
-from crystalembed.periodic_graph import (
-    all_unordered_pairs,
-    build_periodic_graph,
-    multiplicity_targets,
-)
+from crystalembed.periodic_graph import build_periodic_graph, multiplicity_targets
 from crystalembed.structures import CrystalStructure
 
-from helpers import rocksalt_structure
+from helpers import all_unordered_pairs, rocksalt_structure
 
 
 def rand_h(rng, n, d):

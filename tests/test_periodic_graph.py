@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 from helpers import (
+    all_unordered_pairs,
     brute_force_edges,
     brute_force_multiplicities,
     cubic_structure,
@@ -16,12 +17,11 @@ from crystalembed.errors import ValidationError
 from crystalembed.structures import CrystalStructure, lattice_from_cell
 from crystalembed.periodic_graph import (
     PeriodicGraph,
-    all_unordered_pairs,
     batch_graphs,
     build_periodic_graph,
     multiplicity_targets,
 )
-from crystalembed.synthetic import make_pretraining_structures
+from crystalembed.synthetic import make_labeled_structures, make_pretraining_structures
 
 
 class TestBuildPeriodicGraph:
@@ -295,6 +295,20 @@ class TestBatchGraphs:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValidationError):
             batch_graphs([])
+
+    def test_unmasked_unions_pass_the_full_check(self):
+        # an unmasked union is built without _check; its invariants follow
+        # from its validated parts, so running the check must find nothing
+        pretraining = make_pretraining_structures(48, seed=3)
+        corpora = [pretraining, make_labeled_structures(64, seed=11),
+                   [supercell(s, k) for s in pretraining[:3] for k in (2, 3)]]
+        for structures in corpora:
+            graphs = [build_periodic_graph(s, 5.0) for s in structures]
+            for chunk in (graphs, graphs[::-1], graphs[1::2]):
+                batch = batch_graphs(chunk)
+                batch.graph._check()
+                assert batch.graph.num_edges == sum(g.num_edges for g in chunk)
+                assert batch.graph.edge_groups()[0] == batch.graph.num_edges // 2
 
 
 def test_edge_groups_number_connections_like_np_unique():

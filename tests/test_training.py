@@ -17,11 +17,7 @@ from crystalembed.encoder import encode_graph
 from crystalembed.errors import ParseError, ValidationError
 from crystalembed.model import init_model_params
 from crystalembed.optim import AdamState
-from crystalembed.periodic_graph import (
-    all_unordered_pairs,
-    build_periodic_graph,
-    multiplicity_targets,
-)
+from crystalembed.periodic_graph import build_periodic_graph, multiplicity_targets
 from crystalembed.synthetic import make_pretraining_structures
 from crystalembed.training import (
     PretrainConfig,
@@ -33,7 +29,8 @@ from crystalembed.training import (
     save_state,
 )
 
-from helpers import cubic_structure, rocksalt_structure, supercell
+from helpers import (all_unordered_pairs, cubic_structure, rocksalt_structure,
+                     supercell)
 
 FAST = dict(dim=8, num_layers=1, rbf_count=4, cutoff=5.0, batch_size=4)
 
@@ -271,6 +268,28 @@ class TestBatchedLossesMatchPerViewLoop:
         for p, g, w in zip(params, got_grads, want_grads):
             err = np.linalg.norm(g - w)
             assert err <= 1e-12 * np.linalg.norm(w), (p.name, err)
+
+    @pytest.mark.parametrize("scope", ["all", "masked"])
+    def test_views_of_2_16_and_54_nodes(self, scope):
+        # one dense adjacency block per view size, against one per view
+        cells = make_pretraining_structures(3, seed=4)
+        structures = [cells[0], supercell(cells[1], 2), supercell(cells[2], 3)]
+        graphs = [build_periodic_graph(s, 5.0) for s in structures]
+        assert [g.num_nodes for g in graphs] == [2, 16, 54]
+        cfg = fast_cfg(node_loss_scope=scope, mask_ratio=0.3, drop_ratio=0.2)
+        model = fast_model(cfg, seed=3)
+        results = []
+        for build in (pretrain_losses, per_view_losses):
+            for p in model.tensors():
+                p.zero_grad()
+            losses = build(graphs, model, cfg, [21, 22, 23])
+            losses[3].backward()
+            results.append(([float(t.data) for t in losses],
+                            [p.grad.copy() for p in model.tensors()]))
+        (got, got_grads), (want, want_grads) = results
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
+        for p, g, w in zip(model.tensors(), got_grads, want_grads):
+            assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w), p.name
 
     @pytest.mark.parametrize("scope", ["all", "masked"])
     def test_first_step_matches_recorded(self, mixed, scope):
