@@ -3,12 +3,21 @@
 Every operation records its inputs on the implicit tape (the operation
 graph), with one gradient function per input that maps the output's gradient
 to that input's contribution, always an array shaped like that input (gathers
-scatter-add theirs back with `_scatter_rows`). `backward` runs one
-reverse-topological sweep and adds the contributions up across fan-out. Only
-tensors that depend on a parameter are on the tape: constants, and anything
-computed from constants alone, get no gradient. All values are checked finite
-after every op. Broadcasting is limited to row-wise bias addition; everything
-else demands exact shapes.
+scatter-add theirs back with `_scatter_rows`): either a view of the output's
+gradient or an array the rule has just made. Only tensors that depend on a
+parameter are on the tape: constants, and anything computed from constants
+alone, get no gradient. Every op names itself on the tensor it makes, and a
+non-finite result raises `NumericsError("<op>: non-finite output")`.
+Broadcasting is limited to row-wise bias addition; everything else demands
+exact shapes.
+
+`backward` consumes the tape: one backward per forward. Its reverse sweep
+pops each tensor once its gradient is complete, checks that gradient finite
+(naming the parameter, or the op that made the tensor) and passes it on. An
+op result then drops its gradient, inputs and rules, so the sweep frees the
+tape as it goes and keeps no intermediate gradient; leaves (parameters, and
+tensors built with requires_grad=True and no inputs) keep theirs. A second
+backward through a consumed tensor raises `ValidationError`.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ import logging
 
 import numpy as np
 
-from .errors import NumericsError, ShapeError
+from .errors import NumericsError, ShapeError, ValidationError
 
 logger = logging.getLogger(__name__)
 
@@ -29,11 +38,11 @@ class Tensor:
 
     def __init__(self, data, parents=(), grad_fns=(), name=None,
                  requires_grad=False):
+        """name: the parameter's name, or for an op result the op's."""
         self.data = np.asarray(data, dtype=np.float64)
         if not np.all(np.isfinite(self.data)):
             raise NumericsError(
-                f"non-finite values in tensor{' ' + name if name else ''}"
-            )
+                f"{name or 'tensor'}: non-finite {'output' if parents else 'values'}")
         self.grad = None
         self.name = name
         self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
@@ -48,17 +57,26 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def _accumulate(self, contribution):
-        """Add one gradient contribution, an array shaped like the data."""
-        if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += contribution
+    def _accumulate(self, contribution, g):
+        """Add one gradient contribution, an array shaped like the data, made
+        by a rule from its output's gradient g. The first becomes .grad: an
+        array the rule made is adopted, a view of g (or an array laid out
+        unlike the data) is copied once; either starts at +0.0, bitwise as a
+        zero-filled buffer would."""
+        if self.grad is not None:
+            self.grad += contribution
+        elif _adoptable(contribution, self.data, g):
+            contribution += 0.0  # -0.0 becomes +0.0
+            self.grad = contribution
+        else:
+            self.grad = np.add(contribution, 0.0, out=np.empty_like(self.data))
 
     def zero_grad(self):
         self.grad = None
 
     def backward(self):
-        """Reverse sweep from this scalar, filling .grad along the tape."""
+        """Reverse sweep from this scalar, filling the leaves' .grad and
+        consuming the tape behind it (see the module docstring)."""
         if self.data.shape != ():
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
         topo: list[Tensor] = []
@@ -71,22 +89,41 @@ class Tensor:
                 continue
             if id(node) in visited:
                 continue
+            if node._parents is None:
+                raise ValidationError(
+                    f"backward: the tape through {node.name} was consumed by an "
+                    "earlier backward; run the forward pass again")
             visited.add(id(node))
             stack.append((node, True))
             for p in node._parents:
                 if p.requires_grad and id(p) not in visited:
                     stack.append((p, False))
         self.grad = np.ones_like(self.data)
-        for node in reversed(topo):
+        while topo:  # reverse topological order
+            node = topo.pop()
+            g, leaf = node.grad, not node._parents
+            if not np.all(np.isfinite(g)):
+                where = (f"for parameter {node.name!r}" if leaf
+                         else f"at the output of {node.name}")
+                raise NumericsError(f"backward: non-finite gradient {where}")
+            if leaf:  # keeps its gradient
+                continue
             for p, grad_fn in zip(node._parents, node._grad_fns):
                 if p.requires_grad:
-                    p._accumulate(grad_fn(node.grad))
-        for node in topo:
-            if node.grad is not None and not np.all(np.isfinite(node.grad)):
-                raise NumericsError("non-finite gradient encountered")
+                    p._accumulate(grad_fn(g), g)
+            node.grad = node._parents = node._grad_fns = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
+
+
+def _adoptable(c, data: np.ndarray, g: np.ndarray) -> bool:
+    """Whether c can be data's gradient as it is: an array of data's dtype
+    and shape, laid out as np.empty_like(data) would be (which a reduction's
+    summation order depends on), and sharing no memory with g."""
+    return (isinstance(c, np.ndarray) and c.dtype == data.dtype
+            and c.shape == data.shape and c.flags.c_contiguous
+            and data.flags.c_contiguous and not np.may_share_memory(c, g))
 
 
 def parameter(data, name: str) -> Tensor:
@@ -102,17 +139,17 @@ def constant(data) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a row-vector bias against a 2-D tensor."""
     if a.data.shape == b.data.shape:
-        return Tensor(a.data + b.data, (a, b), (lambda g: g, lambda g: g))
+        return Tensor(a.data + b.data, (a, b), (lambda g: g, lambda g: g), "add")
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         return Tensor(a.data + b.data[None, :], (a, b),
-                      (lambda g: g, lambda g: g.sum(axis=0)))
+                      (lambda g: g, lambda g: g.sum(axis=0)), "add")
     raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return Tensor(a.data - b.data, (a, b), (lambda g: g, lambda g: -g))
+    return Tensor(a.data - b.data, (a, b), (lambda g: g, lambda g: -g), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -120,12 +157,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
     return Tensor(a.data * b.data, (a, b),
-                  (lambda g: g * b.data, lambda g: g * a.data))
+                  (lambda g: g * b.data, lambda g: g * a.data), "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return Tensor(a.data * c, (a,), (lambda g: c * g,))
+    return Tensor(a.data * c, (a,), (lambda g: c * g,), "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -134,13 +171,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
     return Tensor(a.data @ b.data, (a, b),
-                  (lambda g: g @ b.data.T, lambda g: a.data.T @ g))
+                  (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: need 2-D, got {a.data.shape}")
-    return Tensor(a.data.T.copy(), (a,), (lambda g: g.T,))
+    return Tensor(a.data.T.copy(), (a,), (lambda g: g.T,), "transpose")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -154,12 +191,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     pieces = [(slice(None),) * axis + (slice(end - t.data.shape[axis], end),)
               for t, end in zip(tensors, ends)]
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  tuple(tensors), tuple(lambda g, s=s: g[s] for s in pieces))
+                  tuple(tensors), tuple(lambda g, s=s: g[s] for s in pieces), "concat")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), (a,),
-                  (lambda g: g.reshape(a.data.shape),))
+                  (lambda g: g.reshape(a.data.shape),), "reshape")
 
 
 def _index(op: str, idx, size: int) -> np.ndarray:
@@ -186,7 +223,7 @@ def row_gather(a: Tensor, idx) -> Tensor:
         raise ShapeError(f"row_gather: need 2-D, got {a.data.shape}")
     idx = _index("row_gather", idx, a.data.shape[0])
     return Tensor(a.data[idx], (a,),
-                  (lambda g: _scatter_rows(idx, g, a.data.shape[0]),))
+                  (lambda g: _scatter_rows(idx, g, a.data.shape[0]),), "row_gather")
 
 
 def row_scatter_add(m: Tensor, idx, num_rows: int) -> Tensor:
@@ -196,7 +233,8 @@ def row_scatter_add(m: Tensor, idx, num_rows: int) -> Tensor:
     idx = _index("row_scatter_add", idx, num_rows)
     if len(idx) != m.data.shape[0]:
         raise ShapeError("row_scatter_add: index length mismatch")
-    return Tensor(_scatter_rows(idx, m.data, num_rows), (m,), (lambda g: g[idx],))
+    return Tensor(_scatter_rows(idx, m.data, num_rows), (m,), (lambda g: g[idx],),
+                  "row_scatter_add")
 
 
 def take(a: Tensor, rows, cols) -> Tensor:
@@ -206,7 +244,7 @@ def take(a: Tensor, rows, cols) -> Tensor:
     n, c = a.data.shape
     flat = _index("take", rows, n) * c + _index("take", cols, c)
     return Tensor(a.data.ravel()[flat], (a,), (lambda g: _scatter_rows(
-        flat.ravel(), g.reshape(-1, 1), n * c).reshape(n, c),))
+        flat.ravel(), g.reshape(-1, 1), n * c).reshape(n, c),), "take")
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
@@ -217,43 +255,45 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
-    return Tensor(s, (a,), (lambda g: g * s * (1.0 - s),))
+    return Tensor(s, (a,), (lambda g: g * s * (1.0 - s),), "sigmoid")
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     s = _sigmoid(a.data)
     return Tensor(a.data * s, (a,),
-                  (lambda g: g * (s + a.data * s * (1.0 - s)),))
+                  (lambda g: g * (s + a.data * s * (1.0 - s)),), "silu")
 
 
 def exp(a: Tensor) -> Tensor:
     with np.errstate(over="ignore"):  # overflow becomes inf, caught by Tensor
         out = np.exp(a.data)
-    return Tensor(out, (a,), (lambda g: g * out,))
+    return Tensor(out, (a,), (lambda g: g * out,), "exp")
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise NumericsError("log: non-positive input")
-    return Tensor(np.log(a.data), (a,), (lambda g: g / a.data,))
+    return Tensor(np.log(a.data), (a,), (lambda g: g / a.data,), "log")
 
 
 def abs_(a: Tensor) -> Tensor:
     """|x| with sign subgradient (0 at 0)."""
     sgn = np.sign(a.data)
-    return Tensor(np.abs(a.data), (a,), (lambda g: g * sgn,))
+    return Tensor(np.abs(a.data), (a,), (lambda g: g * sgn,), "abs")
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.data.sum(), (a,), (lambda g: np.full(a.data.shape, g),))
+    return Tensor(a.data.sum(), (a,), (lambda g: np.full(a.data.shape, g),),
+                  "sum_all")
 
 
 def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise ShapeError("mean_all: empty tensor")
-    return Tensor(a.data.mean(), (a,), (lambda g: np.full(a.data.shape, g / n),))
+    return Tensor(a.data.mean(), (a,), (lambda g: np.full(a.data.shape, g / n),),
+                  "mean_all")
 
 
 def segment_mean(a: Tensor, segments, num_segments: int) -> Tensor:
@@ -283,7 +323,7 @@ def softmax_rows(a: Tensor) -> Tensor:
         inner = (g * s).sum(axis=1, keepdims=True)
         return s * (g - inner)
 
-    return Tensor(s, (a,), (grad,))
+    return Tensor(s, (a,), (grad,), "softmax_rows")
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -296,7 +336,7 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     out = (m + np.log(z)).ravel()
     soft = e / z
 
-    return Tensor(out, (a,), (lambda g: soft * g[:, None],))
+    return Tensor(out, (a,), (lambda g: soft * g[:, None],), "logsumexp_rows")
 
 
 def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -319,7 +359,7 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
         guarded = g / eps
         return np.where(small, guarded, full)
 
-    return Tensor(y, (a,), (grad,))
+    return Tensor(y, (a,), (grad,), "l2_normalize_rows")
 
 
 def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
@@ -402,7 +442,9 @@ def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
 
     def back(g):
         """Gradients of t and, through the right factor, of h, in node rows;
-        made once per backward and shared by the h and w rules."""
+        made once per backward and shared by the h and w rules, which return
+        new arrays built from them and never these, since a gradient may
+        adopt what a rule returns."""
         if memo.get("g") is not g:
             g_blocks = np.bincount(flat.ravel(), weights=g.ravel(), minlength=total)
             # the groups partition the rows, so every row is written once
@@ -418,7 +460,7 @@ def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
     return Tensor(blocks[flat] + b.data, (h, w, b), (
         lambda g: back(g)[0] @ w2.T + back(g)[1],
         lambda g: (h.data.T @ back(g)[0]).reshape(d, k, d),
-        lambda g: g.sum(axis=0)))
+        lambda g: g.sum(axis=0)), "bilinear")
 
 
 def grad_check(f, params, h: float = 1e-5, floor: float = 1e-2) -> float:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
-from crystalembed.errors import NumericsError, ShapeError
+from crystalembed.errors import NumericsError, ShapeError, ValidationError
 from crystalembed.optim import AdamState, adam_step
 
 
@@ -181,6 +181,125 @@ class TestBackward:
         ag.sum_all(ag.mul(x, doubled)).backward()
         assert c.grad is None and doubled.grad is None
         assert np.array_equal(x.grad, [6.0, 8.0])
+
+
+class TestErrorsNameTheirSource:
+    def test_nonfinite_forward_names_the_op(self):
+        big = ag.constant(np.full((2, 2), 1e200))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericsError, match=r"^matmul: non-finite output$"):
+            ag.matmul(big, big)
+
+    def test_overflowing_backward_names_the_parameter(self):
+        # each contribution is finite; their sum at the parameter is not
+        w = ag.parameter(np.array(1e-300), "w_big")
+        loss = ag.add(ag.scale(w, 1e308), ag.scale(w, 1e308))
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericsError, match=r"non-finite gradient for parameter 'w_big'"):
+            loss.backward()
+
+    def test_nonfinite_intermediate_names_its_op(self):
+        # d log(y)/dy = 1/y overflows for a subnormal y, the output of scale
+        x = ag.parameter(np.array([1e-310]), "x")
+        loss = ag.sum_all(ag.log(ag.scale(x, 1.0)))
+        with np.errstate(over="ignore", divide="ignore"), pytest.raises(
+                NumericsError, match=r"non-finite gradient at the output of scale$"):
+            loss.backward()
+
+
+class TestBackwardConsumesTheTape:
+    def test_second_backward_raises(self):
+        x = ag.parameter(np.array([1.0, 2.0]), "x")
+        loss = ag.sum_all(ag.mul(x, x))
+        loss.backward()
+        first = x.grad.copy()
+        with pytest.raises(ValidationError, match="consumed"):
+            loss.backward()
+        assert np.array_equal(x.grad, first)
+
+    def test_backward_through_a_consumed_intermediate_raises(self):
+        x = ag.parameter(np.array([1.0, 2.0]), "x")
+        sq = ag.mul(x, x)
+        ag.sum_all(sq).backward()
+        with pytest.raises(ValidationError, match="tape through mul"):
+            ag.mean_all(sq).backward()
+
+    def test_a_fresh_forward_accumulates_into_leaves(self):
+        x = ag.parameter(np.array([1.0, -2.0]), "x")
+        for _ in range(2):
+            ag.sum_all(ag.mul(x, x)).backward()
+        assert np.array_equal(x.grad, 4.0 * x.data)
+
+
+# an upstream gradient with -0.0, +0.0 and nonzero entries of both signs
+SIGNED = np.array([[-0.0, 1.5, 0.0], [-2.0, -0.0, 3.25]])
+
+
+def _alias_cases():
+    """(name, parameters, builder of the pre-mix tensor from them, the oracle
+    gradient of every parameter as a function of the upstream gradient g,
+    which arrives at the parameters through an alias or a view of it)."""
+    def params(*shapes):
+        rng = np.random.default_rng(len(shapes))
+        return [ag.parameter(rng.normal(size=s), f"p{i}")
+                for i, s in enumerate(shapes)]
+
+    return [
+        ("add-two-params", params((2, 3), (2, 3)), lambda a, b: ag.add(a, b),
+         lambda g: [g, g]),
+        ("concat-rows", params((1, 3), (1, 3)),
+         lambda a, b: ag.concat([a, b], axis=0), lambda g: [g[:1], g[1:]]),
+        ("concat-cols", params((2, 1), (2, 2)),
+         lambda a, b: ag.concat([a, b], axis=1), lambda g: [g[:, :1], g[:, 1:]]),
+        ("reshape", params((3, 2)), lambda a: ag.reshape(a, (2, 3)),
+         lambda g: [g.reshape(3, 2)]),
+        ("transpose", params((3, 2)), lambda a: ag.transpose(a), lambda g: [g.T]),
+        ("sub", params((2, 3), (2, 3)), lambda a, b: ag.sub(a, b),
+         lambda g: [g, -g]),
+    ]
+
+
+class TestGradientsOwnTheirArrays:
+    """A first contribution that aliases the upstream gradient is copied, and
+    every gradient starts at +0.0 as a zero-filled buffer would."""
+
+    @pytest.mark.parametrize("case", _alias_cases(), ids=lambda c: c[0])
+    def test_alias_and_view_contributions(self, case):
+        _, params, build, oracle = case
+        out = build(*params)
+        mixed = ag.mul(out, ag.constant(SIGNED))
+        ag.sum_all(mixed).backward()
+        for p, want in zip(params, oracle(SIGNED)):
+            assert _same_bits(p.grad, 0.0 + want), p.name
+            assert p.grad.flags.c_contiguous
+        # intermediates drop their gradients; parameters keep theirs
+        assert out.grad is None and mixed.grad is None
+        # gradients are independent arrays
+        for p in params:
+            rest = [q for q in params if q is not p]
+            before = [q.grad.copy() for q in rest]
+            p.grad[...] = np.nan
+            assert all(_same_bits(q.grad, b) for q, b in zip(rest, before))
+
+    def test_add_of_a_tensor_to_itself(self):
+        x = ag.parameter(np.ones((2, 3)), "x")
+        twice = ag.add(x, x)
+        ag.sum_all(ag.mul(twice, ag.constant(SIGNED))).backward()
+        assert _same_bits(x.grad, (0.0 + SIGNED) + SIGNED)
+        assert twice.grad is None
+
+    def test_fan_out_through_a_view_and_an_alias(self):
+        # x reaches the loss through a view (reshape) and an alias (add)
+        x = ag.parameter(np.arange(6.0).reshape(2, 3), "x")
+        y = ag.parameter(np.full((2, 3), 2.0), "y")
+        flat = ag.reshape(x, (6,))
+        loss = ag.add(ag.sum_all(ag.mul(ag.add(x, y), ag.constant(SIGNED))),
+                      ag.sum_all(ag.mul(flat, ag.constant(SIGNED.ravel()))))
+        loss.backward()
+        assert _same_bits(x.grad, (0.0 + SIGNED) + SIGNED)
+        assert _same_bits(y.grad, 0.0 + SIGNED)
+        y.grad[0, 0] = 99.0
+        assert x.grad[0, 0] == 0.0 and not np.signbit(x.grad[0, 0])
 
 
 def _bilinear_oracle(hi, w, hj, b, g):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -109,6 +110,25 @@ class TestPretrainStep:
             return pretrain_step(graphs[:4], model, opt, cfg, [9, 8, 7, 6])
 
         assert run() == run()
+
+    def test_step_memory_is_bounded_on_large_cells(self):
+        # two 4x4x4 supercells (N=128, 1,792 edges each), dim 64: the
+        # forward tape holds about 128 MB, and backward frees it as it goes
+        cfg = PretrainConfig(dim=64, num_layers=2, rbf_count=8, cutoff=5.0)
+        graphs = [build_periodic_graph(supercell(s, 4), 5.0)
+                  for s in make_pretraining_structures(2, seed=3)]
+        assert [g.num_nodes for g in graphs] == [128, 128]
+        model = fast_model(cfg)
+        tracemalloc.start()
+        try:
+            losses = pretrain_losses(graphs, model, cfg, [0, 1])
+            losses[3].backward()
+            held, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 170e6, peak
+        assert held < 5e6, held  # the losses are still referenced here
+        assert all(p.grad is not None for p in model.tensors())
 
     def test_batch_of_one_rejected(self, graphs):
         cfg = fast_cfg()
