@@ -17,11 +17,19 @@ pops each tensor once its gradient is complete, checks that gradient finite
 op result then drops its gradient, inputs and rules, so the sweep frees the
 tape as it goes and keeps no intermediate gradient; leaves (parameters, and
 tensors built with requires_grad=True and no inputs) keep theirs. A second
-backward through a consumed tensor raises `ValidationError`.
+backward through a consumed tensor raises `ValidationError`, and so does a
+backward from a tensor that is not on the tape at all.
+
+Inside a `with no_grad():` scope nothing is recorded: op results require no
+grad and keep neither their inputs nor their rules, so a forward-only pass
+(extraction, evaluation) frees each intermediate as soon as it is dropped.
+The finiteness check still runs. Leaving the scope, also by an exception,
+restores the state it found, so scopes nest.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 import logging
 
 import numpy as np
@@ -29,6 +37,19 @@ import numpy as np
 from .errors import NumericsError, ShapeError, ValidationError
 
 logger = logging.getLogger(__name__)
+
+_recording = True  # False inside no_grad()
+
+
+@contextmanager
+def no_grad():
+    """Scope whose op results are off the tape (see the module docstring)."""
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
 
 
 class Tensor:
@@ -45,7 +66,8 @@ class Tensor:
                 f"{name or 'tensor'}: non-finite {'output' if parents else 'values'}")
         self.grad = None
         self.name = name
-        self.requires_grad = requires_grad or any(p.requires_grad for p in parents)
+        self.requires_grad = requires_grad or (
+            _recording and any(p.requires_grad for p in parents))
         # off the tape, a tensor needs neither its inputs nor their rules
         self._parents = parents if self.requires_grad else ()
         self._grad_fns = grad_fns if self.requires_grad else ()
@@ -79,6 +101,10 @@ class Tensor:
         consuming the tape behind it (see the module docstring)."""
         if self.data.shape != ():
             raise ShapeError(f"backward needs a scalar, got shape {self.data.shape}")
+        if not self.requires_grad:
+            raise ValidationError(
+                f"backward: the output of {self.name or 'a constant'} is not on "
+                "the tape (made under no_grad, or from constants alone)")
         topo: list[Tensor] = []
         visited: set[int] = set()
         stack: list[tuple[Tensor, bool]] = [(self, False)]

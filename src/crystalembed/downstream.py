@@ -158,7 +158,9 @@ def _batch_mae(model: DownstreamModel, batch: GraphBatch, labels) -> Tensor:
 
 
 def evaluate_mae(model: DownstreamModel, batch: GraphBatch, labels) -> float:
-    return float(_batch_mae(model, batch, labels).data)
+    """The batch's MAE from a forward pass that records nothing."""
+    with ag.no_grad():
+        return float(_batch_mae(model, batch, labels).data)
 
 
 @dataclass

@@ -45,9 +45,12 @@ from .encoder import encode, encode_graph
 from .errors import ParseError, ValidationError, from_dict
 from .model import ModelParams, init_model_params
 from .optim import AdamState, adam_step
-from .periodic_graph import multiplicity_targets
+from .periodic_graph import batch_graphs, multiplicity_targets
 
 LOSS_KEYS = ("L_node", "L_adj", "L_infonce", "L_total")
+# edges per extraction union: about a dozen two-site cells share one pass,
+# and a union's intermediates stay small (a larger graph is encoded alone)
+EXTRACT_UNION_EDGES = 512
 
 
 @dataclass
@@ -304,15 +307,51 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
     )
 
 
+def _unions(graphs, max_edges: int):
+    """Consecutive runs of graphs, each filled in input order while its
+    edges stay within max_edges; a larger graph is a run of its own. An
+    edgeless graph counts as one edge, so at most max_edges graphs share
+    a run."""
+    run, edges = [], 0
+    for g in graphs:
+        size = max(g.num_edges, 1)
+        if run and edges + size > max_edges:
+            yield run
+            run, edges = [], 0
+        run.append(g)
+        edges += size
+    if run:
+        yield run
+
+
 def extract_embeddings(model: ModelParams, graphs) -> ElementEmbeddingTable:
-    """Mean node embedding per element over clean graphs, L2-normalized."""
+    """Mean node embedding per element over clean graphs, L2-normalized.
+
+    Forward-only, so it runs under `autograd.no_grad`, encoding the graphs
+    as disjoint unions of at most EXTRACT_UNION_EDGES edges (`_unions`).
+    Each union's per-(graph, element) sums are folded into the running sums
+    graph by graph, the order in which encoding the graphs one at a time
+    would add them, so the table does not depend on how they are grouped.
+    """
     graphs = list(graphs)
     if not graphs:
         raise ValidationError("cannot extract embeddings from an empty dataset")
     sums = np.zeros((MAX_Z, model.encoder.dim))
     counts = np.zeros(MAX_Z, dtype=np.int64)
-    for g in graphs:
-        h = encode_graph(model.encoder, g)
-        sums += ag.row_scatter_add(h, g.atomic_numbers - 1, MAX_Z).data
-        counts += np.bincount(g.atomic_numbers - 1, minlength=MAX_Z)
+    with ag.no_grad():
+        for run in _unions(graphs, EXTRACT_UNION_EDGES):
+            batch = batch_graphs(run)
+            z = batch.graph.atomic_numbers - 1
+            h = encode_graph(model.encoder, batch.graph)
+            # one slot per (graph, element) pair present, graph-major
+            key = batch.segments * MAX_Z + z
+            present = np.zeros(len(run) * MAX_Z, dtype=bool)
+            present[key] = True
+            slot = np.cumsum(present) - 1
+            pair_sums = ag.row_scatter_add(h, slot[key], slot[-1] + 1)
+            # the running sums first, then each pair's sum in graph order
+            rows = np.concatenate([np.arange(MAX_Z), np.flatnonzero(present) % MAX_Z])
+            sums = ag.row_scatter_add(
+                ag.constant(np.concatenate([sums, pair_sums.data])), rows, MAX_Z).data
+            counts += np.bincount(z, minlength=MAX_Z)
     return table_from_sums(sums, counts)

@@ -9,6 +9,10 @@ from itertools import product
 
 import numpy as np
 
+from crystalembed import autograd as ag
+from crystalembed.elements import MAX_Z
+from crystalembed.embeddings import table_from_sums
+from crystalembed.encoder import encode_graph
 from crystalembed.structures import CrystalStructure
 
 
@@ -104,3 +108,15 @@ def supercell(structure, k):
         atomic_numbers=np.tile(structure.atomic_numbers, len(cells)),
         id=f"{structure.id}x{k}",
     )
+
+
+def extract_one_graph_at_a_time(model, graphs):
+    """The element table from one encoder pass per graph, each graph's
+    per-element sums added to the running sums in input order."""
+    sums = np.zeros((MAX_Z, model.encoder.dim))
+    counts = np.zeros(MAX_Z, dtype=np.int64)
+    for g in graphs:
+        h = encode_graph(model.encoder, g)
+        sums += ag.row_scatter_add(h, g.atomic_numbers - 1, MAX_Z).data
+        counts += np.bincount(g.atomic_numbers - 1, minlength=MAX_Z)
+    return table_from_sums(sums, counts)

@@ -231,6 +231,61 @@ class TestBackwardConsumesTheTape:
         assert np.array_equal(x.grad, 4.0 * x.data)
 
 
+class TestNoGrad:
+    def test_results_are_off_the_tape(self):
+        x = ag.parameter(np.array([1.0, -2.0]), "x")
+        with ag.no_grad():
+            y = ag.mul(x, x)
+        assert not y.requires_grad
+        assert y._parents == () and y._grad_fns == ()
+        assert np.array_equal(y.data, [1.0, 4.0])
+        assert ag.mul(x, x).requires_grad
+
+    def test_values_match_a_recorded_forward_bitwise(self):
+        rng = np.random.default_rng(0)
+        x = rand_param(rng, (4, 3))
+        w = rand_param(rng, (3, 2), "w")
+        recorded = ag.silu(ag.matmul(x, w)).data
+        with ag.no_grad():
+            assert np.array_equal(ag.silu(ag.matmul(x, w)).data, recorded)
+
+    def test_finiteness_is_still_checked(self):
+        big = ag.parameter(np.full((2, 2), 1e200), "big")
+        with ag.no_grad(), np.errstate(over="ignore"), pytest.raises(
+                NumericsError, match=r"^matmul: non-finite output$"):
+            ag.matmul(big, big)
+
+    def test_recording_resumes_after_a_raising_body(self):
+        x = ag.parameter(np.array([1.0, 2.0]), "x")
+        with pytest.raises(RuntimeError, match="body"):
+            with ag.no_grad():
+                raise RuntimeError("body")
+        assert ag.mul(x, x).requires_grad
+
+    def test_scopes_nest(self):
+        x = ag.parameter(np.array([1.0, 2.0]), "x")
+        with ag.no_grad():
+            with ag.no_grad():
+                assert not ag.mul(x, x).requires_grad
+            assert not ag.mul(x, x).requires_grad
+        assert ag.mul(x, x).requires_grad
+
+
+class TestBackwardFromOffTheTape:
+    def test_a_result_made_under_no_grad_raises_naming_its_op(self):
+        x = ag.parameter(np.array([1.0, 2.0]), "x")
+        with ag.no_grad():
+            loss = ag.sum_all(ag.mul(x, x))
+        with pytest.raises(ValidationError, match="output of sum_all is not on the tape"):
+            loss.backward()
+        assert x.grad is None
+
+    def test_a_result_of_constants_alone_raises(self):
+        loss = ag.mean_all(ag.constant(np.array([1.0, 3.0])))
+        with pytest.raises(ValidationError, match="output of mean_all"):
+            loss.backward()
+
+
 # an upstream gradient with -0.0, +0.0 and nonzero entries of both signs
 SIGNED = np.array([[-0.0, 1.5, 0.0], [-2.0, -0.0, 3.25]])
 

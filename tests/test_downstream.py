@@ -172,6 +172,30 @@ def test_batched_mae_matches_per_graph_predict_loop(mode):
     assert evaluate_mae(model, batch_graphs(graphs), labels) == got
 
 
+@pytest.mark.parametrize("mode", ["baseline", "pretrained"])
+def test_evaluation_between_forward_and_backward_leaves_gradients(mode):
+    cfg = DownstreamConfig(mode=mode, dim=8, num_layers=2, rbf_count=4)
+    model = init_downstream_model(cfg, np.random.default_rng(4), full_table())
+    graphs = [build_periodic_graph(s, cfg.cutoff)
+              for s in make_labeled_structures(6, seed=2)]
+    train, held_out = batch_graphs(graphs[:4]), batch_graphs(graphs[4:])
+    labels = np.linspace(-1.0, 2.0, len(graphs))
+    params = model.trainable()
+
+    def grads(evaluate):
+        for p in params:
+            p.zero_grad()
+        loss = _batch_mae(model, train, labels[:4])
+        if evaluate:
+            assert evaluate_mae(model, held_out, labels[4:]) > 0.0
+            assert all(p.grad is None for p in params)
+        loss.backward()
+        return [p.grad.copy() for p in params]
+
+    for got, want in zip(grads(True), grads(False)):
+        assert np.array_equal(got, want)
+
+
 # -- splits ------------------------------------------------------------
 
 def test_split_sizes_and_disjointness():

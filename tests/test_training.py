@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
+from crystalembed import training
 from crystalembed.augmentation import two_views
 from crystalembed.checkpoint import load_checkpoint
 from crystalembed.contrastive import info_nce, paired_batch_partners, project
@@ -21,6 +22,7 @@ from crystalembed.optim import AdamState
 from crystalembed.periodic_graph import build_periodic_graph, multiplicity_targets
 from crystalembed.synthetic import make_pretraining_structures
 from crystalembed.training import (
+    EXTRACT_UNION_EDGES,
     PretrainConfig,
     extract_embeddings,
     load_state,
@@ -30,8 +32,8 @@ from crystalembed.training import (
     save_state,
 )
 
-from helpers import (all_unordered_pairs, cubic_structure, rocksalt_structure,
-                     supercell)
+from helpers import (all_unordered_pairs, cubic_structure,
+                     extract_one_graph_at_a_time, rocksalt_structure, supercell)
 
 FAST = dict(dim=8, num_layers=1, rbf_count=4, cutoff=5.0, batch_size=4)
 
@@ -511,3 +513,79 @@ class TestExtractEmbeddings:
         cfg = fast_cfg()
         with pytest.raises(ValidationError):
             extract_embeddings(fast_model(cfg), [])
+
+    def test_off_the_tape_and_bounded_on_a_large_cell(self):
+        # one 4x4x4 supercell (N=128, 1,792 edges), dim 64: recording the
+        # forward pass would hold about 35 MB at its peak
+        cfg = PretrainConfig(dim=64, num_layers=2, rbf_count=8, cutoff=5.0)
+        g = build_periodic_graph(
+            supercell(make_pretraining_structures(1, seed=3)[0], 4), 5.0)
+        assert g.num_nodes == 128
+        model = fast_model(cfg)
+        tracemalloc.start()
+        try:
+            extract_embeddings(model, [g])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6, peak
+        assert all(p.grad is None for p in model.tensors())
+        assert ag.mul(model.encoder.mask_vector,
+                      model.encoder.mask_vector).requires_grad
+
+
+class TestExtractionUnions:
+    """Unions of graphs give the table of a one-graph-at-a-time pass, bit
+    for bit, however the graphs fall into unions."""
+
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        cells = make_pretraining_structures(24, seed=3)
+        small = [build_periodic_graph(s, 5.0) for s in cells]
+        big = [build_periodic_graph(supercell(cells[i], k), 5.0)
+               for i, k in ((0, 2), (1, 3), (2, 4))]
+        # cells of N=2, 16, 54 and 128; a run of small cells longer than one
+        # union; supercells above the bound; repeats of a graph
+        return (small[:5] + [big[0]] + small[5:] + [big[2], small[3]]
+                + [big[1], big[0]] + small[:4])
+
+    def test_the_list_covers_every_case(self, mixed):
+        assert {g.num_nodes for g in mixed} == {2, 16, 54, 128}
+        runs = list(training._unions(mixed, EXTRACT_UNION_EDGES))
+        alone = [r[0] for r in runs if len(r) == 1]
+        assert any(g.num_edges > EXTRACT_UNION_EDGES for g in alone)
+        shared = [r for r in runs if len(r) > 1]
+        assert len(shared) >= 2
+        assert sum(len(r) for r in runs) == len(mixed)
+        assert all(sum(g.num_edges for g in r) <= EXTRACT_UNION_EDGES
+                   for r in shared)
+
+    def test_edgeless_graphs_share_unions_of_bounded_count(self):
+        g = build_periodic_graph(rocksalt_structure(3.0), cutoff=1.0)
+        assert g.num_edges == 0
+        runs = training._unions([g] * (2 * EXTRACT_UNION_EDGES + 3),
+                                EXTRACT_UNION_EDGES)
+        assert [len(r) for r in runs] == [EXTRACT_UNION_EDGES] * 2 + [3]
+        model = fast_model(fast_cfg())
+        got = extract_embeddings(model, [g] * 3)
+        want = extract_one_graph_at_a_time(model, [g] * 3)
+        assert np.array_equal(got.vectors, want.vectors)
+
+    @pytest.mark.parametrize("bound", [EXTRACT_UNION_EDGES, 100, 1])
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_table_equals_the_per_graph_oracle_bitwise(self, mixed, bound, dim,
+                                                       monkeypatch):
+        monkeypatch.setattr(training, "EXTRACT_UNION_EDGES", bound)
+        model = fast_model(fast_cfg(dim=dim, num_layers=2))
+        got = extract_embeddings(model, mixed)
+        want = extract_one_graph_at_a_time(model, mixed)
+        assert np.array_equal(got.vectors, want.vectors)
+        assert np.array_equal(got.counts, want.counts)
+
+    def test_single_graph_equals_the_oracle_bitwise(self, mixed):
+        model = fast_model(fast_cfg(num_layers=2))
+        for g in (mixed[0], mixed[5]):
+            got = extract_embeddings(model, [g])
+            want = extract_one_graph_at_a_time(model, [g])
+            assert np.array_equal(got.vectors, want.vectors)
+            assert np.array_equal(got.counts, want.counts)
