@@ -7,7 +7,7 @@ embedding extraction, and a downstream regression harness with a
 label-fraction sweep. The `crystalembed` console script wires it together.
 """
 
-from .augmentation import AugmentedView, augment, identity_view, two_views
+from .augmentation import AugmentedView, augment, two_views
 from .downstream import (DownstreamConfig, EvalReport, improvement_pct,
                          label_fraction_sweep, render_sweep_table,
                          train_supervised, validate_report)
@@ -28,7 +28,7 @@ from .training import (PretrainConfig, PretrainResult, extract_embeddings,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AugmentedView", "augment", "identity_view", "two_views",
+    "AugmentedView", "augment", "two_views",
     "DownstreamConfig", "EvalReport", "improvement_pct",
     "label_fraction_sweep", "render_sweep_table", "train_supervised",
     "validate_report",

@@ -8,52 +8,21 @@ recoverable and no per-view graph has to be built for training.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .errors import ValidationError
-from .periodic_graph import GraphBatch, PeriodicGraph, _lex_order, batch_graphs
-
-
-@dataclass
-class DroppedEdges:
-    """Directed edges removed from a view (both halves of each unordered pair)."""
-
-    src: np.ndarray
-    dst: np.ndarray
-    offsets: np.ndarray
-    distances: np.ndarray
-    directions: np.ndarray
-
-    def __len__(self):
-        return len(self.src)
+from .periodic_graph import GraphBatch, PeriodicGraph, batch_graphs
 
 
 @dataclass
 class AugmentedView:
-    """A corrupted view as masks over its source graph.
-
-    keep flags the directed edges of `source` the view retains. The view as
-    a graph of its own (`graph`) and the removed edges (`dropped`) are built
-    on first access only.
-    """
+    """A corrupted view as masks over its source graph: keep flags the
+    directed edges of `source` the view retains."""
 
     source: PeriodicGraph
     keep: np.ndarray  # (E,) bool over source edges
     masked_nodes: np.ndarray  # sorted node indices
-    seed: int
-
-    @cached_property
-    def graph(self) -> PeriodicGraph:
-        return batch_graphs([self.source], [self.keep]).graph
-
-    @cached_property
-    def dropped(self) -> DroppedEdges:
-        g, gone = self.source, ~self.keep
-        return DroppedEdges(src=g.src[gone], dst=g.dst[gone],
-                            offsets=g.offsets[gone], distances=g.distances[gone],
-                            directions=g.directions[gone])
 
 
 def _round_half_up(x: float) -> int:
@@ -86,7 +55,7 @@ def augment(
         drop_ids = rng.choice(n_groups, size=n_drop, replace=False)
         keep = ~np.isin(inverse, drop_ids)
     return AugmentedView(source=g, keep=keep,
-                         masked_nodes=masked.astype(np.int64), seed=int(seed))
+                         masked_nodes=masked.astype(np.int64))
 
 
 def batch_views(views) -> GraphBatch:
@@ -109,30 +78,4 @@ def two_views(
     return (
         augment(g, mask_ratio, drop_ratio, int(words[0])),
         augment(g, mask_ratio, drop_ratio, int(words[1])),
-    )
-
-
-def identity_view(g: PeriodicGraph) -> AugmentedView:
-    """Uncorrupted view: nothing masked, nothing dropped."""
-    return augment(g, 0.0, 0.0, seed=0)
-
-
-def reconstruct_original(view: AugmentedView) -> PeriodicGraph:
-    """Merge the dropped edges back; returns the original graph exactly."""
-    g = view.graph
-    src = np.concatenate([g.src, view.dropped.src])
-    dst = np.concatenate([g.dst, view.dropped.dst])
-    offsets = np.concatenate([g.offsets, view.dropped.offsets])
-    distances = np.concatenate([g.distances, view.dropped.distances])
-    directions = np.concatenate([g.directions, view.dropped.directions])
-    order = _lex_order(src, dst, offsets)
-    return PeriodicGraph(
-        num_nodes=g.num_nodes,
-        atomic_numbers=g.atomic_numbers.copy(),
-        src=src[order],
-        dst=dst[order],
-        offsets=offsets[order],
-        distances=distances[order],
-        directions=directions[order],
-        cutoff=g.cutoff,
     )

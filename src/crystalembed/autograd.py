@@ -291,12 +291,6 @@ def silu(a: Tensor) -> Tensor:
                   (lambda g: g * (s + a.data * s * (1.0 - s)),), "silu")
 
 
-def exp(a: Tensor) -> Tensor:
-    with np.errstate(over="ignore"):  # overflow becomes inf, caught by Tensor
-        out = np.exp(a.data)
-    return Tensor(out, (a,), (lambda g: g * out,), "exp")
-
-
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise NumericsError("log: non-positive input")

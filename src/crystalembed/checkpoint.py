@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, reading
 
 FORMAT_NAME = "crystalembed-checkpoint"
 FORMAT_VERSION = 1
@@ -64,7 +64,8 @@ def save_checkpoint(
 
 
 def load_checkpoint(path) -> CheckpointData:
-    raw = Path(path).read_bytes()
+    with reading(path):
+        raw = Path(path).read_bytes()
     nl = raw.find(b"\n")
     if nl < 0:
         raise ParseError(f"{path}: missing checkpoint header line")

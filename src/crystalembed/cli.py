@@ -22,7 +22,7 @@ from .elements import category_of, z_to_symbol
 from .embeddings import (format_float17, load_table, project_2d,
                          save_table_csv, save_table_json)
 from .errors import (CrystalEmbedError, NumericsError, ParseError, ShapeError,
-                     ValidationError)
+                     ValidationError, reading)
 from .periodic_graph import (NUM_MULTIPLICITY_CLASSES, build_periodic_graph,
                              multiplicity_targets)
 from .structures import load_jsonl, parse_cif, save_jsonl
@@ -44,9 +44,9 @@ def _float_list(text: str):
 
 def _load_config_file(path) -> dict:
     try:
-        with open(path, encoding="utf-8") as fh:
+        with reading(path), open(path, encoding="utf-8") as fh:
             data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: cannot read config: {exc}")
     if not isinstance(data, dict):
         raise ParseError(f"{path}: config must be a JSON object")
@@ -96,7 +96,7 @@ def cmd_ingest(args) -> int:
                 structures.extend(load_jsonl(path))
             else:
                 raise ParseError(f"unsupported input extension {path.suffix!r}")
-        except (OSError, CrystalEmbedError) as exc:
+        except (OSError, UnicodeDecodeError, CrystalEmbedError) as exc:
             failures.append((str(path), str(exc)))
     for path, message in failures:
         print(f"ingest failed: {path}: {message}", file=sys.stderr)

@@ -264,6 +264,8 @@ def label_fraction_sweep(structures, cfg: DownstreamConfig,
     """
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
+    if not fractions:
+        raise ValidationError("fractions must name at least one label fraction")
     records = []
     rows = []
     for fraction in fractions:

@@ -14,7 +14,7 @@ import json
 import numpy as np
 
 from .elements import MAX_Z, symbol_to_z, z_to_symbol
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, reading
 
 
 def format_float17(x: float) -> str:
@@ -109,7 +109,7 @@ def _table_from_rows(dim: int, rows) -> ElementEmbeddingTable:
 
 
 def load_table_csv(path) -> ElementEmbeddingTable:
-    with open(path, newline="") as fh:
+    with reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -150,7 +150,7 @@ def save_table_json(table: ElementEmbeddingTable, path) -> None:
 
 def load_table_json(path) -> ElementEmbeddingTable:
     try:
-        with open(path) as fh:
+        with reading(path), open(path, encoding="utf-8") as fh:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc

@@ -15,7 +15,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .elements import MAX_Z
 from .errors import ValidationError
-from .periodic_graph import PeriodicGraph
+from .periodic_graph import GraphBatch, PeriodicGraph
 
 
 @dataclass
@@ -197,15 +197,6 @@ def apply_layers(
     return h
 
 
-def message_passing(params: EncoderParams, graph: PeriodicGraph, h0: Tensor) -> Tensor:
-    if h0.data.shape != (graph.num_nodes, params.dim):
-        raise ValidationError(
-            f"initial embeddings must be ({graph.num_nodes}, {params.dim}), "
-            f"got {h0.data.shape}"
-        )
-    return apply_layers(params.layers, graph, h0, params.rbf_count, params.cutoff)
-
-
 def encode_graph(
     params: EncoderParams,
     graph: PeriodicGraph,
@@ -213,10 +204,10 @@ def encode_graph(
 ) -> Tensor:
     """Embed every node of a (possibly augmented) graph; returns (N, d)."""
     h0 = initial_embeddings(params, graph.atomic_numbers, masked_nodes)
-    return message_passing(params, graph, h0)
+    return apply_layers(params.layers, graph, h0, params.rbf_count,
+                        params.cutoff)
 
 
-def encode(params: EncoderParams, view) -> Tensor:
-    """Embed an augmented view, or a GraphBatch of views, hiding the
-    features of its masked nodes."""
-    return encode_graph(params, view.graph, view.masked_nodes)
+def encode(params: EncoderParams, batch: GraphBatch) -> Tensor:
+    """Embed a batch of views, hiding the features of its masked nodes."""
+    return encode_graph(params, batch.graph, batch.masked_nodes)

@@ -1,6 +1,8 @@
-"""Exception hierarchy shared across the package, and the checked
-dict-to-dataclass conversion that turns bad config input into one of them."""
+"""Exception hierarchy shared across the package, the context that turns a
+file that cannot be read into one of them, and the checked dict-to-dataclass
+conversion that turns bad config input into one of them."""
 
+from contextlib import contextmanager
 from dataclasses import fields
 
 
@@ -26,6 +28,17 @@ class NumericsError(CrystalEmbedError):
 
 class FeaturizationError(CrystalEmbedError):
     """Raised when node features cannot be built for a structure."""
+
+
+@contextmanager
+def reading(path):
+    """Re-raise a failure to open, read or decode `path` as a ParseError
+    that names it."""
+    try:
+        yield
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # OSError: no errno prefix
+        raise ParseError(f"{path}: {reason}") from exc
 
 
 def _fits(value, default) -> bool:

@@ -31,21 +31,15 @@ class AdamState:
         return state
 
 
-def adam_step(state: AdamState, params: list[Tensor], grads=None) -> None:
-    """One in-place Adam update with bias correction.
-
-    grads defaults to each parameter's accumulated .grad; missing gradients
-    count as zero.
-    """
-    if grads is None:
-        grads = [p.grad if p.grad is not None else np.zeros_like(p.data) for p in params]
-    if len(grads) != len(params):
-        raise ShapeError("adam_step: grads/params length mismatch")
+def adam_step(state: AdamState, params: list[Tensor]) -> None:
+    """One in-place Adam update with bias correction from each parameter's
+    accumulated .grad; a missing gradient counts as zero."""
     state.step += 1
     t = state.step
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for p, g in zip(params, grads):
+    for p in params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
         if g.shape != p.data.shape:
             raise ShapeError(
                 f"adam_step: gradient shape {g.shape} != param shape {p.data.shape} "

@@ -9,7 +9,6 @@ under reversal: (i, j, o) always has the mirror (j, i, -o).
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,22 +83,14 @@ class PeriodicGraph:
                       != np.bincount(inverse[~reverse], minlength=num_groups))
         bad = np.flatnonzero(unbalanced[inverse])
         if bad.size:
-            i, j, o = self.edge_keys()[bad[0]]
-            raise ValidationError(f"edge ({i}, {j}, {o}) lacks its mirror")
+            k = bad[0]
+            o = tuple(self.offsets[k].tolist())
+            raise ValidationError(
+                f"edge ({self.src[k]}, {self.dst[k]}, {o}) lacks its mirror")
 
     @property
     def num_edges(self) -> int:
         return len(self.src)
-
-    def edge_keys(self) -> list[tuple[int, int, tuple[int, int, int]]]:
-        """Directed edge identities as hashable tuples."""
-        return [
-            (int(i), int(j), (int(o[0]), int(o[1]), int(o[2])))
-            for i, j, o in zip(self.src, self.dst, self.offsets)
-        ]
-
-    def edge_multiset(self) -> Counter:
-        return Counter(self.edge_keys())
 
     def _reverse_half(self) -> np.ndarray:
         """True where (j, i, -o) sorts before the edge's own (i, j, o)."""

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .elements import MAX_Z, symbol_to_z
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ValidationError, reading
 from .embeddings import format_float17
 
 
@@ -347,7 +347,7 @@ def structures_equal(a: CrystalStructure, b: CrystalStructure) -> bool:
 def load_jsonl(path) -> list[CrystalStructure]:
     """Read a JSON-lines dataset file, skipping blank lines."""
     out = []
-    with open(path, encoding="utf-8") as fh:
+    with reading(path), open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -13,6 +13,7 @@ from crystalembed import autograd as ag
 from crystalembed.elements import MAX_Z
 from crystalembed.embeddings import table_from_sums
 from crystalembed.encoder import encode_graph
+from crystalembed.periodic_graph import PeriodicGraph
 from crystalembed.structures import CrystalStructure
 
 
@@ -43,6 +44,50 @@ def brute_force_multiplicities(edges, n):
     for i in range(n):
         counts[i, i] //= 2
     return np.minimum(counts, 5)
+
+
+def edge_keys(g):
+    """Directed edge identities (i, j, (o1, o2, o3)), in stored order."""
+    return [(int(g.src[e]), int(g.dst[e]), tuple(int(x) for x in g.offsets[e]))
+            for e in range(g.num_edges)]
+
+
+def edge_multiset(g):
+    """{(i, j, (o1, o2, o3)): count} over the directed edges of g."""
+    return Counter(edge_keys(g))
+
+
+def _graph_from_edges(g, edges):
+    """A validated graph over g's nodes holding g's edges at indices `edges`."""
+    edges = np.asarray(edges, dtype=np.int64)
+    return PeriodicGraph(
+        num_nodes=g.num_nodes, atomic_numbers=g.atomic_numbers.copy(),
+        src=g.src[edges], dst=g.dst[edges], offsets=g.offsets[edges],
+        distances=g.distances[edges], directions=g.directions[edges],
+        cutoff=g.cutoff)
+
+
+def kept_edges(view):
+    """Indices of the source edges a view keeps."""
+    return [e for e in range(view.source.num_edges) if view.keep[e]]
+
+
+def dropped_edges(view):
+    """Indices of the source edges a view drops."""
+    return [e for e in range(view.source.num_edges) if not view.keep[e]]
+
+
+def view_graph(view):
+    """The edges a view keeps, as a graph of their own in source order."""
+    return _graph_from_edges(view.source, kept_edges(view))
+
+
+def reconstruct_original(view):
+    """Merge a view's dropped edges back into its kept ones and sort them by
+    (src, dst, offset); gives the source graph exactly."""
+    keys = edge_keys(view.source)
+    merged = kept_edges(view) + dropped_edges(view)
+    return _graph_from_edges(view.source, sorted(merged, key=lambda e: keys[e]))
 
 
 def all_unordered_pairs(num_nodes):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
-from crystalembed.augmentation import reconstruct_original, two_views
+from crystalembed.augmentation import two_views
 from crystalembed.contrastive import info_nce, paired_batch_partners
 from crystalembed.decoders import adj_weighted_ce, node_nll
 from crystalembed.downstream import (DownstreamConfig, improvement_pct,
@@ -30,7 +30,8 @@ from crystalembed.synthetic import (make_labeled_structures,
 from crystalembed.training import (PretrainConfig, extract_embeddings,
                                    pretrain, pretrain_losses)
 
-from helpers import all_unordered_pairs, brute_force_edges, random_structure
+from helpers import (all_unordered_pairs, brute_force_edges, random_structure,
+                     reconstruct_original)
 
 # Frozen benchmark: pretraining corpus covers all 20 synthetic elements;
 # the labeled corpus has fixed cell geometry so only atom identity carries

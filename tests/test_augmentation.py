@@ -1,14 +1,10 @@
 import numpy as np
 import pytest
-from helpers import cubic_structure, random_structure, rocksalt_structure
+from helpers import (cubic_structure, dropped_edges, edge_keys, edge_multiset,
+                     random_structure, reconstruct_original, rocksalt_structure,
+                     view_graph)
 
-from crystalembed.augmentation import (
-    augment,
-    batch_views,
-    identity_view,
-    reconstruct_original,
-    two_views,
-)
+from crystalembed.augmentation import augment, batch_views, two_views
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import build_periodic_graph
 from crystalembed.structures import CrystalStructure
@@ -32,22 +28,22 @@ class TestAugment:
     def test_zero_ratios_identity(self):
         g = build_periodic_graph(rocksalt_structure(), cutoff=0.9)
         v = augment(g, 0.0, 0.0, seed=99)
-        assert v.graph.edge_multiset() == g.edge_multiset()
+        assert edge_multiset(view_graph(v)) == edge_multiset(g)
         assert len(v.masked_nodes) == 0
-        assert len(v.dropped) == 0
+        assert len(dropped_edges(v)) == 0
 
     def test_same_seed_same_view(self):
         g = build_periodic_graph(rocksalt_structure(), cutoff=1.2)
         a = augment(g, 0.3, 0.3, seed=42)
         b = augment(g, 0.3, 0.3, seed=42)
         assert np.array_equal(a.masked_nodes, b.masked_nodes)
-        assert a.graph.edge_multiset() == b.graph.edge_multiset()
+        assert edge_multiset(view_graph(a)) == edge_multiset(view_graph(b))
 
     def test_exact_drop_count(self):
         g = _ten_unordered_edge_graph()
         v = augment(g, 0.0, 0.3, seed=7)
-        assert v.graph.num_edges == 14
-        assert len(v.dropped) == 6  # 3 unordered pairs = 6 directed edges
+        assert view_graph(v).num_edges == 14
+        assert len(dropped_edges(v)) == 6  # 3 unordered pairs = 6 directed edges
 
     def test_at_least_one_masked(self):
         g = build_periodic_graph(cubic_structure(), cutoff=1.05)
@@ -66,7 +62,7 @@ class TestAugment:
     def test_view_closed_under_reversal(self):
         g = _ten_unordered_edge_graph()
         v = augment(g, 0.2, 0.4, seed=3)
-        edges = v.graph.edge_multiset()
+        edges = edge_multiset(view_graph(v))
         mirrored = {(j, i, tuple(-x for x in o)): c for (i, j, o), c in edges.items()}
         assert edges == mirrored
 
@@ -77,7 +73,7 @@ class TestAugment:
             g = build_periodic_graph(s, cutoff=3.5)
             v = augment(g, 0.3, 0.45, seed=int(rng.integers(2**63)))
             merged = reconstruct_original(v)
-            assert merged.edge_multiset() == g.edge_multiset()
+            assert edge_multiset(merged) == edge_multiset(g)
             assert np.array_equal(merged.src, g.src)
             assert np.array_equal(merged.offsets, g.offsets)
             assert np.array_equal(merged.distances, g.distances)
@@ -109,14 +105,14 @@ class TestTwoViews:
         va2, vb2 = two_views(g, 0.3, 0.3, seed=42)
         assert np.array_equal(va1.masked_nodes, va2.masked_nodes)
         assert np.array_equal(vb1.masked_nodes, vb2.masked_nodes)
-        assert va1.graph.edge_multiset() == va2.graph.edge_multiset()
-        assert vb1.graph.edge_multiset() == vb2.graph.edge_multiset()
+        assert edge_multiset(view_graph(va1)) == edge_multiset(view_graph(va2))
+        assert edge_multiset(view_graph(vb1)) == edge_multiset(view_graph(vb2))
 
     def test_zero_ratios_both_equal_original(self):
         g = build_periodic_graph(rocksalt_structure(), cutoff=0.9)
         va, vb = two_views(g, 0.0, 0.0, seed=11)
-        assert va.graph.edge_multiset() == g.edge_multiset()
-        assert vb.graph.edge_multiset() == g.edge_multiset()
+        assert edge_multiset(view_graph(va)) == edge_multiset(g)
+        assert edge_multiset(view_graph(vb)) == edge_multiset(g)
 
     def test_masking_frequency(self):
         n = 20
@@ -139,8 +135,8 @@ class TestTwoViews:
 
     def test_identity_view(self):
         g = build_periodic_graph(rocksalt_structure(), cutoff=0.9)
-        v = identity_view(g)
-        assert v.graph.edge_multiset() == g.edge_multiset()
+        v = augment(g, 0.0, 0.0, 0)
+        assert edge_multiset(view_graph(v)) == edge_multiset(g)
         assert len(v.masked_nodes) == 0
 
 
@@ -191,18 +187,19 @@ class TestViewsAsMasks:
             assert view.masked_nodes.tolist() == masked
             assert np.flatnonzero(~view.keep).tolist() == dropped
             # the materialised graph holds exactly the kept edges, in order
-            kept = [k for e, k in enumerate(g.edge_keys()) if e not in dropped]
-            assert view.graph.edge_keys() == kept
-            assert len(view.dropped) == len(dropped)
+            kept = [k for e, k in enumerate(edge_keys(g)) if e not in dropped]
+            assert edge_keys(view_graph(view)) == kept
+            assert len(dropped_edges(view)) == len(dropped)
 
     def test_batch_views_shifts_masks_and_edges(self):
         g = _fcc_graph()
-        views = list(two_views(g, 0.5, 0.3, 7)) + [identity_view(g)]
+        views = list(two_views(g, 0.5, 0.3, 7)) + [augment(g, 0.0, 0.0, 0)]
         batch = batch_views(views)
         assert batch.masked_nodes.tolist() == [1, 2, 4, 5]
         assert batch.segments.tolist() == [0] * 4 + [1] * 4 + [2] * 4
         for v, view in enumerate(views):
             mine = batch.segments[batch.graph.src] == v
             assert np.array_equal(batch.graph.src[mine] - 4 * v,
-                                  view.graph.src)
-            assert np.array_equal(batch.graph.offsets[mine], view.graph.offsets)
+                                  view_graph(view).src)
+            assert np.array_equal(batch.graph.offsets[mine],
+                                  view_graph(view).offsets)

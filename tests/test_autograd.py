@@ -119,8 +119,8 @@ class TestForwardValues:
         assert np.allclose(out.data, np.log(np.exp(x).sum(axis=1)), atol=1e-12)
 
     def test_nonfinite_trips_error(self):
-        with pytest.raises(NumericsError):
-            ag.exp(ag.constant(np.array([1000.0])))
+        with np.errstate(over="ignore"), pytest.raises(NumericsError):
+            ag.scale(ag.constant(np.array([1e308])), 10.0)
         with pytest.raises(NumericsError):
             ag.constant(np.array([np.nan]))
 
@@ -475,7 +475,6 @@ class TestGradCheckPerOp:
             (lambda a: ag.reshape(a, (6,)), [(2, 3)]),
             (lambda a: ag.silu(a), [(3, 3)]),
             (lambda a: ag.sigmoid(a), [(3, 3)]),
-            (lambda a: ag.exp(a), [(2, 2)]),
             (lambda a: ag.softmax_rows(a), [(3, 5)]),
             (lambda a: ag.logsumexp_rows(a), [(3, 5)]),
             (lambda a: ag.l2_normalize_rows(a), [(3, 4)]),
@@ -532,7 +531,8 @@ class TestAdam:
         p = ag.parameter(np.array([1.0, -2.0]), "w")
         state = AdamState.for_params([p], lr=0.1)
         before = p.data.copy()
-        adam_step(state, [p], grads=[np.zeros(2)])
+        p.grad = np.zeros(2)
+        adam_step(state, [p])
         assert np.array_equal(p.data, before)
 
     def test_single_scalar_first_step(self):
@@ -540,7 +540,8 @@ class TestAdam:
         # delta = -lr * 1 / (1 + eps)
         p = ag.parameter(np.array(0.0), "w")
         state = AdamState.for_params([p], lr=0.1)
-        adam_step(state, [p], grads=[np.array(1.0)])
+        p.grad = np.array(1.0)
+        adam_step(state, [p])
         expected = -0.1 * 1.0 / (1.0 + 1e-8)
         assert abs(p.data - expected) < 1e-15
         assert abs(p.data + 0.1) < 1e-8
@@ -574,8 +575,9 @@ class TestAdam:
     def test_shape_mismatch_rejected(self):
         p = ag.parameter(np.zeros(3), "w")
         state = AdamState.for_params([p])
+        p.grad = np.zeros(4)
         with pytest.raises(ShapeError):
-            adam_step(state, [p], grads=[np.zeros(4)])
+            adam_step(state, [p])
 
 
 def _ufunc_scatter(shape, index, values):

@@ -10,7 +10,8 @@ from crystalembed.cli import build_parser, main
 from crystalembed.downstream import validate_report
 from crystalembed.embeddings import load_table, save_table_csv
 from crystalembed.errors import NumericsError
-from crystalembed.structures import save_jsonl
+from crystalembed.structures import (CrystalStructure, save_jsonl,
+                                     serialize_jsonl)
 from crystalembed.synthetic import (make_labeled_structures,
                                     make_pretraining_structures)
 from crystalembed.training import load_state
@@ -111,6 +112,26 @@ def test_ingest_rejects_unknown_extension(tmp_path, capsys):
     code = main(["ingest", str(weird), "--out", str(tmp_path / "ing")])
     assert code == 1
     assert "data.txt" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["latin1.cif", "latin1.jsonl"])
+def test_ingest_counts_a_non_utf8_input_as_failed(tmp_path, capsys, name):
+    if name.endswith(".cif"):
+        text = CUBIC_NA_CIF.replace("data_na_test", "data_na_t\u00e9st")
+    else:  # serialize_jsonl escapes the accent; unescape it
+        text = serialize_jsonl(CrystalStructure(
+            4.0 * np.eye(3), np.zeros((1, 3)), np.array([11]),
+            id="caf\u00e9")).replace("\\u00e9", "\u00e9") + "\n"
+    bad = tmp_path / name
+    bad.write_bytes(text.encode("latin-1"))
+    good = tmp_path / "na.cif"
+    good.write_text(CUBIC_NA_CIF)
+    out = tmp_path / "ing"
+    assert main(["ingest", str(bad), str(good), "--out", str(out)]) == 1
+    assert f"ingest failed: {bad}: " in capsys.readouterr().err
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["num_structures"] == 1
+    assert stats["num_failed"] == 1
 
 
 def test_ingest_cubic_toy_multiplicity_histogram(tmp_path):
@@ -477,3 +498,41 @@ def test_resume_malformed_history_exits_2(tmp_path, trained, capsys, history):
                  "--resume", str(bad), *FAST_PRETRAIN])
     assert code == 2
     assert "checkpoint history entry 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("flag, name", [
+    ("--data", "data.jsonl"), ("--table", "table.csv"),
+    ("--table", "table.json"), ("--checkpoint", "model.ckpt"),
+    ("--config", "config.json"), ("--resume", "model.ckpt")])
+def test_unreadable_input_path_exits_2(tmp_path, pre_jsonl, capsys, flag,
+                                       name, kind):
+    bad = tmp_path / name
+    if kind == "directory":
+        bad.mkdir()
+    elif kind == "not-utf8":
+        bad.write_bytes(b"\x80\x81 latin-1 \xe9\n")
+    argv = {
+        "--data": ["pretrain", "--data", str(bad), *FAST_PRETRAIN],
+        "--table": ["project", "--table", str(bad)],
+        "--checkpoint": ["extract", "--checkpoint", str(bad),
+                         "--data", str(pre_jsonl)],
+        "--config": ["pretrain", "--data", str(pre_jsonl),
+                     "--config", str(bad), *FAST_PRETRAIN],
+        "--resume": ["pretrain", "--data", str(pre_jsonl),
+                     "--resume", str(bad), *FAST_PRETRAIN],
+    }[flag]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    assert f"error: {bad}: " in capsys.readouterr().err
+
+
+def test_sweep_without_fractions_exits_2(tmp_path, lab_jsonl, capsys):
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=range(1, 119)), table_path)
+    out = tmp_path / "sw"
+    code = main(["sweep", "--data", str(lab_jsonl), "--table",
+                 str(table_path), "--out", str(out), "--fractions", "",
+                 *FAST_DOWNSTREAM])
+    assert code == 2
+    assert "error: fractions" in capsys.readouterr().err
+    assert not (out / "report.json").exists()

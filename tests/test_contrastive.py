@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
-from crystalembed.augmentation import two_views
+from crystalembed.augmentation import batch_views, two_views
 from crystalembed.contrastive import (
     ProjectorParams,
     info_nce,
@@ -165,7 +165,7 @@ class TestEndToEndGradient:
             views.extend(two_views(g, mask_ratio=0.3, drop_ratio=0.2, seed=k))
 
         def f():
-            zs = [project(encode(enc, v), proj) for v in views]
+            zs = [project(encode(enc, batch_views([v])), proj) for v in views]
             return info_nce(ag.concat(zs, axis=0),
                             paired_batch_partners(2), proj.temperature)
 

@@ -365,6 +365,12 @@ def test_sweep_rejects_zero_runs(labeled):
                              full_table(dim=8), n_runs=0)
 
 
+def test_sweep_rejects_an_empty_fraction_list(labeled):
+    with pytest.raises(ValidationError, match="fraction"):
+        label_fraction_sweep(labeled, DownstreamConfig(**FAST),
+                             full_table(dim=8), fractions=())
+
+
 def test_render_table_layout():
     record = summarize_runs(8, 1.0, "baseline", [0, 1], [0.3, 0.4]).to_dict()
     pre = summarize_runs(8, 1.0, "pretrained", [0, 1], [0.2, 0.3]).to_dict()

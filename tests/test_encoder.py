@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
-from crystalembed.augmentation import augment, identity_view
+from crystalembed.augmentation import augment, batch_views
 from crystalembed.encoder import (
     EncoderParams,
     edge_features,
@@ -12,13 +12,12 @@ from crystalembed.encoder import (
     encode_graph,
     init_encoder_params,
     initial_embeddings,
-    message_passing,
 )
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import PeriodicGraph, build_periodic_graph
 from crystalembed.structures import CrystalStructure
 
-from helpers import cubic_structure
+from helpers import cubic_structure, view_graph
 
 
 def small_params(seed=0, dim=4, num_layers=2, rbf_count=4, cutoff=4.0):
@@ -169,14 +168,15 @@ class TestEncode:
         g = build_periodic_graph(s, cutoff=4.0)
         view = augment(g, mask_ratio=0.4, drop_ratio=0.2, seed=9)
         assert np.array_equal(
-            encode(p, view).data,
-            encode_graph(p, view.graph, view.masked_nodes).data,
+            encode(p, batch_views([view])).data,
+            encode_graph(p, view_graph(view), view.masked_nodes).data,
         )
 
     def test_identity_view_encodes_like_plain_graph(self):
         p = small_params(seed=2)
         g = build_periodic_graph(cubic_structure(3.0, numbers=(26,)), cutoff=4.0)
-        assert np.array_equal(encode(p, identity_view(g)).data,
+        unchanged = augment(g, 0.0, 0.0, 0)
+        assert np.array_equal(encode(p, batch_views([unchanged])).data,
                               encode_graph(p, g).data)
 
     def test_deterministic_init_and_encode(self):
@@ -214,12 +214,6 @@ class TestEncoderGradients:
 
         err = ag.grad_check(f, p.tensors(), h=1e-5, floor=1e-3)
         assert err < 1e-4, err
-
-    def test_message_passing_rejects_bad_h0(self):
-        p = small_params()
-        g = build_periodic_graph(cubic_structure(3.0, numbers=(11,)), cutoff=4.0)
-        with pytest.raises(ValidationError):
-            message_passing(p, g, ag.constant(np.zeros((2, p.dim))))
 
 
 class TestParamValidation:

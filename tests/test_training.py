@@ -33,7 +33,8 @@ from crystalembed.training import (
 )
 
 from helpers import (all_unordered_pairs, cubic_structure,
-                     extract_one_graph_at_a_time, rocksalt_structure, supercell)
+                     extract_one_graph_at_a_time, rocksalt_structure, supercell,
+                     view_graph)
 
 FAST = dict(dim=8, num_layers=1, rbf_count=4, cutoff=5.0, batch_size=4)
 
@@ -182,7 +183,7 @@ def per_view_losses(graphs, model, cfg, view_seeds):
         pairs = np.asarray(all_unordered_pairs(g.num_nodes))
         classes = multiplicity_targets(g).classes[pairs[:, 0], pairs[:, 1]]
         for view in two_views(g, cfg.mask_ratio, cfg.drop_ratio, seed):
-            h = encode_graph(model.encoder, view.graph, view.masked_nodes)
+            h = encode_graph(model.encoder, view_graph(view), view.masked_nodes)
             scope = view.masked_nodes if cfg.node_loss_scope == "masked" else None
             node.append(node_nll(node_probs(h, model.node_decoder),
                                  g.atomic_numbers, scope))
