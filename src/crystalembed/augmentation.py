@@ -36,7 +36,8 @@ def augment(
 
     round(mask_ratio * N) nodes are flagged as masked (at least one whenever
     mask_ratio > 0); round(drop_ratio * unordered-edge-count) unordered edges
-    are removed together with their mirrors.
+    are removed together with their mirrors, so a view keeps or drops whole
+    connections, as `batch_graphs` requires.
     """
     for name, r in (("mask_ratio", mask_ratio), ("drop_ratio", drop_ratio)):
         if not (0.0 <= r < 1.0):
@@ -48,13 +49,12 @@ def augment(
         n_mask = 1
     masked = np.sort(rng.choice(g.num_nodes, size=n_mask, replace=False))
 
-    keep = np.ones(g.num_edges, dtype=bool)
-    if g.num_edges:
-        n_groups, inverse = g.edge_groups()
-        n_drop = _round_half_up(drop_ratio * n_groups)
-        drop_ids = rng.choice(n_groups, size=n_drop, replace=False)
-        keep = ~np.isin(inverse, drop_ids)
-    return AugmentedView(source=g, keep=keep,
+    # one flag per connection, read by both of its directed halves
+    n_groups, inverse = g.edge_groups()
+    alive = np.ones(n_groups, dtype=bool)
+    n_drop = _round_half_up(drop_ratio * n_groups)
+    alive[rng.choice(n_groups, size=n_drop, replace=False)] = False
+    return AugmentedView(source=g, keep=alive[inverse],
                          masked_nodes=masked.astype(np.int64))
 
 

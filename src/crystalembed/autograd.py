@@ -61,7 +61,7 @@ class Tensor:
                  requires_grad=False):
         """name: the parameter's name, or for an op result the op's."""
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.all(np.isfinite(self.data)):
+        if not np.isfinite(self.data).all():
             raise NumericsError(
                 f"{name or 'tensor'}: non-finite {'output' if parents else 'values'}")
         self.grad = None
@@ -128,7 +128,7 @@ class Tensor:
         while topo:  # reverse topological order
             node = topo.pop()
             g, leaf = node.grad, not node._parents
-            if not np.all(np.isfinite(g)):
+            if not np.isfinite(g).all():
                 where = (f"for parameter {node.name!r}" if leaf
                          else f"at the output of {node.name}")
                 raise NumericsError(f"backward: non-finite gradient {where}")

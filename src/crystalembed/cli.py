@@ -2,7 +2,8 @@
 
 Six subcommands: ingest, pretrain, extract, downstream, sweep, project.
 Each writes its effective configuration (defaults + config file + flag
-overrides) next to its outputs, so any run is reproducible from that file.
+overrides) next to its outputs once it succeeds, so any run is
+reproducible from that file and a failed run leaves none behind.
 
 Exit codes: 0 success, 1 per-file ingest failures, 2 validation or parse
 errors, 3 numeric failures.
@@ -66,7 +67,6 @@ def _merge_config(cls, args):
 
 def _write_effective(out_dir: Path, command: str, extras: dict,
                      config: dict | None = None) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
     payload = {"command": command, **extras}
     if config is not None:
         payload["config"] = config
@@ -147,9 +147,9 @@ def cmd_pretrain(args) -> int:
     structures = _load_structures(args.data)
     graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
     out_dir = Path(args.out)
+    result = pretrain(graphs, cfg, out_dir, resume_from=args.resume)
     _write_effective(out_dir, "pretrain", {"data": str(args.data)},
                      cfg.to_dict())
-    result = pretrain(graphs, cfg, out_dir, resume_from=args.resume)
     last = result.history[-1]
     print(f"pretrained {last['epoch']} epochs on {len(graphs)} graphs: "
           f"L_total={last['L_total']:.6f} -> {result.final_path}")
@@ -185,14 +185,15 @@ def cmd_downstream(args) -> int:
         table = load_table(args.table)
     structures = _load_structures(args.data)
     out_dir = Path(args.out)
+    _, report = train_supervised(structures, cfg, table)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(
+        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
+        encoding="utf-8")
     _write_effective(out_dir, "downstream",
                      {"data": str(args.data),
                       "table": None if args.table is None else str(args.table)},
                      cfg.to_dict())
-    _, report = train_supervised(structures, cfg, table)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
     print(f"{cfg.mode} fraction={cfg.label_fraction} seed={cfg.seed}: "
           f"test MAE {report.mean:.6f} -> {out_dir / 'report.json'}")
     return EXIT_OK
@@ -203,18 +204,19 @@ def cmd_sweep(args) -> int:
     table = load_table(args.table)
     structures = _load_structures(args.data)
     out_dir = Path(args.out)
+    report = label_fraction_sweep(structures, cfg, table,
+                                  fractions=tuple(args.fractions),
+                                  n_runs=args.runs, base_seed=args.base_seed)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    (out_dir / "report.json").write_text(
+        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    text = render_sweep_table(report)
+    (out_dir / "table.txt").write_text(text + "\n", encoding="utf-8")
     _write_effective(out_dir, "sweep",
                      {"data": str(args.data), "table": str(args.table),
                       "fractions": list(args.fractions), "runs": args.runs,
                       "base_seed": args.base_seed},
                      cfg.to_dict())
-    report = label_fraction_sweep(structures, cfg, table,
-                                  fractions=tuple(args.fractions),
-                                  n_runs=args.runs, base_seed=args.base_seed)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    text = render_sweep_table(report)
-    (out_dir / "table.txt").write_text(text + "\n", encoding="utf-8")
     print(text)
     return EXIT_OK
 

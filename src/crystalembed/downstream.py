@@ -17,7 +17,7 @@ from . import autograd as ag
 from .autograd import Tensor
 from .elements import MAX_Z, z_to_symbol
 from .embeddings import ElementEmbeddingTable
-from .encoder import LayerParams, apply_layers, init_layers
+from .encoder import apply_layers, init_layers
 from .errors import FeaturizationError, ValidationError, from_dict
 from .optim import AdamState, adam_step
 from .periodic_graph import (GraphBatch, PeriodicGraph, batch_graphs,

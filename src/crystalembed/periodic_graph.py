@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .elements import MAX_Z
 from .errors import ValidationError
 from .structures import CrystalStructure
 
@@ -61,6 +62,8 @@ class PeriodicGraph:
             raise ValidationError("edge array lengths disagree")
         if self.atomic_numbers.shape != (self.num_nodes,):
             raise ValidationError("atomic_numbers length != num_nodes")
+        if np.any((self.atomic_numbers < 1) | (self.atomic_numbers > MAX_Z)):
+            raise ValidationError(f"atomic numbers must lie in 1..{MAX_Z}")
         if e == 0:
             return
         if self.src.min() < 0 or self.src.max() >= self.num_nodes:
@@ -146,46 +149,38 @@ class GraphBatch:
 
 
 def batch_graphs(graphs, edge_masks=None) -> GraphBatch:
-    """Place graphs side by side in one validated graph.
+    """Place graphs side by side in one graph, trusted without a new check.
 
-    edge_masks[b], when given, selects the directed edges of graph b that
-    are kept; edge order within each graph is preserved. A masked union is
-    validated afresh, since a mask can break mirror balance. An unmasked one
-    is not: it only shifts the node indices of graphs that were validated
+    edge_masks[b], when given, flags the directed edges of graph b that are
+    kept; edge order within each graph is preserved. Precondition: a mask
+    keeps or drops both halves of every connection, as `augment`'s do. The
+    union then only shifts the node indices of graphs that were validated
     when they were built, so every invariant carries over.
     """
     graphs = list(graphs)
     if not graphs:
         raise ValidationError("cannot batch an empty list of graphs")
-    masked = edge_masks is not None
-    if not masked:
-        edge_masks = [slice(None)] * len(graphs)
+    keep = slice(None) if edge_masks is None else np.concatenate(edge_masks)
     sizes = np.array([g.num_nodes for g in graphs], dtype=np.int64)
     node_offsets = np.concatenate([[0], np.cumsum(sizes)])
+    shift = np.repeat(node_offsets[:-1], [g.num_edges for g in graphs])[keep]
 
     def stack(attr):
-        return np.concatenate([getattr(g, attr)[m]
-                               for g, m in zip(graphs, edge_masks)])
+        return np.concatenate([getattr(g, attr) for g in graphs])[keep]
 
-    src, dst = stack("src"), stack("dst")
-    kept = [len(g.src[m]) for g, m in zip(graphs, edge_masks)]
-    shift = np.repeat(node_offsets[:-1], kept)
-    arrays = dict(
+    # skip the dataclass __init__, whose __post_init__ runs _check
+    union = PeriodicGraph.__new__(PeriodicGraph)
+    vars(union).update(
         num_nodes=int(node_offsets[-1]),
         atomic_numbers=np.concatenate([g.atomic_numbers for g in graphs]),
-        src=src + shift,
-        dst=dst + shift,
+        src=stack("src") + shift,
+        dst=stack("dst") + shift,
         offsets=stack("offsets"),
         distances=stack("distances"),
         directions=stack("directions"),
         cutoff=max(g.cutoff for g in graphs),
+        _groups=None,
     )
-    if masked:
-        union = PeriodicGraph(**arrays)
-    else:
-        # skip the dataclass __init__, whose __post_init__ runs _check
-        union = PeriodicGraph.__new__(PeriodicGraph)
-        vars(union).update(arrays, _groups=None)
     segments = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     return GraphBatch(union, node_offsets, segments)
 

@@ -115,12 +115,12 @@ def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds)
     loss_node = node_nll(node_probs(h, model.node_decoder),
                          batch.graph.atomic_numbers, scope, batch.segments)
     # both views of a graph score its unordered pairs against its own targets
-    targets = [multiplicity_targets(g).classes for g in graphs]
     pairs, classes = [], []
-    for v, lo in enumerate(batch.node_offsets[:-1]):
-        i, j = np.triu_indices(len(targets[v // 2]))
-        pairs.append(np.column_stack([i, j]) + lo)
-        classes.append(targets[v // 2][i, j])
+    for b, g in enumerate(graphs):
+        i, j = np.triu_indices(g.num_nodes)
+        ij, c = np.column_stack([i, j]), multiplicity_targets(g).classes[i, j]
+        pairs += [ij + lo for lo in batch.node_offsets[2 * b:2 * b + 2]]
+        classes += [c, c]
     pairs = np.concatenate(pairs)
     loss_adj = adj_weighted_ce(
         adjacency_probs(h, model.adj_decoder, pairs, batch.segments),

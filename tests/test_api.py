@@ -1,8 +1,10 @@
 """The public surface: what `crystalembed` exports, and what it no longer has."""
 
+import ast
 import importlib
 from dataclasses import fields
 from inspect import signature
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +48,33 @@ def test_a_view_is_its_masks():
 
 def test_adam_step_reads_only_the_parameter_gradients():
     assert list(signature(adam_step).parameters) == ["state", "params"]
+
+
+def _unused_imports(path):
+    """(line, name) of every name a module imports and never reads, except
+    the names it exports through __all__."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)}
+    for node in tree.body:
+        if (isinstance(node, ast.Assign)
+                and any(isinstance(t, ast.Name) and t.id == "__all__"
+                        for t in node.targets)):
+            read |= set(ast.literal_eval(node.value))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = (alias.asname or alias.name).partition(".")[0]
+                if name != "*" and name not in read:
+                    yield node.lineno, name
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted([*(root / "src" / "crystalembed").rglob("*.py"),
+                    *(root / "tests").rglob("*.py")])
+    assert paths
+    assert [f"{path.relative_to(root)}:{line}: {name}" for path in paths
+            for line, name in _unused_imports(path)] == []

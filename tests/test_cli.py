@@ -536,3 +536,19 @@ def test_sweep_without_fractions_exits_2(tmp_path, lab_jsonl, capsys):
     assert code == 2
     assert "error: fractions" in capsys.readouterr().err
     assert not (out / "report.json").exists()
+
+
+@pytest.mark.parametrize("command", ["pretrain", "sweep"])
+def test_failed_command_leaves_no_effective_config(tmp_path, pre_jsonl,
+                                                   lab_jsonl, command):
+    out = tmp_path / "out"
+    if command == "pretrain":
+        argv = ["pretrain", "--data", str(pre_jsonl), "--resume",
+                str(tmp_path / "missing.ckpt"), *FAST_PRETRAIN]
+    else:
+        table_path = tmp_path / "table.csv"
+        save_table_csv(small_table(dim=8, present=range(1, 119)), table_path)
+        argv = ["sweep", "--data", str(lab_jsonl), "--table", str(table_path),
+                "--fractions", "", *FAST_DOWNSTREAM]
+    assert main([*argv, "--out", str(out)]) == 2
+    assert not (out / f"{command}_config.json").exists()

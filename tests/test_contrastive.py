@@ -15,7 +15,6 @@ from crystalembed.contrastive import (
 from crystalembed.encoder import encode, init_encoder_params
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import build_periodic_graph
-from crystalembed.structures import CrystalStructure
 
 from helpers import cubic_structure, rocksalt_structure
 

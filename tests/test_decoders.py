@@ -18,7 +18,6 @@ from crystalembed.decoders import (
 )
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import build_periodic_graph, multiplicity_targets
-from crystalembed.structures import CrystalStructure
 
 from helpers import (all_unordered_pairs, dropped_edges, reconstruct_original,
                      rocksalt_structure, view_graph)

@@ -15,6 +15,7 @@ from helpers import (
     supercell,
 )
 
+from crystalembed.augmentation import batch_views, two_views
 from crystalembed.errors import ValidationError
 from crystalembed.structures import CrystalStructure, lattice_from_cell
 from crystalembed.periodic_graph import (
@@ -274,6 +275,18 @@ class TestGraphValidation:
         assert PeriodicGraph(**_graph_kwargs(g, idx)).num_edges == g.num_edges + 2
 
 
+    @pytest.mark.parametrize("z", [0, 119])
+    @pytest.mark.parametrize("cutoff", [1.05, 0.5])
+    def test_atomic_number_outside_periodic_table_rejected(self, z, cutoff):
+        # also on an edgeless graph, which skips the edge checks
+        g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=cutoff)
+        kwargs = _graph_kwargs(g, np.arange(g.num_edges))
+        kwargs["atomic_numbers"] = [11, z]
+        with pytest.raises(ValidationError,
+                           match=r"atomic numbers must lie in 1\.\.118"):
+            PeriodicGraph(**kwargs)
+
+
 class TestBatchGraphs:
     def test_offsets_segments_and_shifted_edges(self):
         a = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=1.05)
@@ -311,6 +324,27 @@ class TestBatchGraphs:
                 batch.graph._check()
                 assert batch.graph.num_edges == sum(g.num_edges for g in chunk)
                 assert batch.graph.edge_groups()[0] == batch.graph.num_edges // 2
+
+    @pytest.mark.parametrize("drop_ratio", [0.0, 0.15, 0.5, 0.9])
+    def test_views_keep_or_drop_whole_connections(self, drop_ratio):
+        # batch_graphs trusts its masks to keep whole connections instead of
+        # checking each union it builds
+        pretraining = make_pretraining_structures(48, seed=3)
+        corpora = [pretraining, make_labeled_structures(64, seed=11),
+                   [supercell(s, k) for s in pretraining[:3] for k in (2, 3)]]
+        for structures in corpora:
+            graphs = [build_periodic_graph(s, 5.0) for s in structures]
+            for seed in (0, 7, 2**40 + 3):
+                views = [view for b, g in enumerate(graphs)
+                         for view in two_views(g, 0.15, drop_ratio, seed + b)]
+                for view in views:
+                    n_groups, inverse = view.source.edge_groups()
+                    alive = np.zeros(n_groups, dtype=bool)
+                    alive[inverse[view.keep]] = True
+                    assert np.array_equal(alive[inverse], view.keep)
+                union = batch_views(views).graph
+                union._check()
+                assert union.edge_groups()[0] == union.num_edges // 2
 
 
 def test_edge_groups_number_connections_like_np_unique():
