@@ -25,6 +25,14 @@ grad and keep neither their inputs nor their rules, so a forward-only pass
 (extraction, evaluation) frees each intermediate as soon as it is dropped.
 The finiteness check still runs. Leaving the scope, also by an exception,
 restores the state it found, so scopes nest.
+
+A composite op (`gated_message`) runs public ops off the tape, inside
+`no_grad`, so its forward is theirs bit for bit, and puts one tensor on the
+tape in their place. It keeps a few of their arrays and recomputes the
+rest; its rule replays their rules, in the order the sweep would run them,
+from the kept arrays. Its backward runs once, at the first rule the sweep
+calls, and is memoised: each memoised array goes back to exactly one input,
+since a gradient may adopt what a rule returns (as in `bilinear`).
 """
 
 from __future__ import annotations
@@ -481,6 +489,108 @@ def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
         lambda g: back(g)[0] @ w2.T + back(g)[1],
         lambda g: (h.data.T @ back(g)[0]).reshape(d, k, d),
         lambda g: g.sum(axis=0)), "bilinear")
+
+
+def _popped(g: np.ndarray, part: str) -> np.ndarray:
+    """A gradient a composite op's rule made, as the sweep would hold it at
+    the op it replays: started at +0.0 like `_accumulate` starts one, and
+    checked finite, naming the part of the op it belongs to."""
+    g += 0.0
+    if not np.isfinite(g).all():
+        raise NumericsError(
+            f"backward: non-finite gradient inside gated_message, at {part}")
+    return g
+
+
+def _mlp_back(g_out: np.ndarray, a: np.ndarray, w2: np.ndarray, which: str):
+    """The rules of silu(a) @ w2 + b2 from its output's gradient g_out, in
+    the sweep's order: the gradients of b2, w2, the pre-activation a and b1.
+    The bias add's copies of g_out and of a's gradient are exact no-ops on
+    started gradients, so they are skipped."""
+    s = _sigmoid(a)
+    g_b2 = g_out.sum(axis=0)
+    hidden = a * s
+    g_w2 = hidden.T @ g_out
+    del hidden
+    g_hidden = _popped(g_out @ w2.T, f"the {which} MLP's hidden layer")
+    g_a = _popped(g_hidden * (s + a * s * (1.0 - s)),
+                  f"the {which} MLP's pre-activation")
+    return g_b2, g_w2, g_a, g_a.sum(axis=0)
+
+
+def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
+    """One residual gated message-passing layer, a CGCNN-style convolution
+    (Xie & Grossman, PRL 2018), as one tape entry:
+
+        x = [h[dst] | h[src] | feats]                      (E, 2d + r)
+        msg = silu(x @ msg_w1 + msg_b1) @ msg_w2 + msg_b2
+        gate = sigmoid(silu(x @ gate_w1 + gate_b1) @ gate_w2 + gate_b2)
+        out = h + scatter_add(dst, msg * gate)             (N, d)
+
+    weights are (msg_w1, msg_b1, msg_w2, msg_b2, gate_w1, gate_b1, gate_w2,
+    gate_b2). The forward runs exactly these public ops under no_grad, so
+    its result is theirs bit for bit, and keeps four (E, d) arrays: the two
+    pre-activations, msg and gate. Backward recomputes x and the
+    activations from them and replays the composition's rules in the order
+    its sweep would run them (layer-scale gradient checkpointing, Chen et
+    al. 2016), so every input's gradient is the composition's bitwise. A
+    non-finite gradient inside the layer names the part it appeared at.
+    """
+    inputs = (h, feats, *weights)
+    w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
+    src = np.asarray(src, dtype=np.int64)
+    dst = np.asarray(dst, dtype=np.int64)
+    with no_grad():
+        x = concat([row_gather(h, dst), row_gather(h, src), feats], axis=1)
+        a_m = add(matmul(x, w1m), b1m)
+        msg = add(matmul(silu(a_m), w2m), b2m)
+        a_g = add(matmul(x, w1g), b1g)
+        gate = sigmoid(add(matmul(silu(a_g), w2g), b2g))
+        out = add(h, row_scatter_add(mul(msg, gate), dst, len(h.data)))
+    a_m, msg, a_g, gate = a_m.data, msg.data, a_g.data, gate.data
+    n, d = h.data.shape
+
+    def grads(g):
+        """Every input's gradient contribution, by input position: each a
+        new array going back to that input alone, since a gradient may
+        adopt what a rule returns."""
+        g_h = g + 0.0  # the residual add's copy for h; the scatter's is equal
+        g_prod = g_h[dst]
+        g_msg = _popped(g_prod * gate, "the message")
+        g_gate = _popped(g_prod * msg, "the gate")
+        del g_prod
+        g_b2m, g_w2m, g_am, g_b1m = _mlp_back(g_msg, a_m, w2m.data, "message")
+        del g_msg
+        g_logit = _popped(g_gate * gate * (1.0 - gate), "the gate's logit")
+        del g_gate
+        g_b2g, g_w2g, g_ag, g_b1g = _mlp_back(g_logit, a_g, w2g.data, "gate")
+        del g_logit
+        x = np.concatenate([h.data[dst], h.data[src], feats.data], axis=1)
+        g_w1m, g_w1g = x.T @ g_am, x.T @ g_ag
+        del x  # never held together with its gradient
+        g_x = g_am @ w1m.data.T  # the message term, then the gate term adds
+        del g_am
+        g_x += g_ag @ w1g.data.T
+        del g_ag
+        _popped(g_x, "the edge input [h_dst | h_src | feats]")
+        # the concat's copies of its slices change no sum of the scatters
+        g_h += _scatter_rows(dst, g_x[:, :d], n)
+        g_h += _scatter_rows(src, g_x[:, d:2 * d], n)
+        g_feats = g_x[:, 2 * d:] + 0.0 if feats.requires_grad else None
+        return dict(enumerate((g_h, g_feats, g_w1m, g_b1m, g_w2m, g_b2m,
+                               g_w1g, g_b1g, g_w2g, g_b2g)))
+
+    memo = {}
+
+    def rule(i):
+        def grad_fn(g):
+            if not memo:  # the first rule the sweep calls makes them all
+                memo.update(grads(g))
+            return memo.pop(i)
+        return grad_fn
+
+    return Tensor(out.data, inputs, tuple(rule(i) for i in range(len(inputs))),
+                  "gated_message")
 
 
 def grad_check(f, params, h: float = 1e-5, floor: float = 1e-2) -> float:

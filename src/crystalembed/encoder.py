@@ -166,10 +166,6 @@ def initial_embeddings(
     return ag.row_gather(table, idx)
 
 
-def _apply_mlp(x: Tensor, w1, b1, w2, b2) -> Tensor:
-    return ag.add(ag.matmul(ag.silu(ag.add(ag.matmul(x, w1), b1)), w2), b2)
-
-
 def apply_layers(
     layers: list[LayerParams],
     graph: PeriodicGraph,
@@ -177,23 +173,16 @@ def apply_layers(
     rbf_count: int,
     cutoff: float,
 ) -> Tensor:
-    """Run residual gated layers on initial node states h0 (N, d)."""
+    """Run residual gated layers on initial node states h0 (N, d), one
+    `ag.gated_message` tape entry per layer."""
     if graph.src.size == 0:
         # empty-sum convention: no edges leaves every node state untouched
         return h0
-    n = graph.num_nodes
     feats = ag.constant(edge_features(
         graph.distances, graph.directions, rbf_count, cutoff))
     h = h0
     for layer in layers:
-        h_dst = ag.row_gather(h, graph.dst)
-        h_src = ag.row_gather(h, graph.src)
-        x = ag.concat([h_dst, h_src, feats], axis=1)
-        msg = _apply_mlp(x, layer.msg_w1, layer.msg_b1, layer.msg_w2, layer.msg_b2)
-        gate = ag.sigmoid(_apply_mlp(
-            x, layer.gate_w1, layer.gate_b1, layer.gate_w2, layer.gate_b2))
-        agg = ag.row_scatter_add(ag.mul(msg, gate), graph.dst, n)
-        h = ag.add(h, agg)
+        h = ag.gated_message(h, feats, graph.src, graph.dst, layer.tensors())
     return h
 
 

@@ -245,12 +245,6 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
         raise ValidationError("pretraining dataset is empty")
     if len(graphs) < 2:
         raise ValidationError("pretraining needs at least 2 graphs")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    log_path = out_dir / "log.jsonl"
-    best_path = out_dir / "best.ckpt"
-    final_path = out_dir / "final.ckpt"
-
     if resume_from is not None:
         model, opt, saved_cfg, start_epoch, history = load_state(resume_from)
         # only the stop point may move
@@ -268,6 +262,13 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
         start_epoch = 0
         history = []
         log_mode = "w"
+    # only once the resume state has loaded and matched: a failed resume
+    # leaves no directory behind
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    log_path = out_dir / "log.jsonl"
+    best_path = out_dir / "best.ckpt"
+    final_path = out_dir / "final.ckpt"
 
     best_total = min((rec["L_total"] for rec in history), default=float("inf"))
     n = len(graphs)

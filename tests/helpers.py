@@ -12,7 +12,7 @@ import numpy as np
 from crystalembed import autograd as ag
 from crystalembed.elements import MAX_Z
 from crystalembed.embeddings import table_from_sums
-from crystalembed.encoder import encode_graph
+from crystalembed.encoder import edge_features, encode_graph
 from crystalembed.periodic_graph import PeriodicGraph
 from crystalembed.structures import CrystalStructure
 
@@ -165,3 +165,30 @@ def extract_one_graph_at_a_time(model, graphs):
         sums += ag.row_scatter_add(h, g.atomic_numbers - 1, MAX_Z).data
         counts += np.bincount(g.atomic_numbers - 1, minlength=MAX_Z)
     return table_from_sums(sums, counts)
+
+
+def gated_message_by_ops(h, feats, src, dst, weights):
+    """One encoder layer as the composition `ag.gated_message` replaces, every
+    op on the tape: two gathers, a concat, two two-layer SiLU MLPs, the
+    sigmoid gate, the product, the scatter and the residual add."""
+    w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
+
+    def mlp(x, w1, b1, w2, b2):
+        return ag.add(ag.matmul(ag.silu(ag.add(ag.matmul(x, w1), b1)), w2), b2)
+
+    x = ag.concat([ag.row_gather(h, dst), ag.row_gather(h, src), feats], axis=1)
+    msg = mlp(x, w1m, b1m, w2m, b2m)
+    gate = ag.sigmoid(mlp(x, w1g, b1g, w2g, b2g))
+    return ag.add(h, ag.row_scatter_add(ag.mul(msg, gate), dst, h.data.shape[0]))
+
+
+def apply_layers_by_ops(layers, graph, h0, rbf_count, cutoff):
+    """`encoder.apply_layers` with every layer unfused."""
+    if graph.src.size == 0:
+        return h0
+    feats = ag.constant(edge_features(
+        graph.distances, graph.directions, rbf_count, cutoff))
+    h = h0
+    for layer in layers:
+        h = gated_message_by_ops(h, feats, graph.src, graph.dst, layer.tensors())
+    return h

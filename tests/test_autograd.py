@@ -198,6 +198,23 @@ class TestErrorsNameTheirSource:
                 NumericsError, match=r"non-finite gradient for parameter 'w_big'"):
             loss.backward()
 
+    def test_overflow_inside_gated_message_names_the_part(self):
+        # msg_w1 = 0 makes the message MLP's hidden layer silu(0) = 0, so the
+        # forward is finite, but its gradient through msg_w2 = 1e308 is not
+        rng = np.random.default_rng(0)
+        d = 8
+        weights = [ag.parameter(w, f"w{i}") for i, w in enumerate([
+            np.zeros((2 * d + 2, d)), np.zeros(d), np.full((d, d), 1e308),
+            np.zeros(d), rng.normal(size=(2 * d + 2, d)), np.zeros(d),
+            rng.normal(size=(d, d)), np.zeros(d)])]
+        h = ag.parameter(rng.normal(size=(3, d)), "h")
+        out = ag.gated_message(h, ag.constant(rng.normal(size=(4, 2))),
+                               [0, 1, 2, 0], [1, 2, 0, 0], weights)
+        with np.errstate(over="ignore"), pytest.raises(
+                NumericsError, match=r"^backward: non-finite gradient inside "
+                r"gated_message, at the message MLP's hidden layer$"):
+            ag.sum_all(out).backward()
+
     def test_nonfinite_intermediate_names_its_op(self):
         # d log(y)/dy = 1/y overflows for a subnormal y, the output of scale
         x = ag.parameter(np.array([1e-310]), "x")
@@ -486,6 +503,11 @@ class TestGradCheckPerOp:
                     h, w, b, np.array([[0, 1], [2, 4], [4, 2], [3, 3], [0, 1]]),
                     [0, 0, 1, 1, 1]),
                 [(5, 4), (4, 6, 4), (6,)],
+            ),
+            (
+                lambda h, feats, *weights: ag.gated_message(
+                    h, feats, [0, 1, 2, 3, 1, 0], [1, 0, 3, 2, 1, 1], weights),
+                [(4, 3), (6, 2), *[(8, 3), (3,), (3, 3), (3,)] * 2],
             ),
         ]
         for case_idx, (op_builder, shapes) in enumerate(cases):

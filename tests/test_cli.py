@@ -552,3 +552,13 @@ def test_failed_command_leaves_no_effective_config(tmp_path, pre_jsonl,
                 "--fractions", "", *FAST_DOWNSTREAM]
     assert main([*argv, "--out", str(out)]) == 2
     assert not (out / f"{command}_config.json").exists()
+
+
+def test_failed_resume_leaves_no_run_directory(tmp_path, pre_jsonl, capsys):
+    out = tmp_path / "run"
+    code = main(["pretrain", "--data", str(pre_jsonl), "--resume",
+                 str(tmp_path / "missing.ckpt"), "--out", str(out),
+                 *FAST_PRETRAIN])
+    assert code == 2
+    assert "missing.ckpt" in capsys.readouterr().err
+    assert not out.exists()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
-from crystalembed.augmentation import augment, batch_views
+from crystalembed.augmentation import augment, batch_views, two_views
 from crystalembed.encoder import (
     EncoderParams,
     edge_features,
@@ -16,8 +16,10 @@ from crystalembed.encoder import (
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import PeriodicGraph, build_periodic_graph
 from crystalembed.structures import CrystalStructure
+from crystalembed.synthetic import make_pretraining_structures
 
-from helpers import cubic_structure, view_graph
+from helpers import (apply_layers_by_ops, cubic_structure, gated_message_by_ops,
+                     supercell, view_graph)
 
 
 def small_params(seed=0, dim=4, num_layers=2, rbf_count=4, cutoff=4.0):
@@ -214,6 +216,84 @@ class TestEncoderGradients:
 
         err = ag.grad_check(f, p.tensors(), h=1e-5, floor=1e-3)
         assert err < 1e-4, err
+
+
+@pytest.fixture(scope="module")
+def mixed_batch():
+    """Two views each of two N=2 cells and of a k=2 supercell (N=16), with
+    masked nodes and dropped edges, as one disjoint union."""
+    cells = make_pretraining_structures(2, seed=4)
+    graphs = [build_periodic_graph(s, 5.0)
+              for s in [*cells, supercell(cells[0], 2)]]
+    assert [g.num_nodes for g in graphs] == [2, 2, 16]
+    batch = batch_views([v for i, g in enumerate(graphs)
+                         for v in two_views(g, 0.3, 0.2, seed=i)])
+    assert len(batch.masked_nodes) > 0
+    assert batch.graph.num_edges < 2 * sum(g.num_edges for g in graphs)
+    return batch
+
+
+def _grads_by(run, leaves, mix):
+    for t in leaves:
+        t.zero_grad()
+    out = run()
+    ag.sum_all(ag.mul(out, ag.constant(mix))).backward()
+    return out.data, [t.grad for t in leaves]
+
+
+class TestGatedMessageIsTheComposition:
+    """ag.gated_message against the taped ops it replaces, bitwise."""
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_output_and_every_input_gradient(self, mixed_batch, dim):
+        g = mixed_batch.graph
+        rng = np.random.default_rng(dim)
+        p = init_encoder_params(rng, dim, num_layers=2, rbf_count=4, cutoff=5.0)
+        h0 = ag.parameter(initial_embeddings(
+            p, g.atomic_numbers, mixed_batch.masked_nodes).data, "h0")
+        feats = ag.Tensor(edge_features(g.distances, g.directions, 4, 5.0),
+                          requires_grad=True)
+        leaves = [h0, feats, *(t for layer in p.layers for t in layer.tensors())]
+        mix = rng.normal(size=h0.data.shape)
+
+        def run(op):
+            h = h0
+            for layer in p.layers:
+                h = op(h, feats, g.src, g.dst, layer.tensors())
+            return h
+
+        out, grads = _grads_by(lambda: run(ag.gated_message), leaves, mix)
+        want_out, want = _grads_by(lambda: run(gated_message_by_ops), leaves, mix)
+        assert np.array_equal(out, want_out)
+        for t, got, expected in zip(leaves, grads, want):
+            assert np.array_equal(got, expected), t.name
+
+    @pytest.mark.parametrize("dim", [8, 64])
+    def test_encoder_parameters(self, mixed_batch, dim):
+        p = init_encoder_params(np.random.default_rng(dim + 1), dim,
+                                num_layers=2, rbf_count=4, cutoff=5.0)
+        mix = np.random.default_rng(0).normal(size=(mixed_batch.graph.num_nodes, dim))
+
+        def by_ops():
+            h0 = initial_embeddings(p, mixed_batch.graph.atomic_numbers,
+                                    mixed_batch.masked_nodes)
+            return apply_layers_by_ops(p.layers, mixed_batch.graph, h0,
+                                       p.rbf_count, p.cutoff)
+
+        out, grads = _grads_by(lambda: encode(p, mixed_batch), p.tensors(), mix)
+        want_out, want = _grads_by(by_ops, p.tensors(), mix)
+        assert np.array_equal(out, want_out)
+        for t, got, expected in zip(p.tensors(), grads, want):
+            assert np.array_equal(got, expected), t.name
+
+    def test_one_tape_entry_per_layer(self, mixed_batch):
+        p = small_params(dim=4, num_layers=3, rbf_count=4, cutoff=5.0)
+        h = encode(p, mixed_batch)
+        names = []
+        while h.name != "row_gather":  # the initial embeddings
+            names.append(h.name)
+            h = h._parents[0]
+        assert names == ["gated_message"] * 3
 
 
 class TestParamValidation:

@@ -115,23 +115,17 @@ class TestPretrainStep:
         assert run() == run()
 
     def test_step_memory_is_bounded_on_large_cells(self):
-        # two 4x4x4 supercells (N=128, 1,792 edges each), dim 64: the
-        # forward tape holds about 128 MB, and backward frees it as it goes
-        cfg = PretrainConfig(dim=64, num_layers=2, rbf_count=8, cutoff=5.0)
-        graphs = [build_periodic_graph(supercell(s, 4), 5.0)
-                  for s in make_pretraining_structures(2, seed=3)]
-        assert [g.num_nodes for g in graphs] == [128, 128]
-        model = fast_model(cfg)
-        tracemalloc.start()
-        try:
-            losses = pretrain_losses(graphs, model, cfg, [0, 1])
-            losses[3].backward()
-            held, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        # backward frees the forward tape as it goes
+        held, peak, model = large_cell_step_memory()
         assert peak < 170e6, peak
         assert held < 5e6, held  # the losses are still referenced here
         assert all(p.grad is not None for p in model.tensors())
+
+    def test_encoder_layers_keep_four_edge_arrays(self):
+        # each layer is one tape entry keeping four (E, d) arrays, where its
+        # 17 unfused ops kept about 9.6 KB per edge: ~50 MB against 132 MB
+        _, peak, _ = large_cell_step_memory()
+        assert peak < 70e6, peak
 
     def test_batch_of_one_rejected(self, graphs):
         cfg = fast_cfg()
@@ -173,6 +167,25 @@ class TestPretrainStep:
         opt = AdamState.for_params(model.tensors(), lr=cfg.lr)
         losses = pretrain_step(graphs[:2], model, opt, cfg, [0, 1])
         assert np.isfinite(losses["L_total"])
+
+
+def large_cell_step_memory():
+    """tracemalloc's held and peak bytes over pretrain_losses plus backward
+    on two 4x4x4 supercells (N=128, 1,792 edges each) at dim 64, and the
+    model they ran on."""
+    cfg = PretrainConfig(dim=64, num_layers=2, rbf_count=8, cutoff=5.0)
+    graphs = [build_periodic_graph(supercell(s, 4), 5.0)
+              for s in make_pretraining_structures(2, seed=3)]
+    assert [g.num_nodes for g in graphs] == [128, 128]
+    model = fast_model(cfg)
+    tracemalloc.start()
+    try:
+        losses = pretrain_losses(graphs, model, cfg, [0, 1])
+        losses[3].backward()
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return held, peak, model
 
 
 def per_view_losses(graphs, model, cfg, view_seeds):
