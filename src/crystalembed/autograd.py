@@ -282,9 +282,14 @@ def take(a: Tensor, rows, cols) -> Tensor:
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:
-    """1 / (1 + e^-x), from e^-|x| so neither sign overflows."""
-    z = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, z) / (1.0 + z)
+    """1 / (1 + e^-x), from e^-|x| so neither sign overflows; every step
+    after the first writes into one of two buffers."""
+    z = np.abs(x)
+    np.negative(z, out=z)
+    np.exp(z, out=z)
+    s = np.where(x >= 0, 1.0, z)
+    np.add(1.0, z, out=z)
+    return np.divide(s, z, out=s)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -504,51 +509,61 @@ def _popped(g: np.ndarray, part: str) -> np.ndarray:
 
 def _mlp_back(g_out: np.ndarray, a: np.ndarray, w2: np.ndarray, which: str):
     """The rules of silu(a) @ w2 + b2 from its output's gradient g_out, in
-    the sweep's order: the gradients of b2, w2, the pre-activation a and b1.
-    The bias add's copies of g_out and of a's gradient are exact no-ops on
-    started gradients, so they are skipped."""
+    the sweep's order: the gradients of b2, w2 and the pre-activation a.
+    The bias add's copy of g_out is an exact no-op on a started gradient,
+    so it is skipped."""
     s = _sigmoid(a)
     g_b2 = g_out.sum(axis=0)
-    hidden = a * s
-    g_w2 = hidden.T @ g_out
-    del hidden
-    g_hidden = _popped(g_out @ w2.T, f"the {which} MLP's hidden layer")
-    g_a = _popped(g_hidden * (s + a * s * (1.0 - s)),
-                  f"the {which} MLP's pre-activation")
-    return g_b2, g_w2, g_a, g_a.sum(axis=0)
+    g_a = a * s  # silu(a)
+    g_w2 = g_a.T @ g_out
+    # silu's rule, g * (s + a*s*(1 - s)), made in place on a*s
+    g_a *= np.subtract(1.0, s)
+    g_a += s
+    del s
+    g_a *= _popped(g_out @ w2.T, f"the {which} MLP's hidden layer")
+    return g_b2, g_w2, _popped(g_a, f"the {which} MLP's pre-activation")
 
 
 def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
     """One residual gated message-passing layer, a CGCNN-style convolution
     (Xie & Grossman, PRL 2018), as one tape entry:
 
-        x = [h[dst] | h[src] | feats]                      (E, 2d + r)
-        msg = silu(x @ msg_w1 + msg_b1) @ msg_w2 + msg_b2
-        gate = sigmoid(silu(x @ gate_w1 + gate_b1) @ gate_w2 + gate_b2)
+        msg = silu([h[dst] | h[src] | feats] @ msg_w1 + msg_b1) @ msg_w2 + msg_b2
+        gate = sigmoid(silu([...] @ gate_w1 + gate_b1) @ gate_w2 + gate_b2)
         out = h + scatter_add(dst, msg * gate)             (N, d)
 
     weights are (msg_w1, msg_b1, msg_w2, msg_b2, gate_w1, gate_b1, gate_w2,
-    gate_b2). The forward runs exactly these public ops under no_grad, so
-    its result is theirs bit for bit, and keeps four (E, d) arrays: the two
-    pre-activations, msg and gate. Backward recomputes x and the
-    activations from them and replays the composition's rules in the order
-    its sweep would run them (layer-scale gradient checkpointing, Chen et
-    al. 2016), so every input's gradient is the composition's bitwise. A
-    non-finite gradient inside the layer names the part it appeared at.
+    gate_b2). The first layers are lifted before the gather, as in SchNet's
+    cfconv (Schütt et al. 2017) and PyG's message passing (Fey & Lenssen
+    2019): with W = [msg_w1 | gate_w1] split by rows into W_dst, W_src and
+    W_e, and b1 = [msg_b1 | gate_b1], both pre-activations are
+
+        a = (h @ W_dst + b1)[dst] + (h @ W_src)[src] + feats @ W_e   (E, 2d)
+
+    so the two node products run on N rows and no (E, 2d + r) edge input is
+    built. The forward runs these public ops under no_grad and keeps four
+    (E, d) arrays' worth: a, msg and gate. Backward recomputes the
+    activations from them and replays the lifted composition's rules in the
+    order its sweep would run them, scattering the pre-activations' gradient
+    to node rows before the weight products. A non-finite gradient inside
+    the layer names the part it appeared at.
     """
     inputs = (h, feats, *weights)
     w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
-    with no_grad():
-        x = concat([row_gather(h, dst), row_gather(h, src), feats], axis=1)
-        a_m = add(matmul(x, w1m), b1m)
-        msg = add(matmul(silu(a_m), w2m), b2m)
-        a_g = add(matmul(x, w1g), b1g)
-        gate = sigmoid(add(matmul(silu(a_g), w2g), b2g))
-        out = add(h, row_scatter_add(mul(msg, gate), dst, len(h.data)))
-    a_m, msg, a_g, gate = a_m.data, msg.data, a_g.data, gate.data
     n, d = h.data.shape
+    with no_grad():
+        w1 = concat([w1m, w1g], axis=1).data  # (2d + r, 2d): message | gate
+        a = add(add(
+            row_gather(add(matmul(h, Tensor(w1[:d])), concat([b1m, b1g])), dst),
+            row_gather(matmul(h, Tensor(w1[d:2 * d])), src)),
+            matmul(feats, Tensor(w1[2 * d:])))
+        hidden = silu(a).data
+        msg = add(matmul(Tensor(hidden[:, :d]), w2m), b2m)
+        gate = sigmoid(add(matmul(Tensor(hidden[:, d:]), w2g), b2g))
+        out = add(h, row_scatter_add(mul(msg, gate), dst, n))
+    a, msg, gate = a.data, msg.data, gate.data
 
     def grads(g):
         """Every input's gradient contribution, by input position: each a
@@ -559,26 +574,28 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
         g_msg = _popped(g_prod * gate, "the message")
         g_gate = _popped(g_prod * msg, "the gate")
         del g_prod
-        g_b2m, g_w2m, g_am, g_b1m = _mlp_back(g_msg, a_m, w2m.data, "message")
-        del g_msg
         g_logit = _popped(g_gate * gate * (1.0 - gate), "the gate's logit")
         del g_gate
-        g_b2g, g_w2g, g_ag, g_b1g = _mlp_back(g_logit, a_g, w2g.data, "gate")
+        g_b2m, g_w2m, g_am = _mlp_back(g_msg, a[:, :d], w2m.data, "message")
+        del g_msg
+        g_b2g, g_w2g, g_ag = _mlp_back(g_logit, a[:, d:], w2g.data, "gate")
         del g_logit
-        x = np.concatenate([h.data[dst], h.data[src], feats.data], axis=1)
-        g_w1m, g_w1g = x.T @ g_am, x.T @ g_ag
-        del x  # never held together with its gradient
-        g_x = g_am @ w1m.data.T  # the message term, then the gate term adds
-        del g_am
-        g_x += g_ag @ w1g.data.T
-        del g_ag
-        _popped(g_x, "the edge input [h_dst | h_src | feats]")
-        # the concat's copies of its slices change no sum of the scatters
-        g_h += _scatter_rows(dst, g_x[:, :d], n)
-        g_h += _scatter_rows(src, g_x[:, d:2 * d], n)
-        g_feats = g_x[:, 2 * d:] + 0.0 if feats.requires_grad else None
-        return dict(enumerate((g_h, g_feats, g_w1m, g_b1m, g_w2m, g_b2m,
-                               g_w1g, g_b1g, g_w2g, g_b2g)))
+        g_a = np.concatenate([g_am, g_ag], axis=1)
+        del g_am, g_ag
+        # the gathers' rules: the pre-activations' gradient on node rows
+        g_dst = _popped(_scatter_rows(dst, g_a, n), "the node rows h @ W_dst + b1")
+        g_src = _popped(_scatter_rows(src, g_a, n), "the node rows h @ W_src")
+        g_b1 = g_dst.sum(axis=0)
+        g_w1 = (h.data.T @ g_dst, h.data.T @ g_src, feats.data.T @ g_a)
+        w1 = np.concatenate([w1m.data, w1g.data], axis=1)
+        g_feats = g_a @ w1[2 * d:].T if feats.requires_grad else None
+        del g_a
+        g_h += g_dst @ w1[:d].T
+        g_h += g_src @ w1[d:2 * d].T
+        return dict(enumerate((
+            g_h, g_feats, np.concatenate([p[:, :d] for p in g_w1]), g_b1[:d].copy(),
+            g_w2m, g_b2m, np.concatenate([p[:, d:] for p in g_w1]), g_b1[d:].copy(),
+            g_w2g, g_b2g)))
 
     memo = {}
 

@@ -182,13 +182,41 @@ def gated_message_by_ops(h, feats, src, dst, weights):
     return ag.add(h, ag.row_scatter_add(ag.mul(msg, gate), dst, h.data.shape[0]))
 
 
-def apply_layers_by_ops(layers, graph, h0, rbf_count, cutoff):
-    """`encoder.apply_layers` with every layer unfused."""
+def lifted_gated_message_by_ops(h, feats, src, dst, weights):
+    """The composition `ag.gated_message` runs, every op on the tape: the
+    first layers joined by columns (message | gate) and split by rows into
+    W_dst, W_src and W_e, the node products h @ W_dst + b1 and h @ W_src
+    gathered to the edges and added to feats @ W_e, one SiLU over both
+    halves, then the two second layers on its column halves."""
+    w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
+    d = h.data.shape[1]
+    w1 = ag.concat([w1m, w1g], axis=1)
+
+    def rows(t, lo, hi):
+        return ag.row_gather(t, np.arange(lo, hi))
+
+    def cols(t, lo, hi):
+        return ag.transpose(rows(ag.transpose(t), lo, hi))
+
+    a = ag.add(ag.add(
+        ag.row_gather(ag.add(ag.matmul(h, rows(w1, 0, d)), ag.concat([b1m, b1g])), dst),
+        ag.row_gather(ag.matmul(h, rows(w1, d, 2 * d)), src)),
+        ag.matmul(feats, rows(w1, 2 * d, w1.data.shape[0])))
+    hidden = ag.silu(a)
+    msg = ag.add(ag.matmul(cols(hidden, 0, d), w2m), b2m)
+    gate = ag.sigmoid(ag.add(ag.matmul(cols(hidden, d, 2 * d), w2g), b2g))
+    return ag.add(h, ag.row_scatter_add(ag.mul(msg, gate), dst, h.data.shape[0]))
+
+
+def apply_layers_by_ops(layers, graph, h0, rbf_count, cutoff,
+                        layer_by_ops=gated_message_by_ops):
+    """`encoder.apply_layers` with every layer unfused, each one
+    `layer_by_ops` (the unlifted composition unless given)."""
     if graph.src.size == 0:
         return h0
     feats = ag.constant(edge_features(
         graph.distances, graph.directions, rbf_count, cutoff))
     h = h0
     for layer in layers:
-        h = gated_message_by_ops(h, feats, graph.src, graph.dst, layer.tensors())
+        h = layer_by_ops(h, feats, graph.src, graph.dst, layer.tensors())
     return h

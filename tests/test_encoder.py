@@ -14,12 +14,13 @@ from crystalembed.encoder import (
     initial_embeddings,
 )
 from crystalembed.errors import ValidationError
-from crystalembed.periodic_graph import PeriodicGraph, build_periodic_graph
+from crystalembed.periodic_graph import (PeriodicGraph, batch_graphs,
+                                         build_periodic_graph)
 from crystalembed.structures import CrystalStructure
 from crystalembed.synthetic import make_pretraining_structures
 
 from helpers import (apply_layers_by_ops, cubic_structure, gated_message_by_ops,
-                     supercell, view_graph)
+                     lifted_gated_message_by_ops, supercell, view_graph)
 
 
 def small_params(seed=0, dim=4, num_layers=2, rbf_count=4, cutoff=4.0):
@@ -241,8 +242,29 @@ def _grads_by(run, leaves, mix):
     return out.data, [t.grad for t in leaves]
 
 
+def _assert_close(got, want, name=None):
+    """Within 1e-12 of want, relative to its largest entry: the lifted first
+    layer reassociates the unfused composition's sums."""
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def _layers_against_both_oracles(run, leaves, mix):
+    """run(layer) against the lifted composition bitwise and against the
+    unfused one within 1e-12: output and every leaf's gradient."""
+    out, grads = _grads_by(lambda: run(ag.gated_message), leaves, mix)
+    want_out, want = _grads_by(lambda: run(lifted_gated_message_by_ops), leaves, mix)
+    assert np.array_equal(out, want_out)
+    for t, got, expected in zip(leaves, grads, want):
+        assert np.array_equal(got, expected), t.name
+    want_out, want = _grads_by(lambda: run(gated_message_by_ops), leaves, mix)
+    _assert_close(out, want_out)
+    for t, got, expected in zip(leaves, grads, want):
+        _assert_close(got, expected, t.name)
+
+
 class TestGatedMessageIsTheComposition:
-    """ag.gated_message against the taped ops it replaces, bitwise."""
+    """ag.gated_message against the taped lifted ops it replaces, bitwise,
+    and against the unfused layer within 1e-12."""
 
     @pytest.mark.parametrize("dim", [8, 64])
     def test_output_and_every_input_gradient(self, mixed_batch, dim):
@@ -254,7 +276,6 @@ class TestGatedMessageIsTheComposition:
         feats = ag.Tensor(edge_features(g.distances, g.directions, 4, 5.0),
                           requires_grad=True)
         leaves = [h0, feats, *(t for layer in p.layers for t in layer.tensors())]
-        mix = rng.normal(size=h0.data.shape)
 
         def run(op):
             h = h0
@@ -262,11 +283,7 @@ class TestGatedMessageIsTheComposition:
                 h = op(h, feats, g.src, g.dst, layer.tensors())
             return h
 
-        out, grads = _grads_by(lambda: run(ag.gated_message), leaves, mix)
-        want_out, want = _grads_by(lambda: run(gated_message_by_ops), leaves, mix)
-        assert np.array_equal(out, want_out)
-        for t, got, expected in zip(leaves, grads, want):
-            assert np.array_equal(got, expected), t.name
+        _layers_against_both_oracles(run, leaves, rng.normal(size=h0.data.shape))
 
     @pytest.mark.parametrize("dim", [8, 64])
     def test_encoder_parameters(self, mixed_batch, dim):
@@ -274,17 +291,47 @@ class TestGatedMessageIsTheComposition:
                                 num_layers=2, rbf_count=4, cutoff=5.0)
         mix = np.random.default_rng(0).normal(size=(mixed_batch.graph.num_nodes, dim))
 
-        def by_ops():
+        def run(op):
+            if op is ag.gated_message:
+                return encode(p, mixed_batch)
             h0 = initial_embeddings(p, mixed_batch.graph.atomic_numbers,
                                     mixed_batch.masked_nodes)
             return apply_layers_by_ops(p.layers, mixed_batch.graph, h0,
-                                       p.rbf_count, p.cutoff)
+                                       p.rbf_count, p.cutoff, op)
 
-        out, grads = _grads_by(lambda: encode(p, mixed_batch), p.tensors(), mix)
-        want_out, want = _grads_by(by_ops, p.tensors(), mix)
-        assert np.array_equal(out, want_out)
-        for t, got, expected in zip(p.tensors(), grads, want):
-            assert np.array_equal(got, expected), t.name
+        _layers_against_both_oracles(run, p.tensors(), mix)
+
+    @pytest.mark.parametrize("case", ["one-atom cell", "nodes without edges"])
+    def test_edge_cases_of_the_lift(self, case):
+        # a one-atom cell's edges are all periodic self-images (src == dst);
+        # in the union, the nodes of the edgeless cells receive no message
+        one = build_periodic_graph(cubic_structure(a=2.0), 2.5)
+        assert one.num_edges == 6 and np.array_equal(one.src, one.dst)
+        if case == "one-atom cell":
+            g = one
+        else:
+            lone = build_periodic_graph(cubic_structure(a=9.0, numbers=(8,)), 2.5)
+            pair = build_periodic_graph(cubic_structure(
+                a=3.0, numbers=(11, 17), coords=((0, 0, 0), (0.5, 0.5, 0.5))), 2.7)
+            g = batch_graphs([lone, one, pair, lone]).graph
+            assert lone.num_edges == 0 and pair.num_edges == 16
+            assert sorted(set(g.dst.tolist())) == [1, 2, 3]
+        rng = np.random.default_rng(7)
+        p = init_encoder_params(rng, 3, num_layers=1, rbf_count=2, cutoff=3.0)
+        h0 = ag.parameter(rng.normal(size=(g.num_nodes, 3)), "h0")
+        feats = ag.Tensor(edge_features(g.distances, g.directions, 2, 3.0),
+                          requires_grad=True)
+        weights = p.layers[0].tensors()
+        leaves = [h0, feats, *weights]
+
+        def run(op):
+            return op(h0, feats, g.src, g.dst, weights)
+
+        _layers_against_both_oracles(run, leaves, rng.normal(size=h0.data.shape))
+        mix = ag.constant(rng.normal(size=h0.data.shape))
+        err = ag.grad_check(lambda: ag.sum_all(ag.mul(run(ag.gated_message), mix)),
+                            leaves)
+        assert err < 1e-6, err
 
     def test_one_tape_entry_per_layer(self, mixed_batch):
         p = small_params(dim=4, num_layers=3, rbf_count=4, cutoff=5.0)
