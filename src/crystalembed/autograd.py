@@ -1,20 +1,21 @@
 """Dense float64 tensors with reverse-mode differentiation.
 
 Every operation records its inputs on the implicit tape (the operation
-graph), with one gradient function per input that maps the output's gradient
-to that input's contribution, always an array shaped like that input (gathers
-scatter-add theirs back with `_scatter_rows`): either a view of the output's
-gradient or an array the rule has just made. Only tensors that depend on a
-parameter are on the tape: constants, and anything computed from constants
-alone, get no gradient. Every op names itself on the tensor it makes, and a
-non-finite result raises `NumericsError("<op>: non-finite output")`.
-Broadcasting is limited to row-wise bias addition; everything else demands
-exact shapes.
+graph) and one rule, which maps the output's gradient g to a tuple of
+contributions, one per input in input order, each an array shaped like its
+input (gathers scatter-add theirs back with `_scatter_rows`): g itself, a
+view of g, or an array the rule has just made. Since a gradient may adopt
+what a rule returns, a rule never returns one new array for two inputs.
+Only tensors that depend on a parameter are on the tape: constants, and
+anything computed from constants alone, get no gradient. Every op names
+itself on the tensor it makes, and a non-finite result raises
+`NumericsError("<op>: non-finite output")`. Broadcasting is limited to
+row-wise bias addition; everything else demands exact shapes.
 
 `backward` consumes the tape: one backward per forward. Its reverse sweep
 pops each tensor once its gradient is complete, checks that gradient finite
 (naming the parameter, or the op that made the tensor) and passes it on. An
-op result then drops its gradient, inputs and rules, so the sweep frees the
+op result then drops its gradient, inputs and rule, so the sweep frees the
 tape as it goes and keeps no intermediate gradient; leaves (parameters, and
 tensors built with requires_grad=True and no inputs) keep theirs. A second
 backward through a consumed tensor raises `ValidationError`, and so does a
@@ -30,9 +31,7 @@ A composite op (`gated_message`) runs public ops off the tape, inside
 `no_grad`, so its forward is theirs bit for bit, and puts one tensor on the
 tape in their place. It keeps a few of their arrays and recomputes the
 rest; its rule replays their rules, in the order the sweep would run them,
-from the kept arrays. Its backward runs once, at the first rule the sweep
-calls, and is memoised: each memoised array goes back to exactly one input,
-since a gradient may adopt what a rule returns (as in `bilinear`).
+from the kept arrays.
 """
 
 from __future__ import annotations
@@ -63,9 +62,9 @@ def no_grad():
 class Tensor:
     """A node on the tape: float64 data plus gradient slot and parents."""
 
-    __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_grad_fns")
+    __slots__ = ("data", "grad", "name", "requires_grad", "_parents", "_rule")
 
-    def __init__(self, data, parents=(), grad_fns=(), name=None,
+    def __init__(self, data, parents=(), rule=None, name=None,
                  requires_grad=False):
         """name: the parameter's name, or for an op result the op's."""
         self.data = np.asarray(data, dtype=np.float64)
@@ -76,9 +75,9 @@ class Tensor:
         self.name = name
         self.requires_grad = requires_grad or (
             _recording and any(p.requires_grad for p in parents))
-        # off the tape, a tensor needs neither its inputs nor their rules
+        # off the tape, a tensor needs neither its inputs nor its rule
         self._parents = parents if self.requires_grad else ()
-        self._grad_fns = grad_fns if self.requires_grad else ()
+        self._rule = rule if self.requires_grad else None
 
     @property
     def shape(self):
@@ -142,10 +141,10 @@ class Tensor:
                 raise NumericsError(f"backward: non-finite gradient {where}")
             if leaf:  # keeps its gradient
                 continue
-            for p, grad_fn in zip(node._parents, node._grad_fns):
+            for p, c in zip(node._parents, node._rule(g)):
                 if p.requires_grad:
-                    p._accumulate(grad_fn(g), g)
-            node.grad = node._parents = node._grad_fns = None
+                    p._accumulate(c, g)
+            node.grad = node._parents = node._rule = None
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, name={self.name!r})"
@@ -173,17 +172,17 @@ def constant(data) -> Tensor:
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise sum; also accepts a row-vector bias against a 2-D tensor."""
     if a.data.shape == b.data.shape:
-        return Tensor(a.data + b.data, (a, b), (lambda g: g, lambda g: g), "add")
+        return Tensor(a.data + b.data, (a, b), lambda g: (g, g), "add")
     if a.data.ndim == 2 and b.data.ndim == 1 and a.data.shape[1] == b.data.shape[0]:
         return Tensor(a.data + b.data[None, :], (a, b),
-                      (lambda g: g, lambda g: g.sum(axis=0)), "add")
+                      lambda g: (g, g.sum(axis=0)), "add")
     raise ShapeError(f"add: incompatible shapes {a.data.shape} and {b.data.shape}")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"sub: incompatible shapes {a.data.shape} and {b.data.shape}")
-    return Tensor(a.data - b.data, (a, b), (lambda g: g, lambda g: -g), "sub")
+    return Tensor(a.data - b.data, (a, b), lambda g: (g, -g), "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
@@ -191,12 +190,12 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.data.shape != b.data.shape:
         raise ShapeError(f"mul: incompatible shapes {a.data.shape} and {b.data.shape}")
     return Tensor(a.data * b.data, (a, b),
-                  (lambda g: g * b.data, lambda g: g * a.data), "mul")
+                  lambda g: (g * b.data, g * a.data), "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
     c = float(c)
-    return Tensor(a.data * c, (a,), (lambda g: c * g,), "scale")
+    return Tensor(a.data * c, (a,), lambda g: (c * g,), "scale")
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -205,13 +204,13 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             f"matmul: incompatible shapes {a.data.shape} and {b.data.shape}"
         )
     return Tensor(a.data @ b.data, (a, b),
-                  (lambda g: g @ b.data.T, lambda g: a.data.T @ g), "matmul")
+                  lambda g: (g @ b.data.T, a.data.T @ g), "matmul")
 
 
 def transpose(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError(f"transpose: need 2-D, got {a.data.shape}")
-    return Tensor(a.data.T.copy(), (a,), (lambda g: g.T,), "transpose")
+    return Tensor(a.data.T.copy(), (a,), lambda g: (g.T,), "transpose")
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -225,12 +224,12 @@ def concat(tensors, axis: int = 0) -> Tensor:
     pieces = [(slice(None),) * axis + (slice(end - t.data.shape[axis], end),)
               for t, end in zip(tensors, ends)]
     return Tensor(np.concatenate([t.data for t in tensors], axis=axis),
-                  tuple(tensors), tuple(lambda g, s=s: g[s] for s in pieces), "concat")
+                  tuple(tensors), lambda g: tuple(g[s] for s in pieces), "concat")
 
 
 def reshape(a: Tensor, shape) -> Tensor:
     return Tensor(a.data.reshape(shape), (a,),
-                  (lambda g: g.reshape(a.data.shape),), "reshape")
+                  lambda g: (g.reshape(a.data.shape),), "reshape")
 
 
 def _index(op: str, idx, size: int) -> np.ndarray:
@@ -257,7 +256,7 @@ def row_gather(a: Tensor, idx) -> Tensor:
         raise ShapeError(f"row_gather: need 2-D, got {a.data.shape}")
     idx = _index("row_gather", idx, a.data.shape[0])
     return Tensor(a.data[idx], (a,),
-                  (lambda g: _scatter_rows(idx, g, a.data.shape[0]),), "row_gather")
+                  lambda g: (_scatter_rows(idx, g, a.data.shape[0]),), "row_gather")
 
 
 def row_scatter_add(m: Tensor, idx, num_rows: int) -> Tensor:
@@ -267,7 +266,7 @@ def row_scatter_add(m: Tensor, idx, num_rows: int) -> Tensor:
     idx = _index("row_scatter_add", idx, num_rows)
     if len(idx) != m.data.shape[0]:
         raise ShapeError("row_scatter_add: index length mismatch")
-    return Tensor(_scatter_rows(idx, m.data, num_rows), (m,), (lambda g: g[idx],),
+    return Tensor(_scatter_rows(idx, m.data, num_rows), (m,), lambda g: (g[idx],),
                   "row_scatter_add")
 
 
@@ -277,7 +276,7 @@ def take(a: Tensor, rows, cols) -> Tensor:
         raise ShapeError("take: need 2-D tensor and matching index arrays")
     n, c = a.data.shape
     flat = _index("take", rows, n) * c + _index("take", cols, c)
-    return Tensor(a.data.ravel()[flat], (a,), (lambda g: _scatter_rows(
+    return Tensor(a.data.ravel()[flat], (a,), lambda g: (_scatter_rows(
         flat.ravel(), g.reshape(-1, 1), n * c).reshape(n, c),), "take")
 
 
@@ -294,30 +293,30 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
 
 def sigmoid(a: Tensor) -> Tensor:
     s = _sigmoid(a.data)
-    return Tensor(s, (a,), (lambda g: g * s * (1.0 - s),), "sigmoid")
+    return Tensor(s, (a,), lambda g: (g * s * (1.0 - s),), "sigmoid")
 
 
 def silu(a: Tensor) -> Tensor:
     """x * sigmoid(x)."""
     s = _sigmoid(a.data)
     return Tensor(a.data * s, (a,),
-                  (lambda g: g * (s + a.data * s * (1.0 - s)),), "silu")
+                  lambda g: (g * (s + a.data * s * (1.0 - s)),), "silu")
 
 
 def log(a: Tensor) -> Tensor:
     if np.any(a.data <= 0.0):
         raise NumericsError("log: non-positive input")
-    return Tensor(np.log(a.data), (a,), (lambda g: g / a.data,), "log")
+    return Tensor(np.log(a.data), (a,), lambda g: (g / a.data,), "log")
 
 
 def abs_(a: Tensor) -> Tensor:
     """|x| with sign subgradient (0 at 0)."""
     sgn = np.sign(a.data)
-    return Tensor(np.abs(a.data), (a,), (lambda g: g * sgn,), "abs")
+    return Tensor(np.abs(a.data), (a,), lambda g: (g * sgn,), "abs")
 
 
 def sum_all(a: Tensor) -> Tensor:
-    return Tensor(a.data.sum(), (a,), (lambda g: np.full(a.data.shape, g),),
+    return Tensor(a.data.sum(), (a,), lambda g: (np.full(a.data.shape, g),),
                   "sum_all")
 
 
@@ -325,7 +324,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.data.size
     if n == 0:
         raise ShapeError("mean_all: empty tensor")
-    return Tensor(a.data.mean(), (a,), (lambda g: np.full(a.data.shape, g / n),),
+    return Tensor(a.data.mean(), (a,), lambda g: (np.full(a.data.shape, g / n),),
                   "mean_all")
 
 
@@ -352,11 +351,11 @@ def softmax_rows(a: Tensor) -> Tensor:
     e = np.exp(shifted)
     s = e / e.sum(axis=1, keepdims=True)
 
-    def grad(g):
+    def rule(g):
         inner = (g * s).sum(axis=1, keepdims=True)
-        return s * (g - inner)
+        return (s * (g - inner),)
 
-    return Tensor(s, (a,), (grad,), "softmax_rows")
+    return Tensor(s, (a,), rule, "softmax_rows")
 
 
 def logsumexp_rows(a: Tensor) -> Tensor:
@@ -369,7 +368,7 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     out = (m + np.log(z)).ravel()
     soft = e / z
 
-    return Tensor(out, (a,), (lambda g: soft * g[:, None],), "logsumexp_rows")
+    return Tensor(out, (a,), lambda g: (soft * g[:, None],), "logsumexp_rows")
 
 
 def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
@@ -384,15 +383,15 @@ def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
     denom = np.where(small, eps, norms)
     y = a.data / denom
 
-    def grad(g):
+    def rule(g):
         # unit-norm rows: project out the radial component; guarded rows are
         # a constant 1/eps scaling
         inner = (g * y).sum(axis=1, keepdims=True)
         full = (g - y * inner) / denom
         guarded = g / eps
-        return np.where(small, guarded, full)
+        return (np.where(small, guarded, full),)
 
-    return Tensor(y, (a,), (grad,), "l2_normalize_rows")
+    return Tensor(y, (a,), rule, "l2_normalize_rows")
 
 
 def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
@@ -471,29 +470,20 @@ def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
         hg, tg, part, shape = group(rows, start)
         np.matmul(tg, hg.swapaxes(-1, -2), out=blocks[part].reshape(shape))
 
-    memo = {}
+    def rule(g):
+        """The gradients of h, w and b, from the gradient of t and, through
+        the right factor, of h, both in node rows."""
+        g_blocks = np.bincount(flat.ravel(), weights=g.ravel(), minlength=total)
+        # the groups partition the rows, so every row is written once
+        g_t, g_h = np.empty_like(t), np.empty_like(h.data)
+        for rows, start in groups:
+            hg, tg, part, shape = group(rows, start)
+            gb = g_blocks[part].reshape(shape)
+            g_t[rows.ravel()] = (gb @ hg).reshape(-1, k * d)
+            g_h[rows.ravel()] = (gb.swapaxes(-1, -2) @ tg).reshape(-1, d)
+        return g_t @ w2.T + g_h, (h.data.T @ g_t).reshape(d, k, d), g.sum(axis=0)
 
-    def back(g):
-        """Gradients of t and, through the right factor, of h, in node rows;
-        made once per backward and shared by the h and w rules, which return
-        new arrays built from them and never these, since a gradient may
-        adopt what a rule returns."""
-        if memo.get("g") is not g:
-            g_blocks = np.bincount(flat.ravel(), weights=g.ravel(), minlength=total)
-            # the groups partition the rows, so every row is written once
-            g_t, g_h = np.empty_like(t), np.empty_like(h.data)
-            for rows, start in groups:
-                hg, tg, part, shape = group(rows, start)
-                gb = g_blocks[part].reshape(shape)
-                g_t[rows.ravel()] = (gb @ hg).reshape(-1, k * d)
-                g_h[rows.ravel()] = (gb.swapaxes(-1, -2) @ tg).reshape(-1, d)
-            memo.update(g=g, grads=(g_t, g_h))
-        return memo["grads"]
-
-    return Tensor(blocks[flat] + b.data, (h, w, b), (
-        lambda g: back(g)[0] @ w2.T + back(g)[1],
-        lambda g: (h.data.T @ back(g)[0]).reshape(d, k, d),
-        lambda g: g.sum(axis=0)), "bilinear")
+    return Tensor(blocks[flat] + b.data, (h, w, b), rule, "bilinear")
 
 
 def _popped(g: np.ndarray, part: str) -> np.ndarray:
@@ -548,7 +538,6 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
     to node rows before the weight products. A non-finite gradient inside
     the layer names the part it appeared at.
     """
-    inputs = (h, feats, *weights)
     w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
@@ -565,10 +554,9 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
         out = add(h, row_scatter_add(mul(msg, gate), dst, n))
     a, msg, gate = a.data, msg.data, gate.data
 
-    def grads(g):
-        """Every input's gradient contribution, by input position: each a
-        new array going back to that input alone, since a gradient may
-        adopt what a rule returns."""
+    def rule(g):
+        """Every input's gradient contribution, in input order, each a new
+        array (feats' is None when feats is off the tape)."""
         g_h = g + 0.0  # the residual add's copy for h; the scatter's is equal
         g_prod = g_h[dst]
         g_msg = _popped(g_prod * gate, "the message")
@@ -592,52 +580,9 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
         del g_a
         g_h += g_dst @ w1[:d].T
         g_h += g_src @ w1[d:2 * d].T
-        return dict(enumerate((
-            g_h, g_feats, np.concatenate([p[:, :d] for p in g_w1]), g_b1[:d].copy(),
-            g_w2m, g_b2m, np.concatenate([p[:, d:] for p in g_w1]), g_b1[d:].copy(),
-            g_w2g, g_b2g)))
+        return (g_h, g_feats, np.concatenate([p[:, :d] for p in g_w1]), g_b1[:d].copy(),
+                g_w2m, g_b2m, np.concatenate([p[:, d:] for p in g_w1]), g_b1[d:].copy(),
+                g_w2g, g_b2g)
 
-    memo = {}
+    return Tensor(out.data, (h, feats, *weights), rule, "gated_message")
 
-    def rule(i):
-        def grad_fn(g):
-            if not memo:  # the first rule the sweep calls makes them all
-                memo.update(grads(g))
-            return memo.pop(i)
-        return grad_fn
-
-    return Tensor(out.data, inputs, tuple(rule(i) for i in range(len(inputs))),
-                  "gated_message")
-
-
-def grad_check(f, params, h: float = 1e-5, floor: float = 1e-2) -> float:
-    """Max relative error between analytic gradients and central differences.
-
-    f() must rebuild its graph from the current param data and return a
-    scalar Tensor. Relative error per coordinate is
-    |analytic - numeric| / max(|analytic|, |numeric|, floor); the floor turns
-    disagreements between tiny gradients into an absolute criterion.
-    """
-    params = list(params)
-    for p in params:
-        p.zero_grad()
-    loss = f()
-    loss.backward()
-    analytic = [np.array(p.grad) if p.grad is not None else np.zeros_like(p.data)
-                for p in params]
-
-    worst = 0.0
-    for p, ga in zip(params, analytic):
-        flat = p.data.ravel()
-        ga_flat = ga.ravel()
-        for k in range(flat.size):
-            orig = flat[k]
-            flat[k] = orig + h
-            f_plus = f().item()
-            flat[k] = orig - h
-            f_minus = f().item()
-            flat[k] = orig
-            numeric = (f_plus - f_minus) / (2.0 * h)
-            denom = max(abs(ga_flat[k]), abs(numeric), floor)
-            worst = max(worst, abs(ga_flat[k] - numeric) / denom)
-    return worst

@@ -68,10 +68,6 @@ class EncoderParams:
     def num_layers(self) -> int:
         return len(self.layers)
 
-    @property
-    def edge_dim(self) -> int:
-        return self.rbf_count + 3
-
     def tensors(self) -> list[Tensor]:
         out = [self.atom_table, self.mask_vector]
         for layer in self.layers:

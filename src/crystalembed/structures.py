@@ -332,18 +332,6 @@ def serialize_jsonl(s: CrystalStructure) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
-def structures_equal(a: CrystalStructure, b: CrystalStructure) -> bool:
-    """Field-wise exact equality (serialization is lossless at 17 digits)."""
-    return (
-        a.id == b.id
-        and np.array_equal(a.lattice, b.lattice)
-        and np.array_equal(a.frac_coords, b.frac_coords)
-        and np.array_equal(a.atomic_numbers, b.atomic_numbers)
-        and (a.label is None) == (b.label is None)
-        and (a.label is None or a.label == b.label)
-    )
-
-
 def load_jsonl(path) -> list[CrystalStructure]:
     """Read a JSON-lines dataset file, skipping blank lines."""
     out = []

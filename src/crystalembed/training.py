@@ -220,6 +220,8 @@ def load_state(path):
             raise ParseError(
                 f"{path}: checkpoint history entry {k} ({rec!r}) needs an int "
                 f"'epoch' and a finite number under each of {list(LOSS_KEYS)}")
+    if [rec["epoch"] for rec in ck.history] != list(range(1, ck.epoch + 1)):
+        raise ParseError(f"{path}: checkpoint history epochs must run 1..{ck.epoch}")
     return model, opt, cfg, ck.epoch, list(ck.history)
 
 
@@ -250,6 +252,9 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
         # only the stop point may move
         if replace(saved_cfg, epochs=cfg.epochs) != cfg:
             raise ValidationError("resume config differs from checkpoint config")
+        if cfg.epochs < start_epoch:
+            raise ValidationError(f"resume asks for {cfg.epochs} epochs, but the "
+                                  f"checkpoint has run {start_epoch}")
         log_mode = "a"
     else:
         init_rng = np.random.default_rng(

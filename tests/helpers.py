@@ -220,3 +220,48 @@ def apply_layers_by_ops(layers, graph, h0, rbf_count, cutoff,
     for layer in layers:
         h = layer_by_ops(h, feats, graph.src, graph.dst, layer.tensors())
     return h
+
+
+def structures_equal(a: CrystalStructure, b: CrystalStructure) -> bool:
+    """Field-wise exact equality (serialization is lossless at 17 digits)."""
+    return (
+        a.id == b.id
+        and np.array_equal(a.lattice, b.lattice)
+        and np.array_equal(a.frac_coords, b.frac_coords)
+        and np.array_equal(a.atomic_numbers, b.atomic_numbers)
+        and (a.label is None) == (b.label is None)
+        and (a.label is None or a.label == b.label)
+    )
+
+
+def grad_check(f, params, h: float = 1e-5, floor: float = 1e-2) -> float:
+    """Max relative error between analytic gradients and central differences.
+
+    f() must rebuild its graph from the current param data and return a
+    scalar Tensor. Relative error per coordinate is
+    |analytic - numeric| / max(|analytic|, |numeric|, floor); the floor turns
+    disagreements between tiny gradients into an absolute criterion.
+    """
+    params = list(params)
+    for p in params:
+        p.zero_grad()
+    loss = f()
+    loss.backward()
+    analytic = [np.array(p.grad) if p.grad is not None else np.zeros_like(p.data)
+                for p in params]
+
+    worst = 0.0
+    for p, ga in zip(params, analytic):
+        flat = p.data.ravel()
+        ga_flat = ga.ravel()
+        for k in range(flat.size):
+            orig = flat[k]
+            flat[k] = orig + h
+            f_plus = f().item()
+            flat[k] = orig - h
+            f_minus = f().item()
+            flat[k] = orig
+            numeric = (f_plus - f_minus) / (2.0 * h)
+            denom = max(abs(ga_flat[k]), abs(numeric), floor)
+            worst = max(worst, abs(ga_flat[k] - numeric) / denom)
+    return worst

@@ -30,8 +30,8 @@ from crystalembed.synthetic import (make_labeled_structures,
 from crystalembed.training import (PretrainConfig, extract_embeddings,
                                    pretrain, pretrain_losses)
 
-from helpers import (all_unordered_pairs, brute_force_edges, random_structure,
-                     reconstruct_original)
+from helpers import (all_unordered_pairs, brute_force_edges, grad_check,
+                     random_structure, reconstruct_original)
 
 # Frozen benchmark: pretraining corpus covers all 20 synthetic elements;
 # the labeled corpus has fixed cell geometry so only atom identity carries
@@ -92,7 +92,7 @@ def test_criterion_2_end_to_end_gradient_check():
         return pretrain_losses(graphs, model, cfg, view_seeds=(101, 202))[3]
 
     t0 = time.monotonic()
-    err = ag.grad_check(loss_fn, params, floor=1e-3)
+    err = grad_check(loss_fn, params, floor=1e-3)
     elapsed = time.monotonic() - t0
     assert err < 1e-4
     assert elapsed < 60.0

@@ -1,5 +1,6 @@
 import logging
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -7,6 +8,8 @@ import pytest
 from crystalembed import autograd as ag
 from crystalembed.errors import NumericsError, ShapeError, ValidationError
 from crystalembed.optim import AdamState, adam_step
+
+from helpers import grad_check
 
 
 def rand_param(rng, shape, name="p"):
@@ -254,7 +257,7 @@ class TestNoGrad:
         with ag.no_grad():
             y = ag.mul(x, x)
         assert not y.requires_grad
-        assert y._parents == () and y._grad_fns == ()
+        assert y._parents == () and y._rule is None
         assert np.array_equal(y.data, [1.0, 4.0])
         assert ag.mul(x, x).requires_grad
 
@@ -471,7 +474,41 @@ def _check(op_builder, shapes, seed, floor=1e-3):
         out = op_builder(*params)
         return ag.sum_all(ag.mul(out, ag.constant(mix)))
 
-    return ag.grad_check(f, params, h=1e-5, floor=floor)
+    return grad_check(f, params, h=1e-5, floor=floor)
+
+
+# every differentiable op, as (builder from parameters, parameter shapes)
+CORE_CASES = [
+    (lambda a, b: ag.add(a, b), [(3, 4), (3, 4)]),
+    (lambda a, b: ag.add(a, b), [(3, 4), (4,)]),
+    (lambda a, b: ag.sub(a, b), [(2, 5), (2, 5)]),
+    (lambda a, b: ag.mul(a, b), [(3, 3), (3, 3)]),
+    (lambda a: ag.scale(a, -1.7), [(2, 3)]),
+    (lambda a, b: ag.matmul(a, b), [(2, 3), (3, 4)]),
+    (lambda a: ag.transpose(a), [(2, 4)]),
+    (lambda a, b: ag.concat([a, b], axis=0), [(2, 3), (1, 3)]),
+    (lambda a, b: ag.concat([a, b], axis=1), [(2, 2), (2, 3)]),
+    (lambda a: ag.reshape(a, (6,)), [(2, 3)]),
+    (lambda a: ag.silu(a), [(3, 3)]),
+    (lambda a: ag.sigmoid(a), [(3, 3)]),
+    (lambda a: ag.softmax_rows(a), [(3, 5)]),
+    (lambda a: ag.logsumexp_rows(a), [(3, 5)]),
+    (lambda a: ag.l2_normalize_rows(a), [(3, 4)]),
+    (lambda a: ag.segment_mean(a, [1, 0, 1, 1], 2), [(4, 3)]),
+    (lambda a: ag.mean_all(a), [(3, 3)]),
+    (lambda a: ag.abs_(a), [(3, 3)]),
+    (
+        lambda h, w, b: ag.bilinear(
+            h, w, b, np.array([[0, 1], [2, 4], [4, 2], [3, 3], [0, 1]]),
+            [0, 0, 1, 1, 1]),
+        [(5, 4), (4, 6, 4), (6,)],
+    ),
+    (
+        lambda h, feats, *weights: ag.gated_message(
+            h, feats, [0, 1, 2, 3, 1, 0], [1, 0, 3, 2, 1, 1], weights),
+        [(4, 3), (6, 2), *[(8, 3), (3,), (3, 3), (3,)] * 2],
+    ),
+]
 
 
 class TestGradCheckPerOp:
@@ -479,38 +516,7 @@ class TestGradCheckPerOp:
 
     @pytest.mark.parametrize("seed", range(20))
     def test_core_ops(self, seed):
-        cases = [
-            (lambda a, b: ag.add(a, b), [(3, 4), (3, 4)]),
-            (lambda a, b: ag.add(a, b), [(3, 4), (4,)]),
-            (lambda a, b: ag.sub(a, b), [(2, 5), (2, 5)]),
-            (lambda a, b: ag.mul(a, b), [(3, 3), (3, 3)]),
-            (lambda a: ag.scale(a, -1.7), [(2, 3)]),
-            (lambda a, b: ag.matmul(a, b), [(2, 3), (3, 4)]),
-            (lambda a: ag.transpose(a), [(2, 4)]),
-            (lambda a, b: ag.concat([a, b], axis=0), [(2, 3), (1, 3)]),
-            (lambda a, b: ag.concat([a, b], axis=1), [(2, 2), (2, 3)]),
-            (lambda a: ag.reshape(a, (6,)), [(2, 3)]),
-            (lambda a: ag.silu(a), [(3, 3)]),
-            (lambda a: ag.sigmoid(a), [(3, 3)]),
-            (lambda a: ag.softmax_rows(a), [(3, 5)]),
-            (lambda a: ag.logsumexp_rows(a), [(3, 5)]),
-            (lambda a: ag.l2_normalize_rows(a), [(3, 4)]),
-            (lambda a: ag.segment_mean(a, [1, 0, 1, 1], 2), [(4, 3)]),
-            (lambda a: ag.mean_all(a), [(3, 3)]),
-            (lambda a: ag.abs_(a), [(3, 3)]),
-            (
-                lambda h, w, b: ag.bilinear(
-                    h, w, b, np.array([[0, 1], [2, 4], [4, 2], [3, 3], [0, 1]]),
-                    [0, 0, 1, 1, 1]),
-                [(5, 4), (4, 6, 4), (6,)],
-            ),
-            (
-                lambda h, feats, *weights: ag.gated_message(
-                    h, feats, [0, 1, 2, 3, 1, 0], [1, 0, 3, 2, 1, 1], weights),
-                [(4, 3), (6, 2), *[(8, 3), (3,), (3, 3), (3,)] * 2],
-            ),
-        ]
-        for case_idx, (op_builder, shapes) in enumerate(cases):
+        for case_idx, (op_builder, shapes) in enumerate(CORE_CASES):
             err = _check(op_builder, shapes, seed=1000 * seed + case_idx)
             assert err < 1e-6, (shapes, err)
 
@@ -523,7 +529,7 @@ class TestGradCheckPerOp:
         def f():
             return ag.sum_all(ag.mul(ag.log(x), ag.constant(mix)))
 
-        assert ag.grad_check(f, [x], h=1e-6, floor=1e-3) < 1e-6
+        assert grad_check(f, [x], h=1e-6, floor=1e-3) < 1e-6
 
     @pytest.mark.parametrize("seed", range(20))
     def test_gather_scatter_take(self, seed):
@@ -545,7 +551,28 @@ class TestGradCheckPerOp:
                 ag.sum_all(ag.mul(taken, ag.constant(mix2))),
             )
 
-        assert ag.grad_check(f, [table], h=1e-5, floor=1e-3) < 1e-6
+        assert grad_check(f, [table], h=1e-5, floor=1e-3) < 1e-6
+
+
+class TestOneRulePerOp:
+    """An op records one rule, which returns one contribution per input, in
+    input order, each shaped like its input; two contributions share memory
+    only when both are the output's gradient or views of it."""
+
+    @pytest.mark.parametrize("case_idx", range(len(CORE_CASES)))
+    def test_rule_contract(self, case_idx):
+        op_builder, shapes = CORE_CASES[case_idx]
+        rng = np.random.default_rng(case_idx)
+        out = op_builder(*[rand_param(rng, s) for s in shapes])
+        g = rng.normal(size=out.data.shape)
+        contributions = out._rule(g)
+        assert isinstance(contributions, tuple)
+        assert len(contributions) == len(out._parents)
+        for c, p in zip(contributions, out._parents):
+            assert isinstance(c, np.ndarray) and c.shape == p.data.shape
+        for a, b in combinations(contributions, 2):
+            if np.shares_memory(a, b):
+                assert np.shares_memory(a, g) and np.shares_memory(b, g)
 
 
 class TestAdam:

@@ -562,3 +562,46 @@ def test_failed_resume_leaves_no_run_directory(tmp_path, pre_jsonl, capsys):
     assert code == 2
     assert "missing.ckpt" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_resume_to_fewer_epochs_than_run_exits_2(tmp_path, trained, capsys):
+    ckpt, data = trained  # a 2-epoch run
+    out = tmp_path / "run"
+    code = main(["pretrain", "--data", str(data), "--out", str(out),
+                 "--resume", str(ckpt), *FAST_PRETRAIN, "--epochs", "1"])
+    assert code == 2
+    assert "resume asks for 1 epochs, but the checkpoint has run 2" in (
+        capsys.readouterr().err)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda h: h.update(epoch=1),
+    lambda h: h["history"].reverse(),
+    lambda h: h["history"].append(dict(h["history"][-1])),
+], ids=["stamped-early", "out-of-order", "repeated"])
+def test_resume_history_not_one_to_epoch_exits_2(tmp_path, trained, capsys, edit):
+    ckpt, data = trained
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    edit(header)
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    code = main(["pretrain", "--data", str(data), "--out", str(tmp_path / "run"),
+                 "--resume", str(bad), *FAST_PRETRAIN, "--epochs", "3"])
+    assert code == 2
+    assert f"{bad}: checkpoint history epochs must run 1..{header['epoch']}" in (
+        capsys.readouterr().err)
+
+
+def test_extract_non_finite_checkpoint_array_exits_2(tmp_path, trained, capsys):
+    ckpt, data = trained
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    name = json.loads(line)["arrays"][0]["name"]
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(line + b"\n" + np.array([np.nan], "<f8").tobytes() + body[8:])
+    code = main(["extract", "--checkpoint", str(bad), "--data", str(data),
+                 "--out", str(tmp_path / "emb")])
+    assert code == 2
+    assert f"error: {bad}: array {name} holds non-finite values" in (
+        capsys.readouterr().err)

@@ -16,7 +16,7 @@ from crystalembed.encoder import encode, init_encoder_params
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import build_periodic_graph
 
-from helpers import cubic_structure, rocksalt_structure
+from helpers import cubic_structure, grad_check, rocksalt_structure
 
 
 class TestProject:
@@ -169,5 +169,5 @@ class TestEndToEndGradient:
                             paired_batch_partners(2), proj.temperature)
 
         params = enc.tensors() + proj.tensors()
-        err = ag.grad_check(f, params, h=1e-5, floor=1e-3)
+        err = grad_check(f, params, h=1e-5, floor=1e-3)
         assert err < 1e-4, err

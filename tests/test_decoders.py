@@ -19,8 +19,8 @@ from crystalembed.decoders import (
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import build_periodic_graph, multiplicity_targets
 
-from helpers import (all_unordered_pairs, dropped_edges, reconstruct_original,
-                     rocksalt_structure, view_graph)
+from helpers import (all_unordered_pairs, dropped_edges, grad_check,
+                     reconstruct_original, rocksalt_structure, view_graph)
 
 
 def rand_h(rng, n, d):
@@ -277,7 +277,7 @@ class TestDecoderGradients:
         def f():
             return node_nll(node_probs(h, p), numbers)
 
-        err = ag.grad_check(f, [h] + p.tensors(), h=1e-5, floor=1e-3)
+        err = grad_check(f, [h] + p.tensors(), h=1e-5, floor=1e-3)
         assert err < 1e-4, err
 
     def test_adjacency_loss_gradients(self):
@@ -292,5 +292,5 @@ class TestDecoderGradients:
             return adj_weighted_ce(probs, classes_of(counts, pairs),
                                    p.class_weights)
 
-        err = ag.grad_check(f, [h] + p.tensors(), h=1e-5, floor=1e-3)
+        err = grad_check(f, [h] + p.tensors(), h=1e-5, floor=1e-3)
         assert err < 1e-4, err

@@ -10,8 +10,9 @@ from crystalembed.structures import (
     parse_cif,
     parse_jsonl,
     serialize_jsonl,
-    structures_equal,
 )
+
+from helpers import structures_equal
 
 CUBIC_NA_CIF = """\
 data_na_test

@@ -450,12 +450,13 @@ class TestSaveLoadState:
 
     @staticmethod
     def _edited_header(tmp_path, edit):
-        """A saved state whose JSON header line went through edit(header)."""
+        """A saved untrained state (epoch 0, empty history) whose JSON header
+        line went through edit(header)."""
         cfg = fast_cfg(epochs=1)
         model = fast_model(cfg)
         path = tmp_path / "s.ckpt"
         save_state(path, model, AdamState.for_params(model.tensors(), lr=cfg.lr),
-                   cfg, 1, [])
+                   cfg, 0, [])
         line, body = path.read_bytes().split(b"\n", 1)
         header = json.loads(line)
         edit(header)
