@@ -286,7 +286,7 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     z = np.abs(x)
     np.negative(z, out=z)
     np.exp(z, out=z)
-    s = np.where(x >= 0, 1.0, z)
+    s = np.maximum(z, x >= 0)  # 1 where x >= 0, as z <= 1; branch-free
     np.add(1.0, z, out=z)
     return np.divide(s, z, out=s)
 

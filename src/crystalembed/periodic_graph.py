@@ -20,11 +20,10 @@ from .structures import CrystalStructure
 DIRECTION_NORM_TOL = 1e-9
 NUM_MULTIPLICITY_CLASSES = 6  # unordered connection counts 0..4, then "5+"
 BIN_REACH_RTOL = 1e-9  # rounding slack on the bins an edge can span
-
-
-def _lex_order(src, dst, offsets):
-    """Canonical edge order: lexicographic by (src, dst, offset)."""
-    return np.lexsort((offsets[:, 2], offsets[:, 1], offsets[:, 0], dst, src))
+# (site, bin shift) pairs one search may enumerate. The repo's corpora need
+# at most 11,664; a one-site cell at 0.91 of the cap (452,718 edges) peaks
+# at 216 MB of tracemalloc
+MAX_SEARCH_PAIRS = 1_000_000
 
 
 @dataclass
@@ -72,21 +71,22 @@ class PeriodicGraph:
             raise ValidationError("edge dst index out of range")
         if np.any(self.distances <= 0) or np.any(self.distances > self.cutoff):
             raise ValidationError("edge distance outside (0, cutoff]")
-        norms = np.linalg.norm(self.directions, axis=1)
+        x, y, z = self.directions.T
+        # np.linalg.norm's order of adds over a row of 3, so equal bits
+        norms = np.sqrt((x * x + y * y) + z * z)
         if np.any(np.abs(norms - 1.0) > DIRECTION_NORM_TOL):
             raise ValidationError("direction vectors must have unit norm")
-        zero_self = (self.src == self.dst) & np.all(self.offsets == 0, axis=1)
-        if np.any(zero_self):
+        ox, oy, oz = self.offsets.T
+        if np.any((self.src == self.dst) & (ox == 0) & (oy == 0) & (oz == 0)):
             raise ValidationError("self edge with zero offset")
         # every unordered connection needs as many (i, j, o) halves as
         # (j, i, -o) halves
-        num_groups, inverse = self.edge_groups()
         reverse = self._reverse_half()
+        num_groups, inverse = self._number_groups(reverse)
         unbalanced = (np.bincount(inverse[reverse], minlength=num_groups)
                       != np.bincount(inverse[~reverse], minlength=num_groups))
-        bad = np.flatnonzero(unbalanced[inverse])
-        if bad.size:
-            k = bad[0]
+        if unbalanced.any():
+            k = np.flatnonzero(unbalanced[inverse])[0]
             o = tuple(self.offsets[k].tolist())
             raise ValidationError(
                 f"edge ({self.src[k]}, {self.dst[k]}, {o}) lacks its mirror")
@@ -97,9 +97,15 @@ class PeriodicGraph:
 
     def _reverse_half(self) -> np.ndarray:
         """True where (j, i, -o) sorts before the edge's own (i, j, o)."""
-        o = self.offsets
-        first = o[np.arange(len(o)), np.argmax(o != 0, axis=1)]
+        ox, oy, oz = self.offsets.T
+        first = np.where(ox != 0, ox, np.where(oy != 0, oy, oz))
         return (self.dst < self.src) | ((self.dst == self.src) & (first > 0))
+
+    def _key_columns(self, reverse) -> list:
+        """The five columns of unordered_keys, given _reverse_half."""
+        return ([np.where(reverse, self.dst, self.src),
+                 np.where(reverse, self.src, self.dst)]
+                + [np.where(reverse, -o, o) for o in self.offsets.T])
 
     def unordered_keys(self) -> np.ndarray:
         """Canonical unordered key per directed edge, as an (E, 5) int array.
@@ -107,9 +113,7 @@ class PeriodicGraph:
         The key of (i, j, o) is the lexicographic minimum of (i, j, o) and
         (j, i, -o); the two halves of an unordered connection share it.
         """
-        fwd = np.column_stack([self.src, self.dst, self.offsets])
-        rev = np.column_stack([self.dst, self.src, -self.offsets])
-        return np.where(self._reverse_half()[:, None], rev, fwd)
+        return np.column_stack(self._key_columns(self._reverse_half()))
 
     def edge_groups(self) -> tuple[int, np.ndarray]:
         """(number of unordered connections, connection id of every directed
@@ -117,14 +121,21 @@ class PeriodicGraph:
         once per graph and kept, so the edge arrays must not change after
         construction."""
         if self._groups is None:
-            keys = self.unordered_keys()
-            order = np.lexsort(keys.T[::-1])
-            ordered = keys[order]
-            starts = np.ones(len(keys), dtype=bool)
-            starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
-            inverse = np.empty(len(keys), dtype=np.int64)
-            inverse[order] = np.cumsum(starts) - 1
-            self._groups = (int(starts.sum()), inverse)
+            self._number_groups(self._reverse_half())
+        return self._groups
+
+    def _number_groups(self, reverse) -> tuple[int, np.ndarray]:
+        """edge_groups from _reverse_half, kept on the graph."""
+        keys = self._key_columns(reverse)
+        order = np.lexsort(keys[::-1])
+        starts = np.ones(len(order), dtype=bool)
+        starts[1:] = False
+        for key in keys:
+            ordered = key[order]
+            starts[1:] |= ordered[1:] != ordered[:-1]
+        inverse = np.empty(len(order), dtype=np.int64)
+        inverse[order] = np.cumsum(starts) - 1
+        self._groups = (int(starts.sum()), inverse)
         return self._groups
 
 
@@ -205,7 +216,14 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     inv = np.linalg.inv(s.lattice)
     # cartesian -> fractional is r @ inv; column norms bound how far one
     # cutoff length reaches along each fractional axis
-    reach = (cutoff * np.linalg.norm(inv, axis=0)).tolist()
+    with np.errstate(over="ignore"):  # an infinite reach is rejected next
+        reach = (cutoff * np.linalg.norm(inv, axis=0)).tolist()
+    # a reach of x needs over 2x shifts, so this also bounds the grid below;
+    # it rejects inf and nan too
+    if not all(x <= MAX_SEARCH_PAIRS for x in reach):
+        raise ValidationError(
+            f"structure {s.id!r}: cutoff {cutoff} reaches {reach} cells along "
+            f"the fractional axes, too far to search")
     n = s.num_sites
     # bins per axis at least one reach wide, at most n bins in all
     nb = [max(1, int(1.0 / max(x, 1.0 / n))) for x in reach]
@@ -214,7 +232,14 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     # bin shifts an edge can span; the slack keeps rounding from dropping
     # an edge at exactly the cutoff
     m = [math.ceil(x * k * (1 + BIN_REACH_RTOL)) for x, k in zip(reach, nb)]
-    shifts = np.indices([2 * k + 1 for k in m]).reshape(3, -1).T - m
+    widths = [2 * k + 1 for k in m]
+    num_shifts = math.prod(widths)
+    if n * num_shifts > MAX_SEARCH_PAIRS:
+        raise ValidationError(
+            f"structure {s.id!r}: cutoff {cutoff} needs {n * num_shifts} "
+            f"(site, bin shift) pairs, over the {MAX_SEARCH_PAIRS} one search "
+            f"may take; the cell is too small or too skewed")
+    shifts = np.indices(widths).reshape(3, -1).T - m
 
     # frac_coords lie in [0, 1); sites sorted by flat bin id
     strides = np.array([nb[1] * nb[2], nb[2], 1])
@@ -237,23 +262,39 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     i_idx = pair // len(shifts)
     j_idx = order[np.arange(len(pair)) - lag[pair]]
 
-    r = s.cart_coords()
-    disp = (r[j_idx] - r[i_idx]) + (images.astype(np.float64) @ s.lattice)[pair]
-    dist = np.linalg.norm(disp, axis=-1)
+    # coordinates as (3, .) rows: each gather is one 1-D take per axis
+    r = s.cart_coords().T
+    disp = np.take(r, j_idx, axis=1)
+    disp -= np.take(r, i_idx, axis=1)
+    disp += np.take((images.astype(np.float64) @ s.lattice).T, pair, axis=1)
+    sq = disp * disp
+    # np.linalg.norm's order of adds over a row of 3, so equal bits
+    dist = sq[0] + sq[1]
+    dist += sq[2]
+    np.sqrt(dist, out=dist)
+    del sq
     keep = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
-    i_idx, j_idx, offsets = i_idx[keep], j_idx[keep], images[pair[keep]]
+    i_idx, j_idx, pair = i_idx[keep], j_idx[keep], pair[keep]
+    # canonical edge order: lexicographic by (src, dst, offset). For one
+    # (i, j) the offset is (bin_i + shift - bin_j) / nb per axis, rising with
+    # the shift, and shifts are listed in lexicographic order, so one key per
+    # candidate, (i, j, shift index) flattened below n * MAX_SEARCH_PAIRS,
+    # sorts the same (any sort kind: keys are distinct; the stable one shares
+    # its code with the check's lexsort)
+    order = np.argsort((i_idx * n + j_idx) * num_shifts + pair % num_shifts,
+                       kind="stable")
+    keep = keep[order]
     distances = dist[keep]
-    directions = disp[keep] / distances[:, None]
-
-    order = _lex_order(i_idx, j_idx, offsets)
+    directions = np.empty((len(keep), 3))
+    np.divide(np.take(disp, keep, axis=1), distances, out=directions.T)
     return PeriodicGraph(
         num_nodes=n,
         atomic_numbers=s.atomic_numbers.copy(),
         src=i_idx[order],
         dst=j_idx[order],
-        offsets=offsets[order],
-        distances=distances[order],
-        directions=directions[order],
+        offsets=images[pair[order]],
+        distances=distances,
+        directions=directions,
         cutoff=float(cutoff),
     )
 

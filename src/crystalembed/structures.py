@@ -71,7 +71,11 @@ class CrystalStructure:
         if np.any(self.atomic_numbers < 1) or np.any(self.atomic_numbers > MAX_Z):
             raise ValidationError("atomic numbers must lie in 1..118")
         if self.label is not None:
-            self.label = float(self.label)
+            try:
+                self.label = float(self.label)
+            except (TypeError, ValueError, OverflowError):
+                raise ValidationError(
+                    f"label must be a real number, got {self.label!r}") from None
             if not math.isfinite(self.label):
                 raise ValidationError("label must be finite")
         self.frac_coords = _wrap_frac(self.frac_coords)
@@ -299,7 +303,7 @@ def parse_jsonl(line: str) -> CrystalStructure:
         lattice = np.asarray(obj["lattice"], dtype=np.float64)
         frac = np.asarray(obj["frac_coords"], dtype=np.float64)
         numbers = np.asarray(obj["atomic_numbers"], dtype=np.int64)
-    except (ValueError, TypeError) as exc:
+    except (ValueError, TypeError, OverflowError) as exc:
         raise ValidationError(f"malformed array field: {exc}") from None
     if lattice.shape != (9,):
         raise ValidationError(

@@ -4,6 +4,7 @@ Everything here is deliberately naive (brute force, explicit loops) so it
 stays independent of the library code paths it checks.
 """
 
+import math
 from collections import Counter
 from itertools import product
 
@@ -13,7 +14,7 @@ from crystalembed import autograd as ag
 from crystalembed.elements import MAX_Z
 from crystalembed.embeddings import table_from_sums
 from crystalembed.encoder import edge_features, encode_graph
-from crystalembed.periodic_graph import PeriodicGraph
+from crystalembed.periodic_graph import BIN_REACH_RTOL, PeriodicGraph
 from crystalembed.structures import CrystalStructure
 
 
@@ -34,6 +35,70 @@ def brute_force_edges(structure, cutoff, pad=2):
                 if 0.0 < d <= cutoff:
                     edges[(i, j, (o1, o2, o3))] += 1
     return edges
+
+
+def build_periodic_graph_by_rows(s, cutoff):
+    """`build_periodic_graph`'s linked-cell search on (P, 3) coordinate rows:
+    row gathers, np.linalg.norm over each row and one lexsort over the
+    offset columns. The column-wise builder must match it bit for bit."""
+    inv = np.linalg.inv(s.lattice)
+    reach = (cutoff * np.linalg.norm(inv, axis=0)).tolist()
+    n = s.num_sites
+    nb = [max(1, int(1.0 / max(x, 1.0 / n))) for x in reach]
+    while nb[0] * nb[1] * nb[2] > n:
+        nb[nb.index(max(nb))] //= 2
+    m = [math.ceil(x * k * (1 + BIN_REACH_RTOL)) for x, k in zip(reach, nb)]
+    shifts = np.indices([2 * k + 1 for k in m]).reshape(3, -1).T - m
+
+    strides = np.array([nb[1] * nb[2], nb[2], 1])
+    nb = np.array(nb)
+    bins = np.minimum((s.frac_coords * nb).astype(np.int64), nb - 1)
+    site_bin = bins @ strides
+    order = np.argsort(site_bin, kind="stable")
+    counts = np.bincount(site_bin, minlength=strides[0] * nb[0])
+    starts = np.cumsum(counts) - counts
+
+    images, wrapped = np.divmod(bins[:, None, :] + shifts, nb)
+    images = images.reshape(-1, 3)
+    flat = (wrapped @ strides).ravel()
+    per_pair = counts[flat]
+    pair = np.repeat(np.arange(len(flat)), per_pair)
+    lag = np.cumsum(per_pair) - per_pair - starts[flat]
+    i_idx = pair // len(shifts)
+    j_idx = order[np.arange(len(pair)) - lag[pair]]
+
+    r = s.cart_coords()
+    disp = (r[j_idx] - r[i_idx]) + (images.astype(np.float64) @ s.lattice)[pair]
+    dist = np.linalg.norm(disp, axis=-1)
+    keep = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
+    i_idx, j_idx, offsets = i_idx[keep], j_idx[keep], images[pair[keep]]
+    distances = dist[keep]
+    directions = disp[keep] / distances[:, None]
+
+    order = np.lexsort((offsets[:, 2], offsets[:, 1], offsets[:, 0], j_idx, i_idx))
+    return PeriodicGraph(
+        num_nodes=n, atomic_numbers=s.atomic_numbers.copy(),
+        src=i_idx[order], dst=j_idx[order], offsets=offsets[order],
+        distances=distances[order], directions=directions[order],
+        cutoff=float(cutoff))
+
+
+def edge_groups_by_rows(g):
+    """`PeriodicGraph.edge_groups` over the (E, 5) unordered-key rows: one
+    lexsort of the rows, group starts where any column changes."""
+    o = g.offsets
+    first = o[np.arange(len(o)), np.argmax(o != 0, axis=1)]
+    reverse = (g.dst < g.src) | ((g.dst == g.src) & (first > 0))
+    keys = np.where(reverse[:, None],
+                    np.column_stack([g.dst, g.src, -o]),
+                    np.column_stack([g.src, g.dst, o]))
+    order = np.lexsort(keys.T[::-1])
+    ordered = keys[order]
+    starts = np.ones(len(keys), dtype=bool)
+    starts[1:] = np.any(ordered[1:] != ordered[:-1], axis=1)
+    inverse = np.empty(len(keys), dtype=np.int64)
+    inverse[order] = np.cumsum(starts) - 1
+    return int(starts.sum()), inverse
 
 
 def brute_force_multiplicities(edges, n):

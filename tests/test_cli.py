@@ -156,6 +156,48 @@ def test_ingest_bad_cutoff_exits_2(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("field, value, reason", [
+    ("label", "x", "label must be a real number, got 'x'"),
+    ("label", "", "label must be a real number, got ''"),
+    ("label", [1], "label must be a real number, got [1]"),
+    ("atomic_numbers", [10**30], "malformed array field"),
+], ids=["label-x", "label-empty", "label-list", "z-beyond-int64"])
+def test_ingest_counts_a_malformed_jsonl_field_as_failed(tmp_path, capsys,
+                                                         field, value, reason):
+    record = json.loads(serialize_jsonl(CrystalStructure(
+        4.0 * np.eye(3), np.zeros((1, 3)), np.array([11]), label=1.0)))
+    record[field] = value
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps(record) + "\n")
+    good = tmp_path / "na.cif"
+    good.write_text(CUBIC_NA_CIF)
+    out = tmp_path / "ing"
+    assert main(["ingest", str(bad), str(good), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ingest failed: {bad}: {bad}:1: " in err and reason in err
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["num_structures"] == 1
+    assert stats["num_failed"] == 1
+
+
+@pytest.mark.parametrize("lattice", [
+    [[4.0, 0.0, 0.0], [1e308, 3.0, 0.0], [0.0, 0.0, 4.0]],
+    [[4.0, 0.0, 0.0], [1e30, 3.0, 0.0], [0.0, 0.0, 4.0]],
+    1e-3 * np.eye(3),
+], ids=["row-1e308", "row-1e30", "tiny-cell"])
+def test_ingest_unsearchable_lattice_exits_2_naming_it(tmp_path, capsys,
+                                                       lattice):
+    path = tmp_path / "odd.jsonl"
+    path.write_text(serialize_jsonl(CrystalStructure(
+        np.array(lattice), np.zeros((1, 3)), np.array([11]), id="odd")) + "\n")
+    out = tmp_path / "ing"
+    assert main(["ingest", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert err == [err[0]] and err[0].startswith(
+        "error: structure 'odd': cutoff 5.0 ")
+    assert not out.exists()
+
+
 # -- pretrain ------------------------------------------------------------
 
 def test_pretrain_writes_log_checkpoints_and_config(tmp_path, pre_jsonl):

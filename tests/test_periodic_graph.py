@@ -7,7 +7,9 @@ from helpers import (
     all_unordered_pairs,
     brute_force_edges,
     brute_force_multiplicities,
+    build_periodic_graph_by_rows,
     cubic_structure,
+    edge_groups_by_rows,
     edge_keys,
     edge_multiset,
     random_structure,
@@ -19,6 +21,7 @@ from crystalembed.augmentation import batch_views, two_views
 from crystalembed.errors import ValidationError
 from crystalembed.structures import CrystalStructure, lattice_from_cell
 from crystalembed.periodic_graph import (
+    MAX_SEARCH_PAIRS,
     PeriodicGraph,
     batch_graphs,
     build_periodic_graph,
@@ -170,6 +173,60 @@ class TestLinkedCellRegimes:
         assert g.num_edges == 125 * build_periodic_graph(base, 5.0).num_edges
         # the (images x N x N x 3) displacement array alone was ~500 MB
         assert peak < 16e6
+
+
+class TestSearchBounds:
+    @pytest.mark.parametrize("row", [(1e308, 3.0, 0.0), (1e30, 3.0, 0.0)])
+    def test_unsearchable_reach_rejected_naming_the_structure(self, row):
+        s = _cell([(4.0, 0.0, 0.0), row, (0.0, 0.0, 4.0)], [(0.0, 0.0, 0.0)])
+        with pytest.raises(ValidationError,
+                           match=r"structure 'cell': cutoff 5\.0 reaches"):
+            build_periodic_graph(s, cutoff=5.0)
+
+    def test_tiny_cell_rejected_before_its_shift_grid_is_allocated(self):
+        # 1e-3 A: 10,001 bin shifts per axis, once 21.8 TiB of grid
+        s = _cell(1e-3 * np.eye(3), [(0.0, 0.0, 0.0)])
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError,
+                               match=f"structure 'cell': cutoff 5.0 needs "
+                                     f"1000900270027 .* over the {MAX_SEARCH_PAIRS} "):
+                build_periodic_graph(s, cutoff=5.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1e6
+
+
+def _row_oracle_cells():
+    """Both synthetic corpora, k = 2..4 supercells, a skewed triclinic cell
+    and a one-site cell."""
+    pretraining = make_pretraining_structures(48, seed=3)
+    yield from pretraining
+    yield from make_labeled_structures(64, seed=11)
+    yield from (supercell(s, k) for s in pretraining[:2] for k in (2, 3, 4))
+    rng = np.random.default_rng(41)
+    yield _cell(lattice_from_cell(6.0, 7.0, 5.0, 70.0, 100.0, 40.0),
+                rng.random((6, 3)))
+    yield cubic_structure(a=2.5)
+
+
+@pytest.mark.parametrize("cutoff", [3.0, 5.0, 6.5])
+def test_build_matches_the_row_wise_search_bitwise(cutoff):
+    edges = 0
+    for s in _row_oracle_cells():
+        got = build_periodic_graph(s, cutoff)
+        want = build_periodic_graph_by_rows(s, cutoff)
+        edges += got.num_edges
+        for name in ("src", "dst", "offsets", "distances", "directions"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert np.array_equal(a, b), (s.id, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (s.id, name)
+            assert a.flags.c_contiguous, (s.id, name)
+        num_groups, inverse = edge_groups_by_rows(want)
+        assert got.edge_groups()[0] == num_groups
+        assert np.array_equal(got.edge_groups()[1], inverse), s.id
+    assert edges > 0
 
 
 class TestMultiplicityTargets:
