@@ -83,9 +83,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    def item(self) -> float:
-        return float(self.data)
-
     def _accumulate(self, contribution, g):
         """Add one gradient contribution, an array shaped like the data, made
         by a rule from its output's gradient g. The first becomes .grad: an

@@ -1,16 +1,20 @@
 """Command-line entry point.
 
 Six subcommands: ingest, pretrain, extract, downstream, sweep, project.
-Each writes its effective configuration (defaults + config file + flag
-overrides) next to its outputs once it succeeds, so any run is
-reproducible from that file and a failed run leaves none behind.
+Each only computes, writes its own outputs and returns its exit code.
+`main` owns the rest of the run: it merges the config (defaults, then the
+--config file, then flags) and, once the subcommand returns, writes
+`<command>_config.json` next to the outputs: the command, every parsed
+input but --out and --config, and the merged config. Any run is
+reproducible from that file, and a failed run leaves none behind.
 
-Exit codes: 0 success, 1 per-file ingest failures, 2 validation or parse
-errors, 3 numeric failures.
+Exit codes: 0 success, 1 per-file ingest failures, 2 validation, parse or
+featurization errors, 3 numeric failures.
 """
 
 import argparse
 from dataclasses import fields
+import functools
 import json
 import sys
 from pathlib import Path
@@ -22,8 +26,8 @@ from .downstream import (DownstreamConfig, label_fraction_sweep,
 from .elements import category_of, z_to_symbol
 from .embeddings import (format_float17, load_table, project_2d,
                          save_table_csv, save_table_json)
-from .errors import (CrystalEmbedError, NumericsError, ParseError, ShapeError,
-                     ValidationError, reading)
+from .errors import (CrystalEmbedError, FeaturizationError, NumericsError,
+                     ParseError, ShapeError, ValidationError, reading)
 from .periodic_graph import (NUM_MULTIPLICITY_CLASSES, build_periodic_graph,
                              multiplicity_targets)
 from .structures import load_jsonl, parse_cif, save_jsonl
@@ -57,21 +61,15 @@ def _load_config_file(path) -> dict:
     return data
 
 
-def _merge_config(cls, args):
+def _merge_config(cls, path, flags: dict):
     """Defaults, then the --config file, then every config flag given."""
-    data = {} if args.config is None else _load_config_file(args.config)
-    data.update({f.name: getattr(args, f.name) for f in fields(cls)
-                 if getattr(args, f.name, None) is not None})
+    data = {} if path is None else _load_config_file(path)
+    data.update({name: v for name, v in flags.items() if v is not None})
     return cls.from_dict(data)
 
 
-def _write_effective(out_dir: Path, command: str, extras: dict,
-                     config: dict | None = None) -> None:
-    payload = {"command": command, **extras}
-    if config is not None:
-        payload["config"] = config
-    path = out_dir / f"{command}_config.json"
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
+def _write_json(path: Path, obj) -> None:
+    path.write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n",
                     encoding="utf-8")
 
 
@@ -84,7 +82,7 @@ def _load_structures(path):
 
 # -- subcommands ---------------------------------------------------------
 
-def cmd_ingest(args) -> int:
+def cmd_ingest(args, cfg) -> int:
     out_dir = Path(args.out)
     structures, failures = [], []
     for raw in args.inputs:
@@ -133,33 +131,27 @@ def cmd_ingest(args) -> int:
             str(c): int(n) for c, n in enumerate(mult_hist)
         },
     }
-    (out_dir / "stats.json").write_text(
-        json.dumps(stats, indent=2, sort_keys=True) + "\n", encoding="utf-8")
-    _write_effective(out_dir, "ingest",
-                     {"inputs": list(args.inputs), "cutoff": args.cutoff})
+    _write_json(out_dir / "stats.json", stats)
     print(f"ingested {len(structures)} structures "
           f"({len(failures)} failed) -> {out_dir / 'dataset.jsonl'}")
     return EXIT_INGEST if failures else EXIT_OK
 
 
-def cmd_pretrain(args) -> int:
-    cfg = _merge_config(PretrainConfig, args)
+def cmd_pretrain(args, cfg) -> int:
     structures = _load_structures(args.data)
     graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
     out_dir = Path(args.out)
     result = pretrain(graphs, cfg, out_dir, resume_from=args.resume)
-    _write_effective(out_dir, "pretrain", {"data": str(args.data)},
-                     cfg.to_dict())
     last = result.history[-1]
     print(f"pretrained {last['epoch']} epochs on {len(graphs)} graphs: "
           f"L_total={last['L_total']:.6f} -> {result.final_path}")
     return EXIT_OK
 
 
-def cmd_extract(args) -> int:
-    model, _, cfg, _, _ = load_state(args.checkpoint)
+def cmd_extract(args, cfg) -> int:
+    model, _, model_cfg, _, _ = load_state(args.checkpoint)
     structures = _load_structures(args.data)
-    graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
+    graphs = [build_periodic_graph(s, model_cfg.cutoff) for s in structures]
     table = extract_embeddings(model, graphs)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -168,16 +160,12 @@ def cmd_extract(args) -> int:
         save_table_csv(table, out_path)
     else:
         save_table_json(table, out_path)
-    _write_effective(out_dir, "extract",
-                     {"checkpoint": str(args.checkpoint),
-                      "data": str(args.data), "format": args.format})
     print(f"extracted {int(table.present.sum())} element embeddings "
           f"(dim {table.dim}) -> {out_path}")
     return EXIT_OK
 
 
-def cmd_downstream(args) -> int:
-    cfg = _merge_config(DownstreamConfig, args)
+def cmd_downstream(args, cfg) -> int:
     table = None
     if cfg.mode == "pretrained":
         if args.table is None:
@@ -187,20 +175,13 @@ def cmd_downstream(args) -> int:
     out_dir = Path(args.out)
     _, report = train_supervised(structures, cfg, table)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report.to_dict(), indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")
-    _write_effective(out_dir, "downstream",
-                     {"data": str(args.data),
-                      "table": None if args.table is None else str(args.table)},
-                     cfg.to_dict())
+    _write_json(out_dir / "report.json", report.to_dict())
     print(f"{cfg.mode} fraction={cfg.label_fraction} seed={cfg.seed}: "
           f"test MAE {report.mean:.6f} -> {out_dir / 'report.json'}")
     return EXIT_OK
 
 
-def cmd_sweep(args) -> int:
-    cfg = _merge_config(DownstreamConfig, args)
+def cmd_sweep(args, cfg) -> int:
     table = load_table(args.table)
     structures = _load_structures(args.data)
     out_dir = Path(args.out)
@@ -208,20 +189,14 @@ def cmd_sweep(args) -> int:
                                   fractions=tuple(args.fractions),
                                   n_runs=args.runs, base_seed=args.base_seed)
     out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "report.json").write_text(
-        json.dumps(report, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(out_dir / "report.json", report)
     text = render_sweep_table(report)
     (out_dir / "table.txt").write_text(text + "\n", encoding="utf-8")
-    _write_effective(out_dir, "sweep",
-                     {"data": str(args.data), "table": str(args.table),
-                      "fractions": list(args.fractions), "runs": args.runs,
-                      "base_seed": args.base_seed},
-                     cfg.to_dict())
     print(text)
     return EXIT_OK
 
 
-def cmd_project(args) -> int:
+def cmd_project(args, cfg) -> int:
     table = load_table(args.table)
     zs, coords = project_2d(table)
     out_dir = Path(args.out)
@@ -233,7 +208,6 @@ def cmd_project(args) -> int:
                                category_of(int(z)), format_float17(x),
                                format_float17(y)]))
     out_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    _write_effective(out_dir, "project", {"table": str(args.table)})
     print(f"projected {len(zs)} elements -> {out_path}")
     return EXIT_OK
 
@@ -241,16 +215,20 @@ def cmd_project(args) -> int:
 # -- parser ---------------------------------------------------------------
 
 def _add_config_flags(p, cls, skip=()):
-    """One --field-name flag per config field, typed by the field default;
-    values are checked by the config itself (see _merge_config)."""
+    """--config plus one --field-name flag per config field, typed by the
+    field default; main merges them into a cls, which checks the values."""
+    p.add_argument("--config", help="JSON config file")
     for f in fields(cls):
         if f.name not in skip:
             kind = _float_list if isinstance(f.default, tuple) else type(f.default)
             p.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                            type=kind)
+    p.set_defaults(config_cls=cls)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree, built once per process."""
     parser = argparse.ArgumentParser(
         prog="crystalembed",
         description="Self-supervised pretraining of per-element embeddings "
@@ -266,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("pretrain", help="run dual-branch pretraining")
     p.add_argument("--data", required=True, help="dataset JSONL")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--resume", help="checkpoint to resume from")
     _add_config_flags(p, PretrainConfig)
     p.set_defaults(func=cmd_pretrain)
@@ -281,7 +258,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("downstream", help="one supervised regression run")
     p.add_argument("--data", required=True, help="labeled dataset JSONL")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--table", help="embedding table CSV/JSON")
     _add_config_flags(p, DownstreamConfig)
     p.set_defaults(func=cmd_downstream)
@@ -290,7 +266,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="labeled dataset JSONL")
     p.add_argument("--table", required=True, help="embedding table CSV/JSON")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", help="JSON config file")
     p.add_argument("--fractions", type=_float_list, default=[1.0, 0.5, 0.25])
     p.add_argument("--runs", type=int, default=4)
     p.add_argument("--base-seed", dest="base_seed", type=int, default=0)
@@ -308,15 +283,27 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Parse, merge the config, run the subcommand and, once it returns,
+    write `<command>_config.json` into its --out directory."""
     args = build_parser().parse_args(argv)
+    inputs = {name: value for name, value in vars(args).items()
+              if name not in ("func", "config_cls", "out", "config")}
+    cls = getattr(args, "config_cls", None)
+    flags = {} if cls is None else {f.name: inputs.pop(f.name)
+                                    for f in fields(cls) if f.name in inputs}
     try:
-        return args.func(args)
+        cfg = None if cls is None else _merge_config(cls, args.config, flags)
+        code = args.func(args, cfg)
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    except (ValidationError, ShapeError, ParseError) as exc:
+    except (ValidationError, ShapeError, ParseError, FeaturizationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
+    if cfg is not None:
+        inputs["config"] = cfg.to_dict()
+    _write_json(Path(args.out) / f"{args.command}_config.json", inputs)
+    return code
 
 
 def entry() -> None:

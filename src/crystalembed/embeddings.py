@@ -90,8 +90,13 @@ def save_table_csv(table: ElementEmbeddingTable, path) -> None:
 
 def _table_from_rows(dim: int, rows) -> ElementEmbeddingTable:
     """Table from (where, Z, symbol, count, vector) rows, as both loaders
-    read them. Each Z must lie in 1..MAX_Z, come once and match its symbol;
-    `where` names the row in the error."""
+    read them. Each vector must hold dim values, checked before the table
+    is allocated; each Z must lie in 1..MAX_Z, come once and match its
+    symbol. `where` names the row in the error."""
+    for where, _, _, _, vector in rows:
+        if len(vector) != dim:
+            raise ParseError(f"{where}: vector has {len(vector)} values, "
+                             f"expected dim {dim}")
     vectors = np.zeros((MAX_Z, dim))
     counts = np.zeros(MAX_Z, dtype=np.int64)
     seen = set()
@@ -155,6 +160,8 @@ def load_table_json(path) -> ElementEmbeddingTable:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
+        if not obj["elements"]:
+            raise ParseError(f"{path}: embedding JSON lists no element")
         return _table_from_rows(int(obj["dim"]), [
             (f"{path}: element {k}", int(e["z"]), str(e["symbol"]),
              int(e["count"]), [float(x) for x in e["vector"]])

@@ -102,18 +102,13 @@ class PeriodicGraph:
         return (self.dst < self.src) | ((self.dst == self.src) & (first > 0))
 
     def _key_columns(self, reverse) -> list:
-        """The five columns of unordered_keys, given _reverse_half."""
+        """The five int columns of every directed edge's unordered key, given
+        _reverse_half. The key of (i, j, o) is the lexicographic minimum of
+        (i, j, o) and (j, i, -o); the two halves of an unordered connection
+        share it."""
         return ([np.where(reverse, self.dst, self.src),
                  np.where(reverse, self.src, self.dst)]
                 + [np.where(reverse, -o, o) for o in self.offsets.T])
-
-    def unordered_keys(self) -> np.ndarray:
-        """Canonical unordered key per directed edge, as an (E, 5) int array.
-
-        The key of (i, j, o) is the lexicographic minimum of (i, j, o) and
-        (j, i, -o); the two halves of an unordered connection share it.
-        """
-        return np.column_stack(self._key_columns(self._reverse_half()))
 
     def edge_groups(self) -> tuple[int, np.ndarray]:
         """(number of unordered connections, connection id of every directed

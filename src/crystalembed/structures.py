@@ -50,10 +50,11 @@ class CrystalStructure:
             raise ValidationError(f"lattice must be 3x3, got {self.lattice.shape}")
         if not np.all(np.isfinite(self.lattice)):
             raise ValidationError("lattice contains non-finite entries")
-        if np.linalg.det(self.lattice) <= 0:
+        with np.errstate(over="ignore"):
+            det = np.linalg.det(self.lattice)
+        if not (np.isfinite(det) and det > 0):
             raise ValidationError(
-                f"lattice determinant must be > 0, got {np.linalg.det(self.lattice)}"
-            )
+                f"lattice determinant must be finite and > 0, got {det}")
         if self.frac_coords.ndim != 2 or self.frac_coords.shape[1] != 3:
             raise ValidationError(
                 f"frac_coords must be Nx3, got {self.frac_coords.shape}"

@@ -83,15 +83,24 @@ def build_periodic_graph_by_rows(s, cutoff):
         cutoff=float(cutoff))
 
 
-def edge_groups_by_rows(g):
-    """`PeriodicGraph.edge_groups` over the (E, 5) unordered-key rows: one
-    lexsort of the rows, group starts where any column changes."""
+def unordered_key_rows(g):
+    """Canonical unordered key per directed edge, as an (E, 5) int array.
+
+    The key of (i, j, o) is the lexicographic minimum of (i, j, o) and
+    (j, i, -o); the two halves of an unordered connection share it.
+    """
     o = g.offsets
     first = o[np.arange(len(o)), np.argmax(o != 0, axis=1)]
     reverse = (g.dst < g.src) | ((g.dst == g.src) & (first > 0))
-    keys = np.where(reverse[:, None],
+    return np.where(reverse[:, None],
                     np.column_stack([g.dst, g.src, -o]),
                     np.column_stack([g.src, g.dst, o]))
+
+
+def edge_groups_by_rows(g):
+    """`PeriodicGraph.edge_groups` over the (E, 5) unordered-key rows: one
+    lexsort of the rows, group starts where any column changes."""
+    keys = unordered_key_rows(g)
     order = np.lexsort(keys.T[::-1])
     ordered = keys[order]
     starts = np.ones(len(keys), dtype=bool)
@@ -322,9 +331,9 @@ def grad_check(f, params, h: float = 1e-5, floor: float = 1e-2) -> float:
         for k in range(flat.size):
             orig = flat[k]
             flat[k] = orig + h
-            f_plus = f().item()
+            f_plus = float(f().data)
             flat[k] = orig - h
-            f_minus = f().item()
+            f_minus = float(f().data)
             flat[k] = orig
             numeric = (f_plus - f_minus) / (2.0 * h)
             denom = max(abs(ga_flat[k]), abs(numeric), floor)

@@ -7,14 +7,14 @@ import numpy as np
 import pytest
 
 from crystalembed.cli import build_parser, main
-from crystalembed.downstream import validate_report
+from crystalembed.downstream import DownstreamConfig, validate_report
 from crystalembed.embeddings import load_table, save_table_csv
 from crystalembed.errors import NumericsError
 from crystalembed.structures import (CrystalStructure, save_jsonl,
                                      serialize_jsonl)
 from crystalembed.synthetic import (make_labeled_structures,
                                     make_pretraining_structures)
-from crystalembed.training import load_state
+from crystalembed.training import PretrainConfig, load_state
 
 from test_downstream import small_table
 
@@ -198,6 +198,25 @@ def test_ingest_unsearchable_lattice_exits_2_naming_it(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.filterwarnings("error")
+def test_ingest_counts_an_overflowing_lattice_as_failed(tmp_path, capsys):
+    bad = tmp_path / "big.jsonl"
+    bad.write_text(json.dumps({
+        "id": "big", "lattice": [1e308, 3, 0, 0, 4, 0, 0, 0, 4],
+        "frac_coords": [[0, 0, 0]], "atomic_numbers": [6]}) + "\n")
+    good = tmp_path / "na.cif"
+    good.write_text(CUBIC_NA_CIF)
+    out = tmp_path / "ing"
+    assert main(["ingest", str(bad), str(good), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert f"ingest failed: {bad}: " in err
+    assert "lattice determinant must be finite and > 0, got inf" in err
+    assert "1e+308" not in (out / "dataset.jsonl").read_text()
+    stats = json.loads((out / "stats.json").read_text())
+    assert stats["num_structures"] == 1
+    assert stats["num_failed"] == 1
+
+
 # -- pretrain ------------------------------------------------------------
 
 def test_pretrain_writes_log_checkpoints_and_config(tmp_path, pre_jsonl):
@@ -319,6 +338,21 @@ def test_project_needs_three_present_elements(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("elements, message", [
+    ([], "embedding JSON lists no element"),
+    ([{"z": 1, "symbol": "H", "count": 1, "vector": [1.0]}],
+     "element 0: vector has 1 values, expected dim 1000000000000"),
+], ids=["no-element", "short-vector"])
+def test_project_json_table_with_huge_dim_exits_2(tmp_path, capsys, elements,
+                                                  message):
+    path = tmp_path / "t.json"
+    path.write_text(json.dumps({"dim": 10**12, "elements": elements}))
+    code = main(["project", "--table", str(path),
+                 "--out", str(tmp_path / "proj")])
+    assert code == 2
+    assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
 # -- downstream and sweep --------------------------------------------------
 
 def test_downstream_baseline_writes_report(tmp_path, lab_jsonl, capsys):
@@ -348,6 +382,22 @@ def test_downstream_bad_fraction_exits_2(tmp_path, lab_jsonl, capsys):
                  *FAST_DOWNSTREAM])
     assert code == 2
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["downstream", "sweep"])
+def test_table_missing_a_data_element_exits_2(tmp_path, lab_jsonl, capsys,
+                                              command):
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=(3, 8, 11)), table_path)
+    out = tmp_path / "out"
+    argv = [command, "--data", str(lab_jsonl), "--table", str(table_path),
+            "--out", str(out), *FAST_DOWNSTREAM]
+    if command == "downstream":
+        argv += ["--mode", "pretrained"]
+    assert main(argv) == 2
+    assert "error: elements absent from embedding table: " in (
+        capsys.readouterr().err)
+    assert not (out / f"{command}_config.json").exists()
 
 
 def test_sweep_run_counting_and_outputs(tmp_path, lab_jsonl, capsys):
@@ -580,20 +630,124 @@ def test_sweep_without_fractions_exits_2(tmp_path, lab_jsonl, capsys):
     assert not (out / "report.json").exists()
 
 
-@pytest.mark.parametrize("command", ["pretrain", "sweep"])
+@pytest.mark.parametrize("command", ["ingest", "pretrain", "extract",
+                                     "downstream", "sweep", "project"])
 def test_failed_command_leaves_no_effective_config(tmp_path, pre_jsonl,
                                                    lab_jsonl, command):
     out = tmp_path / "out"
-    if command == "pretrain":
+    if command == "ingest":
+        cif = tmp_path / "na.cif"
+        cif.write_text(CUBIC_NA_CIF)
+        argv = ["ingest", str(cif), "--cutoff", "-1"]
+    elif command == "pretrain":
         argv = ["pretrain", "--data", str(pre_jsonl), "--resume",
                 str(tmp_path / "missing.ckpt"), *FAST_PRETRAIN]
-    else:
+    elif command == "extract":
+        bad = tmp_path / "bad.ckpt"
+        bad.write_text("not a checkpoint")
+        argv = ["extract", "--checkpoint", str(bad), "--data", str(pre_jsonl)]
+    elif command == "downstream":
+        argv = ["downstream", "--data", str(lab_jsonl), "--label-fraction",
+                "0", *FAST_DOWNSTREAM]
+    elif command == "sweep":
         table_path = tmp_path / "table.csv"
         save_table_csv(small_table(dim=8, present=range(1, 119)), table_path)
         argv = ["sweep", "--data", str(lab_jsonl), "--table", str(table_path),
                 "--fractions", "", *FAST_DOWNSTREAM]
+    else:
+        table_path = tmp_path / "table.csv"
+        save_table_csv(small_table(dim=8, present=(3, 8)), table_path)
+        argv = ["project", "--table", str(table_path)]
     assert main([*argv, "--out", str(out)]) == 2
     assert not (out / f"{command}_config.json").exists()
+
+
+def test_one_parser_tree_per_process(tmp_path, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=(3, 8, 11)), table_path)
+    argv = ["project", "--table", str(table_path), "--out", str(tmp_path / "p")]
+    assert main(argv) == 0
+    first = len(built)
+    assert main(argv) == 0
+    assert len(built) == first
+
+
+def _contract_run(command, tmp_path, pre_jsonl, lab_jsonl, trained):
+    """(argv without --out, every non-config input main should record, the
+    config flags given) of one quick successful run of command."""
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=range(1, 119)), table_path)
+    table = str(table_path)
+    if command == "ingest":
+        cif = tmp_path / "na.cif"
+        cif.write_text(CUBIC_NA_CIF)
+        return (["ingest", str(cif), "--cutoff", "4.5"],
+                {"inputs": [str(cif)], "cutoff": 4.5}, None)
+    if command == "pretrain":
+        return (["pretrain", "--data", str(pre_jsonl), *FAST_PRETRAIN],
+                {"data": str(pre_jsonl), "resume": None},
+                {"dim": 8, "num_layers": 1, "rbf_count": 4, "epochs": 2,
+                 "batch_size": 4})
+    if command == "extract":
+        ckpt, data = trained
+        return (["extract", "--checkpoint", str(ckpt), "--data", str(data),
+                 "--format", "json"],
+                {"checkpoint": str(ckpt), "data": str(data), "format": "json"},
+                None)
+    if command == "downstream":
+        return (["downstream", "--data", str(lab_jsonl), "--table", table,
+                 "--mode", "pretrained", "--seed", "3", *FAST_DOWNSTREAM],
+                {"data": str(lab_jsonl), "table": table},
+                {"mode": "pretrained", "seed": 3, "dim": 8, "num_layers": 1,
+                 "rbf_count": 4, "epochs": 3, "batch_size": 8})
+    if command == "sweep":
+        return (["sweep", "--data", str(lab_jsonl), "--table", table,
+                 "--fractions", "1.0", "--runs", "1", "--base-seed", "2",
+                 *FAST_DOWNSTREAM],
+                {"data": str(lab_jsonl), "table": table, "fractions": [1.0],
+                 "runs": 1, "base_seed": 2},
+                {"dim": 8, "num_layers": 1, "rbf_count": 4, "epochs": 3,
+                 "batch_size": 8})
+    return ["project", "--table", table], {"table": table}, None
+
+
+CONFIG_CLASSES = {"pretrain": PretrainConfig, "downstream": DownstreamConfig,
+                  "sweep": DownstreamConfig}
+
+
+@pytest.mark.parametrize("command", ["ingest", "pretrain", "extract",
+                                     "downstream", "sweep", "project"])
+def test_effective_config_records_every_parsed_input(tmp_path, pre_jsonl,
+                                                     lab_jsonl, trained,
+                                                     command):
+    argv, inputs, flags = _contract_run(command, tmp_path, pre_jsonl,
+                                        lab_jsonl, trained)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    path = out / f"{command}_config.json"
+    effective = json.loads(path.read_text())
+    want = {"command": command, **inputs}
+    if command in CONFIG_CLASSES:
+        want["config"] = CONFIG_CLASSES[command].from_dict(flags).to_dict()
+    assert effective == json.loads(json.dumps(want))  # tuples as lists
+    if command in CONFIG_CLASSES:
+        # the file fed back as --config, without the flags, gives the config
+        again = tmp_path / "again"
+        data = ["--data", inputs["data"]]
+        if "table" in inputs:
+            data += ["--table", inputs["table"]]
+        assert main([command, *data, "--config", str(path),
+                     "--out", str(again)]) == 0
+        replay = json.loads((again / f"{command}_config.json").read_text())
+        assert replay["config"] == effective["config"]
 
 
 def test_failed_resume_leaves_no_run_directory(tmp_path, pre_jsonl, capsys):

@@ -15,6 +15,7 @@ from helpers import (
     random_structure,
     rocksalt_structure,
     supercell,
+    unordered_key_rows,
 )
 
 from crystalembed.augmentation import batch_views, two_views
@@ -281,7 +282,7 @@ def test_all_unordered_pairs_order():
 
 def test_unordered_keys_pair_up():
     g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=0.9)
-    keys = [tuple(k) for k in g.unordered_keys()]
+    keys = [tuple(k) for k in unordered_key_rows(g)]
     from collections import Counter
 
     counts = Counter(keys)
@@ -410,7 +411,7 @@ def test_edge_groups_number_connections_like_np_unique():
     for k in range(10):
         s = random_structure(rng, max_sites=5, skewed=(k % 2 == 0))
         g = build_periodic_graph(s, cutoff=3.5)
-        groups, inverse = np.unique(g.unordered_keys(), axis=0,
+        groups, inverse = np.unique(unordered_key_rows(g), axis=0,
                                     return_inverse=True)
         num_groups, got = g.edge_groups()
         assert num_groups == len(groups) == g.num_edges // 2
