@@ -29,9 +29,9 @@ restores the state it found, so scopes nest.
 
 A composite op (`gated_message`) runs public ops off the tape, inside
 `no_grad`, so its forward is theirs bit for bit, and puts one tensor on the
-tape in their place. It keeps a few of their arrays and recomputes the
-rest; its rule replays their rules, in the order the sweep would run them,
-from the kept arrays.
+tape in their place. It keeps a few of their arrays, node rows rather than
+edge rows where it can, and rebuilds the rest; its rule replays their rules,
+in an order the sweep could run them, from the kept arrays.
 """
 
 from __future__ import annotations
@@ -494,23 +494,6 @@ def _popped(g: np.ndarray, part: str) -> np.ndarray:
     return g
 
 
-def _mlp_back(g_out: np.ndarray, a: np.ndarray, w2: np.ndarray, which: str):
-    """The rules of silu(a) @ w2 + b2 from its output's gradient g_out, in
-    the sweep's order: the gradients of b2, w2 and the pre-activation a.
-    The bias add's copy of g_out is an exact no-op on a started gradient,
-    so it is skipped."""
-    s = _sigmoid(a)
-    g_b2 = g_out.sum(axis=0)
-    g_a = a * s  # silu(a)
-    g_w2 = g_a.T @ g_out
-    # silu's rule, g * (s + a*s*(1 - s)), made in place on a*s
-    g_a *= np.subtract(1.0, s)
-    g_a += s
-    del s
-    g_a *= _popped(g_out @ w2.T, f"the {which} MLP's hidden layer")
-    return g_b2, g_w2, _popped(g_a, f"the {which} MLP's pre-activation")
-
-
 def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
     """One residual gated message-passing layer, a CGCNN-style convolution
     (Xie & Grossman, PRL 2018), as one tape entry:
@@ -528,58 +511,78 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
         a = (h @ W_dst + b1)[dst] + (h @ W_src)[src] + feats @ W_e   (E, 2d)
 
     so the two node products run on N rows and no (E, 2d + r) edge input is
-    built. The forward runs these public ops under no_grad and keeps four
-    (E, d) arrays' worth: a, msg and gate. Backward recomputes the
-    activations from them and replays the lifted composition's rules in the
-    order its sweep would run them, scattering the pre-activations' gradient
-    to node rows before the weight products. A non-finite gradient inside
-    the layer names the part it appeared at.
+    built. The forward runs these public ops under no_grad and keeps the
+    node rows p_dst = h @ W_dst + b1 and p_src = h @ W_src, each (N, 2d),
+    and the (E, d) msg and gate; no (E, 2d) pre-activation outlives it.
+    Backward takes one MLP half at a time: it rebuilds the half's (E, d)
+    pre-activation from column blocks of p_dst and p_src gathered to the
+    edges and of feats @ W_e, added in the forward's order, recomputes its
+    activations and replays the lifted composition's rules in an order its
+    sweep could run them. Both halves' pre-activation gradients are then
+    scattered to node rows before the weight products. A non-finite
+    gradient inside the layer names the part it appeared at.
     """
     w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     n, d = h.data.shape
     with no_grad():
-        w1 = concat([w1m, w1g], axis=1).data  # (2d + r, 2d): message | gate
-        a = add(add(
-            row_gather(add(matmul(h, Tensor(w1[:d])), concat([b1m, b1g])), dst),
-            row_gather(matmul(h, Tensor(w1[d:2 * d])), src)),
-            matmul(feats, Tensor(w1[2 * d:])))
+        w1 = concat([w1m, w1g], axis=1).data  # (2d + r, 2d): message | gate, kept
+        p_dst = add(matmul(h, Tensor(w1[:d])), concat([b1m, b1g]))
+        a = row_gather(p_dst, dst)
+        p_src = matmul(h, Tensor(w1[d:2 * d]))
+        a = add(add(a, row_gather(p_src, src)), matmul(feats, Tensor(w1[2 * d:])))
         hidden = silu(a).data
         msg = add(matmul(Tensor(hidden[:, :d]), w2m), b2m)
         gate = sigmoid(add(matmul(Tensor(hidden[:, d:]), w2g), b2g))
         out = add(h, row_scatter_add(mul(msg, gate), dst, n))
-    a, msg, gate = a.data, msg.data, gate.data
+    p_dst, p_src, msg, gate = p_dst.data, p_src.data, msg.data, gate.data
 
     def rule(g):
         """Every input's gradient contribution, in input order, each a new
         array (feats' is None when feats is off the tape)."""
         g_h = g + 0.0  # the residual add's copy for h; the scatter's is equal
-        g_prod = g_h[dst]
-        g_msg = _popped(g_prod * gate, "the message")
-        g_gate = _popped(g_prod * msg, "the gate")
-        del g_prod
-        g_logit = _popped(g_gate * gate * (1.0 - gate), "the gate's logit")
-        del g_gate
-        g_b2m, g_w2m, g_am = _mlp_back(g_msg, a[:, :d], w2m.data, "message")
-        del g_msg
-        g_b2g, g_w2g, g_ag = _mlp_back(g_logit, a[:, d:], w2g.data, "gate")
-        del g_logit
-        g_a = np.concatenate([g_am, g_ag], axis=1)
-        del g_am, g_ag
+        halves = (slice(0, d), slice(d, 2 * d))
+        g_a, g_w2, g_b2 = [], [], []  # per MLP half: message, gate
+        for cols, w1_half, w2, which in zip(halves, (w1m, w1g), (w2m, w2g),
+                                            ("message", "gate")):
+            # the half's pre-activation a, rebuilt as the forward added it,
+            # and its activations; then the rules of silu(a) @ w2 + b2 in the
+            # sweep's order (the bias add's copy of g_out is an exact no-op)
+            a = p_dst[:, cols][dst]
+            a += p_src[:, cols][src]
+            a += feats.data @ w1_half.data[2 * d:]
+            s = _sigmoid(a)
+            a *= s  # silu(a)
+            g_out = _popped(g_h[dst] * (msg if which == "gate" else gate), f"the {which}")
+            if which == "gate":  # through the gate's sigmoid, onto its logit
+                g_out *= gate
+                g_out *= 1.0 - gate
+                _popped(g_out, "the gate's logit")
+            g_b2.append(g_out.sum(axis=0))
+            g_w2.append(a.T @ g_out)
+            # silu's rule, g * (s + a*s*(1 - s)), made in place on a*s
+            a *= np.subtract(1.0, s)
+            a += s
+            del s
+            a *= _popped(g_out @ w2.data.T, f"the {which} MLP's hidden layer")
+            g_a.append(_popped(a, f"the {which} MLP's pre-activation"))
+            del g_out
         # the gathers' rules: the pre-activations' gradient on node rows
-        g_dst = _popped(_scatter_rows(dst, g_a, n), "the node rows h @ W_dst + b1")
-        g_src = _popped(_scatter_rows(src, g_a, n), "the node rows h @ W_src")
-        g_b1 = g_dst.sum(axis=0)
-        g_w1 = (h.data.T @ g_dst, h.data.T @ g_src, feats.data.T @ g_a)
-        w1 = np.concatenate([w1m.data, w1g.data], axis=1)
-        g_feats = g_a @ w1[2 * d:].T if feats.requires_grad else None
+        g_dst = _popped(np.concatenate([_scatter_rows(dst, b, n) for b in g_a], axis=1),
+                        "the node rows h @ W_dst + b1")
+        g_src = _popped(np.concatenate([_scatter_rows(src, b, n) for b in g_a], axis=1),
+                        "the node rows h @ W_src")
+        g_b1, g_hw = g_dst.sum(axis=0), (h.data.T @ g_dst, h.data.T @ g_src)
+        g_w1 = [np.concatenate([g_hw[0][:, c], g_hw[1][:, c], feats.data.T @ b])
+                for b, c in zip(g_a, halves)]
+        g_feats = (np.concatenate(g_a, axis=1) @ w1[2 * d:].T if feats.requires_grad
+                   else None)
         del g_a
         g_h += g_dst @ w1[:d].T
         g_h += g_src @ w1[d:2 * d].T
-        return (g_h, g_feats, np.concatenate([p[:, :d] for p in g_w1]), g_b1[:d].copy(),
-                g_w2m, g_b2m, np.concatenate([p[:, d:] for p in g_w1]), g_b1[d:].copy(),
-                g_w2g, g_b2g)
+        return (g_h, g_feats, g_w1[0], g_b1[:d].copy(), g_w2[0], g_b2[0],
+                g_w1[1], g_b1[d:].copy(), g_w2[1], g_b2[1])
 
     return Tensor(out.data, (h, feats, *weights), rule, "gated_message")
 

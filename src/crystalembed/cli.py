@@ -9,7 +9,7 @@ input but --out and --config, and the merged config. Any run is
 reproducible from that file, and a failed run leaves none behind.
 
 Exit codes: 0 success, 1 per-file ingest failures, 2 validation, parse or
-featurization errors, 3 numeric failures.
+featurization errors and allocations that cannot be made, 3 numeric failures.
 """
 
 import argparse
@@ -297,8 +297,9 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    except (ValidationError, ShapeError, ParseError, FeaturizationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValidationError, ShapeError, ParseError, FeaturizationError,
+            MemoryError) as exc:  # NumPy's _ArrayMemoryError is a MemoryError
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     if cfg is not None:
         inputs["config"] = cfg.to_dict()

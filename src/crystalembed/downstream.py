@@ -18,7 +18,7 @@ from .autograd import Tensor
 from .elements import MAX_Z, z_to_symbol
 from .embeddings import ElementEmbeddingTable
 from .encoder import apply_layers, init_layers
-from .errors import FeaturizationError, ValidationError, from_dict
+from .errors import FeaturizationError, ValidationError, from_dict, require_finite
 from .optim import AdamState, adam_step
 from .periodic_graph import (GraphBatch, PeriodicGraph, batch_graphs,
                              build_periodic_graph)
@@ -41,6 +41,7 @@ class DownstreamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if self.mode not in MODES:
             raise ValidationError(f"mode must be one of {MODES}")
         if not 0.0 < self.label_fraction <= 1.0:
@@ -203,13 +204,11 @@ def train_supervised(structures, cfg: DownstreamConfig,
     Test MAE is reported at the best-validation epoch, not the last one.
     """
     structures = list(structures)
-    labels = []
     for s in structures:
         if s.label is None:
             raise ValidationError(f"structure {s.id!r} has no label")
-        labels.append(float(s.label))
     graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
-    labels = np.asarray(labels)
+    labels = np.array([s.label for s in structures])  # CrystalStructure made each a float
 
     train_idx, val_idx, test_idx = split_indices(len(graphs), cfg.seed)
     keep = int(round(cfg.label_fraction * len(train_idx)))
@@ -266,28 +265,20 @@ def label_fraction_sweep(structures, cfg: DownstreamConfig,
         raise ValidationError("n_runs must be >= 1")
     if not fractions:
         raise ValidationError("fractions must name at least one label fraction")
-    records = []
-    rows = []
+    records, rows = [], []
+    seeds = [base_seed + run for run in range(n_runs)]  # shared by both modes
     for fraction in fractions:
-        per_mode = {}
+        maes = {mode: [] for mode in MODES}
         for mode in MODES:
-            seeds, maes = [], []
-            for run in range(n_runs):
-                seed = base_seed + run
-                run_cfg = replace(cfg, mode=mode, label_fraction=fraction,
-                                  seed=seed)
-                _, rep = train_supervised(
-                    structures, run_cfg,
-                    table if mode == "pretrained" else None)
-                seeds.append(seed)
-                maes.append(rep.maes[0])
-            per_mode[mode] = (seeds, maes)
-        base_seeds, base_maes = per_mode["baseline"]
-        pre_seeds, pre_maes = per_mode["pretrained"]
-        baseline_rep = summarize_runs(cfg.dim, fraction, "baseline",
-                                      base_seeds, base_maes)
+            for seed in seeds:
+                run_cfg = replace(cfg, mode=mode, label_fraction=fraction, seed=seed)
+                _, rep = train_supervised(structures, run_cfg,
+                                          table if mode == "pretrained" else None)
+                maes[mode].append(rep.maes[0])
+        base_maes, pre_maes = maes["baseline"], maes["pretrained"]
+        baseline_rep = summarize_runs(cfg.dim, fraction, "baseline", seeds, base_maes)
         pretrained_rep = summarize_runs(
-            cfg.dim, fraction, "pretrained", pre_seeds, pre_maes,
+            cfg.dim, fraction, "pretrained", seeds, pre_maes,
             improvement_pct=improvement_pct(
                 float(np.mean(base_maes)), float(np.mean(pre_maes))))
         records.extend([baseline_rep.to_dict(), pretrained_rep.to_dict()])

@@ -88,11 +88,14 @@ def save_table_csv(table: ElementEmbeddingTable, path) -> None:
             )
 
 
-def _table_from_rows(dim: int, rows) -> ElementEmbeddingTable:
+def _table_from_rows(source: str, dim: int, rows) -> ElementEmbeddingTable:
     """Table from (where, Z, symbol, count, vector) rows, as both loaders
-    read them. Each vector must hold dim values, checked before the table
-    is allocated; each Z must lie in 1..MAX_Z, come once and match its
-    symbol. `where` names the row in the error."""
+    read them from `source`, which must list an element. Each vector must
+    hold dim values, checked before the table is allocated; each Z must lie
+    in 1..MAX_Z, come once and match its symbol. `where` names the row in
+    the error."""
+    if not rows:
+        raise ParseError(f"{source} lists no element")
     for where, _, _, _, vector in rows:
         if len(vector) != dim:
             raise ParseError(f"{where}: vector has {len(vector)} values, "
@@ -134,7 +137,7 @@ def load_table_csv(path) -> ElementEmbeddingTable:
                              int(row[2]), [float(x) for x in row[3:]]))
             except ValueError as exc:
                 raise ParseError(f"{path}:{line_no}: {exc}") from exc
-    return _table_from_rows(dim, rows)
+    return _table_from_rows(f"{path}: embedding CSV", dim, rows)
 
 
 def save_table_json(table: ElementEmbeddingTable, path) -> None:
@@ -160,9 +163,7 @@ def load_table_json(path) -> ElementEmbeddingTable:
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: {exc}") from exc
     try:
-        if not obj["elements"]:
-            raise ParseError(f"{path}: embedding JSON lists no element")
-        return _table_from_rows(int(obj["dim"]), [
+        return _table_from_rows(f"{path}: embedding JSON", int(obj["dim"]), [
             (f"{path}: element {k}", int(e["z"]), str(e["symbol"]),
              int(e["count"]), [float(x) for x in e["vector"]])
             for k, e in enumerate(obj["elements"])])

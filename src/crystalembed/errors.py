@@ -1,9 +1,10 @@
 """Exception hierarchy shared across the package, the context that turns a
 file that cannot be read into one of them, and the checked dict-to-dataclass
-conversion that turns bad config input into one of them."""
+conversion and finiteness check that turn bad config input into one of them."""
 
 from contextlib import contextmanager
 from dataclasses import fields
+import math
 
 
 class CrystalEmbedError(Exception):
@@ -71,3 +72,13 @@ def from_dict(cls, data: dict):
                 f"{cls.__name__} key {key!r} must be "
                 f"{type(defaults[key]).__name__}, got {value!r}")
     return cls(**data)
+
+
+def require_finite(cfg) -> None:
+    """Raise ValidationError naming the first field of the dataclass cfg that
+    holds a NaN or infinite float, alone or in a list or tuple."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        items = value if isinstance(value, (list, tuple)) else (value,)
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ValidationError(f"{f.name} must be finite, got {value!r}")

@@ -42,7 +42,7 @@ from .decoders import (
 from .elements import MAX_Z
 from .embeddings import ElementEmbeddingTable, table_from_sums
 from .encoder import encode, encode_graph
-from .errors import ParseError, ValidationError, from_dict
+from .errors import ParseError, ValidationError, from_dict, require_finite
 from .model import ModelParams, init_model_params
 from .optim import AdamState, adam_step
 from .periodic_graph import batch_graphs, multiplicity_targets
@@ -73,6 +73,7 @@ class PretrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        require_finite(self)
         if min(self.alpha, self.beta, self.gamma) < 0.0:
             raise ValidationError("loss weights must be nonnegative")
         if self.batch_size < 2:
@@ -141,19 +142,13 @@ def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds)
 def pretrain_step(graphs, model: ModelParams, opt: AdamState,
                   cfg: PretrainConfig, view_seeds) -> dict:
     """One optimizer step on a batch; returns the four loss scalars."""
-    loss_node, loss_adj, loss_nce, total = pretrain_losses(
-        graphs, model, cfg, view_seeds)
+    losses = pretrain_losses(graphs, model, cfg, view_seeds)
     params = model.tensors()
     for p in params:
         p.zero_grad()
-    total.backward()
+    losses[-1].backward()  # the total
     adam_step(opt, params)
-    return {
-        "L_node": float(loss_node.data),
-        "L_adj": float(loss_adj.data),
-        "L_infonce": float(loss_nce.data),
-        "L_total": float(total.data),
-    }
+    return {key: float(t.data) for key, t in zip(LOSS_KEYS, losses)}
 
 
 def _epoch_seeds(seed: int, epoch: int, n: int):
@@ -243,10 +238,8 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
     loss history without timings so their bytes are reproducible.
     """
     graphs = list(graphs)
-    if not graphs:
-        raise ValidationError("pretraining dataset is empty")
     if len(graphs) < 2:
-        raise ValidationError("pretraining needs at least 2 graphs")
+        raise ValidationError(f"pretraining needs at least 2 graphs, got {len(graphs)}")
     if resume_from is not None:
         model, opt, saved_cfg, start_epoch, history = load_state(resume_from)
         # only the stop point may move

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from crystalembed import cli
 from crystalembed.cli import build_parser, main
 from crystalembed.downstream import DownstreamConfig, validate_report
 from crystalembed.embeddings import load_table, save_table_csv
@@ -351,6 +352,15 @@ def test_project_json_table_with_huge_dim_exits_2(tmp_path, capsys, elements,
                  "--out", str(tmp_path / "proj")])
     assert code == 2
     assert f"error: {path}: {message}" in capsys.readouterr().err
+
+
+def test_project_header_only_csv_table_exits_2(tmp_path, capsys):
+    path = tmp_path / "t.csv"
+    path.write_text("Z,symbol,count,e0,e1\n")
+    out = tmp_path / "proj"
+    assert main(["project", "--table", str(path), "--out", str(out)]) == 2
+    assert f"error: {path}: embedding CSV lists no element" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- downstream and sweep --------------------------------------------------
@@ -801,3 +811,49 @@ def test_extract_non_finite_checkpoint_array_exits_2(tmp_path, trained, capsys):
     assert code == 2
     assert f"error: {bad}: array {name} holds non-finite values" in (
         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, flags, field", [
+    ("pretrain", ["--lr", "nan"], "lr"),
+    ("pretrain", ["--alpha", "nan"], "alpha"),
+    ("pretrain", ["--temperature", "inf"], "temperature"),
+    ("pretrain", ["--cutoff", "inf"], "cutoff"),
+    ("pretrain", ["--class-weights", "0.1,1,1,inf,1,1"], "class_weights"),
+    ("pretrain", ["--config", "gamma-nan.json"], "gamma"),
+    ("downstream", ["--lr", "nan"], "lr"),
+    ("downstream", ["--adapter-noise", "inf"], "adapter_noise"),
+    ("sweep", ["--lr=-inf"], "lr"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_non_finite_config_float_exits_2_before_any_output(
+        tmp_path, pre_jsonl, lab_jsonl, capsys, command, flags, field):
+    if flags[0] == "--config":
+        flags = ["--config", str(tmp_path / flags[1])]
+        (tmp_path / "gamma-nan.json").write_text('{"gamma": NaN}')
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=range(1, 119)), table_path)
+    argv = {"pretrain": ["--data", str(pre_jsonl), *FAST_PRETRAIN],
+            "downstream": ["--data", str(lab_jsonl), *FAST_DOWNSTREAM],
+            "sweep": ["--data", str(lab_jsonl), "--table", str(table_path),
+                      *FAST_DOWNSTREAM]}[command]
+    out = tmp_path / "out"
+    assert main([command, *argv, *flags, "--out", str(out)]) == 2
+    assert f"error: {field} must be finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message, shown", [
+    ("Unable to allocate 859. TiB for an array with shape (118, 1000000000000)",
+     "Unable to allocate 859. TiB"),
+    ("", "out of memory")], ids=["numpy-message", "bare"])
+def test_allocation_failure_exits_2_without_effective_config(
+        tmp_path, pre_jsonl, capsys, monkeypatch, message, shown):
+    def allocate(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "pretrain", allocate)
+    out = tmp_path / "out"
+    assert main(["pretrain", "--data", str(pre_jsonl), "--out", str(out),
+                 *FAST_PRETRAIN]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and shown in err and err.count("\n") == 1
+    assert not (out / "pretrain_config.json").exists()

@@ -73,6 +73,13 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError):
             load_table_csv(path)
 
+    def test_header_only_rejected(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text("Z,symbol,count,e0,e1\n")
+        with pytest.raises(ParseError) as exc:
+            load_table_csv(path)
+        assert str(exc.value) == f"{path}: embedding CSV lists no element"
+
     def test_duplicate_z_rejected(self, tmp_path):
         path = tmp_path / "dup.csv"
         path.write_text("Z,symbol,count,e0\n1,H,1,0.5\n1,H,1,0.5\n")

@@ -85,6 +85,13 @@ class TestConfig:
         with pytest.raises(ValidationError):
             PretrainConfig.from_dict({"dim": 8, "bogus": 1})
 
+    @pytest.mark.parametrize("field, value", [
+        ("lr", float("nan")), ("temperature", float("inf")),
+        ("gamma", float("-inf")), ("class_weights", [0.1, 1, float("nan"), 1, 1, 1])])
+    def test_non_finite_floats_rejected(self, field, value):
+        with pytest.raises(ValidationError, match=f"^{field} must be finite"):
+            PretrainConfig(**{field: value})
+
 
 class TestPretrainStep:
     def test_zero_weights_leave_params_unchanged(self, graphs):
@@ -122,10 +129,17 @@ class TestPretrainStep:
         assert all(p.grad is not None for p in model.tensors())
 
     def test_encoder_layers_keep_four_edge_arrays(self):
-        # each layer is one tape entry keeping four (E, d) arrays, where its
-        # 17 unfused ops kept about 9.6 KB per edge: ~50 MB against 132 MB
+        # each layer is one tape entry keeping two (E, d) arrays and two
+        # (N, 2d) node-row arrays, where its 17 unfused ops kept about 9.6 KB
+        # per edge: a ~36 MB peak against 132 MB
         _, peak, _ = large_cell_step_memory()
         assert peak < 70e6, peak
+
+    def test_encoder_layers_keep_node_rows_not_edge_preactivations(self):
+        # held after the forward: 29.3 MB with each layer keeping its (N, 2d)
+        # node rows, 39.4 MB when it kept its (E, 2d) pre-activation instead
+        held, _, _ = large_cell_step_memory(after_forward=True)
+        assert held < 34e6, held
 
     def test_batch_of_one_rejected(self, graphs):
         cfg = fast_cfg()
@@ -169,8 +183,9 @@ class TestPretrainStep:
         assert np.isfinite(losses["L_total"])
 
 
-def large_cell_step_memory():
-    """tracemalloc's held and peak bytes over pretrain_losses plus backward
+def large_cell_step_memory(after_forward=False):
+    """tracemalloc's held bytes, read after the backward or, if after_forward,
+    after pretrain_losses, and peak bytes over pretrain_losses plus backward
     on two 4x4x4 supercells (N=128, 1,792 edges each) at dim 64, and the
     model they ran on."""
     cfg = PretrainConfig(dim=64, num_layers=2, rbf_count=8, cutoff=5.0)
@@ -181,11 +196,12 @@ def large_cell_step_memory():
     tracemalloc.start()
     try:
         losses = pretrain_losses(graphs, model, cfg, [0, 1])
+        forward_held = tracemalloc.get_traced_memory()[0]
         losses[3].backward()
         held, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    return held, peak, model
+    return forward_held if after_forward else held, peak, model
 
 
 def per_view_losses(graphs, model, cfg, view_seeds):
