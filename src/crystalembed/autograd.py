@@ -68,7 +68,9 @@ class Tensor:
                  requires_grad=False):
         """name: the parameter's name, or for an op result the op's."""
         self.data = np.asarray(data, dtype=np.float64)
-        if not np.isfinite(self.data).all():
+        # .all()'s test without its method dispatch, which dominates on
+        # the small arrays most tensors hold
+        if not np.logical_and.reduce(np.isfinite(self.data), axis=None):
             raise NumericsError(
                 f"{name or 'tensor'}: non-finite {'output' if parents else 'values'}")
         self.grad = None
@@ -132,7 +134,7 @@ class Tensor:
         while topo:  # reverse topological order
             node = topo.pop()
             g, leaf = node.grad, not node._parents
-            if not np.isfinite(g).all():
+            if not np.logical_and.reduce(np.isfinite(g), axis=None):
                 where = (f"for parameter {node.name!r}" if leaf
                          else f"at the output of {node.name}")
                 raise NumericsError(f"backward: non-finite gradient {where}")
@@ -488,7 +490,7 @@ def _popped(g: np.ndarray, part: str) -> np.ndarray:
     the op it replays: started at +0.0 like `_accumulate` starts one, and
     checked finite, naming the part of the op it belongs to."""
     g += 0.0
-    if not np.isfinite(g).all():
+    if not np.logical_and.reduce(np.isfinite(g), axis=None):
         raise NumericsError(
             f"backward: non-finite gradient inside gated_message, at {part}")
     return g

@@ -197,25 +197,38 @@ def improvement_pct(baseline: float, method: float) -> float:
     return (baseline - method) / baseline * 100.0
 
 
+def _split(n: int, cfg: DownstreamConfig):
+    """split_indices with the training rows cut to cfg.label_fraction."""
+    train_idx, val_idx, test_idx = split_indices(n, cfg.seed)
+    keep = int(round(cfg.label_fraction * len(train_idx)))
+    if keep < 1:
+        raise ValidationError(
+            f"label_fraction {cfg.label_fraction} leaves no training samples")
+    return train_idx[:keep], val_idx, test_idx
+
+
 def train_supervised(structures, cfg: DownstreamConfig,
-                     table: ElementEmbeddingTable | None = None):
+                     table: ElementEmbeddingTable | None = None, *,
+                     graphs=None):
     """Train one model; returns (model, single-run EvalReport).
 
+    graphs, when given, are the structures' periodic graphs at cfg.cutoff,
+    in the same order, so several runs can share one build of them.
     Test MAE is reported at the best-validation epoch, not the last one.
     """
     structures = list(structures)
     for s in structures:
         if s.label is None:
             raise ValidationError(f"structure {s.id!r} has no label")
-    graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
+    if graphs is None:
+        graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
+    elif len(graphs) != len(structures) or any(g.cutoff != cfg.cutoff
+                                               for g in graphs):
+        raise ValidationError(f"graphs= needs one graph per structure, built "
+                              f"at cutoff {cfg.cutoff}")
     labels = np.array([s.label for s in structures])  # CrystalStructure made each a float
 
-    train_idx, val_idx, test_idx = split_indices(len(graphs), cfg.seed)
-    keep = int(round(cfg.label_fraction * len(train_idx)))
-    if keep < 1:
-        raise ValidationError(
-            f"label_fraction {cfg.label_fraction} leaves no training samples")
-    train_idx = train_idx[:keep]
+    train_idx, val_idx, test_idx = _split(len(graphs), cfg)
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed & (2**63 - 1), 11)))
     model = init_downstream_model(cfg, rng, table)
@@ -259,21 +272,30 @@ def label_fraction_sweep(structures, cfg: DownstreamConfig,
     """Both modes x all fractions x n_runs paired seeds.
 
     Within one (fraction, run) cell both modes share a split seed, so their
-    MAEs are directly comparable.
+    MAEs are directly comparable. Every run's config and split is checked,
+    and every structure's graph built once, before the first run trains.
     """
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
     if not fractions:
         raise ValidationError("fractions must name at least one label fraction")
-    records, rows = [], []
+    structures = list(structures)
     seeds = [base_seed + run for run in range(n_runs)]  # shared by both modes
+    runs = {(fraction, mode): [replace(cfg, mode=mode, label_fraction=fraction,
+                                       seed=seed) for seed in seeds]
+            for fraction in fractions for mode in MODES}
+    for run_cfgs in runs.values():
+        for run_cfg in run_cfgs:
+            _split(len(structures), run_cfg)
+    graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
+    records, rows = [], []
     for fraction in fractions:
         maes = {mode: [] for mode in MODES}
         for mode in MODES:
-            for seed in seeds:
-                run_cfg = replace(cfg, mode=mode, label_fraction=fraction, seed=seed)
+            for run_cfg in runs[fraction, mode]:
                 _, rep = train_supervised(structures, run_cfg,
-                                          table if mode == "pretrained" else None)
+                                          table if mode == "pretrained" else None,
+                                          graphs=graphs)
                 maes[mode].append(rep.maes[0])
         base_maes, pre_maes = maes["baseline"], maes["pretrained"]
         baseline_rep = summarize_runs(cfg.dim, fraction, "baseline", seeds, base_maes)

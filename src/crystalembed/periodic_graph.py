@@ -40,6 +40,10 @@ class PeriodicGraph:
     cutoff: float
     _groups: tuple | None = field(default=None, init=False, repr=False,
                                   compare=False)
+    # int8 multiplicity class of every pair i <= j, np.triu_indices order;
+    # filled and kept by training.pair_targets
+    _pair_classes: np.ndarray | None = field(default=None, init=False,
+                                             repr=False, compare=False)
 
     def __post_init__(self):
         self.atomic_numbers = np.asarray(self.atomic_numbers, dtype=np.int64)
@@ -186,6 +190,7 @@ def batch_graphs(graphs, edge_masks=None) -> GraphBatch:
         directions=stack("directions"),
         cutoff=max(g.cutoff for g in graphs),
         _groups=None,
+        _pair_classes=None,
     )
     segments = np.repeat(np.arange(len(graphs), dtype=np.int64), sizes)
     return GraphBatch(union, node_offsets, segments)

@@ -15,7 +15,7 @@ keeps the weight it would have on its own, whatever its size:
 - L_node is each view's mean NLL over its scored nodes, averaged over views;
 - L_adj is each view's class-weighted pair CE, averaged over views; pairs
   are (i, j), i <= j, within one view, and their classes come from that
-  graph's own N x N targets;
+  graph's own targets, kept on the graph once made (`pair_targets`);
 - the projector pools each view by a per-segment mean, so InfoNCE sees 2B
   rows laid out as paired_batch_partners expects.
 """
@@ -96,6 +96,27 @@ class PretrainConfig:
     from_dict = classmethod(from_dict)
 
 
+def pair_targets(g) -> np.ndarray:
+    """The multiplicity class of every pair (i, j), i <= j, of g in
+    np.triu_indices order, as int8; computed once per graph and kept on it
+    (the graph's edges must not change after construction)."""
+    if g._pair_classes is None:
+        classes = multiplicity_targets(g).classes
+        g._pair_classes = classes[np.triu_indices(g.num_nodes)].astype(np.int8)
+    return g._pair_classes
+
+
+def _view_pairs(batch) -> np.ndarray:
+    """(P, 2) union node pairs (i, j), i <= j, within each view, view by
+    view in np.triu_indices order: union node u pairs with u and every
+    later node of its view."""
+    u = np.arange(batch.graph.num_nodes)
+    count = batch.node_offsets[1:][batch.segments] - u
+    first = np.cumsum(count) - count
+    i = np.repeat(u, count)
+    return np.column_stack([i, np.repeat(u - first, count) + np.arange(len(i))])
+
+
 def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds):
     """Build the combined loss graph for one batch; returns tensors.
 
@@ -116,17 +137,11 @@ def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds)
     loss_node = node_nll(node_probs(h, model.node_decoder),
                          batch.graph.atomic_numbers, scope, batch.segments)
     # both views of a graph score its unordered pairs against its own targets
-    pairs, classes = [], []
-    for b, g in enumerate(graphs):
-        i, j = np.triu_indices(g.num_nodes)
-        ij, c = np.column_stack([i, j]), multiplicity_targets(g).classes[i, j]
-        pairs += [ij + lo for lo in batch.node_offsets[2 * b:2 * b + 2]]
-        classes += [c, c]
-    pairs = np.concatenate(pairs)
+    pairs = _view_pairs(batch)
+    classes = np.concatenate([c for g in graphs for c in (pair_targets(g),) * 2])
     loss_adj = adj_weighted_ce(
         adjacency_probs(h, model.adj_decoder, pairs, batch.segments),
-        np.concatenate(classes), model.adj_decoder.class_weights,
-        batch.segments[pairs[:, 0]])
+        classes, model.adj_decoder.class_weights, batch.segments[pairs[:, 0]])
     loss_nce = info_nce(
         project(h, model.projector, batch.segments),
         paired_batch_partners(len(graphs)),
@@ -160,7 +175,7 @@ def _epoch_seeds(seed: int, epoch: int, n: int):
 
 
 # the optimizer's scalars go in the checkpoint header; m and v are arrays
-ADAM_HEADER = tuple(f.name for f in fields(AdamState) if f.name not in ("m", "v"))
+ADAM_HEADER = tuple(f.name for f in fields(AdamState) if f.init)
 
 
 def model_arrays(model: ModelParams, opt: AdamState) -> dict:
@@ -195,7 +210,7 @@ def load_state(path):
     if wrong:
         raise ParseError(f"{path}: checkpoint adam header keys {sorted(wrong)} "
                          f"are missing or unknown")
-    opt = from_dict(AdamState, ck.adam)
+    opt = from_dict(AdamState, ck.adam).allocate(model.tensors())
     for name, tensor in model.named().items():
         for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
             if key not in ck.arrays:
@@ -206,8 +221,8 @@ def load_state(path):
                     f"expected {tensor.data.shape}"
                 )
         tensor.data = ck.arrays[name]
-        opt.m[name] = ck.arrays[f"adam.m.{name}"]
-        opt.v[name] = ck.arrays[f"adam.v.{name}"]
+        opt.m[name][...] = ck.arrays[f"adam.m.{name}"]
+        opt.v[name][...] = ck.arrays[f"adam.v.{name}"]
     for k, rec in enumerate(ck.history):
         if not (isinstance(rec, dict) and type(rec.get("epoch")) is int
                 and all(type(rec.get(key)) in (int, float)
@@ -260,6 +275,8 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
         start_epoch = 0
         history = []
         log_mode = "w"
+    for g in graphs:  # made before the first step, which reads them
+        pair_targets(g)
     # only once the resume state has loaded and matched: a failed resume
     # leaves no directory behind
     out_dir = Path(out_dir)

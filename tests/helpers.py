@@ -7,6 +7,7 @@ stays independent of the library code paths it checks.
 import math
 from collections import Counter
 from itertools import product
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -339,3 +340,30 @@ def grad_check(f, params, h: float = 1e-5, floor: float = 1e-2) -> float:
             denom = max(abs(ga_flat[k]), abs(numeric), floor)
             worst = max(worst, abs(ga_flat[k] - numeric) / denom)
     return worst
+
+
+def adam_state_by_parameter(params, lr):
+    """Adam's defaults with one pair of moment arrays per parameter, the
+    state adam_step_by_parameter updates."""
+    return SimpleNamespace(lr=lr, beta1=0.9, beta2=0.999, eps=1e-8, step=0,
+                           m={p.name: np.zeros_like(p.data) for p in params},
+                           v={p.name: np.zeros_like(p.data) for p in params})
+
+
+def adam_step_by_parameter(state, params):
+    """optim.adam_step run one parameter at a time on each parameter's own
+    moments, the layout before moments were bucketed: the bucketed update
+    must equal it bit for bit."""
+    state.step += 1
+    t = state.step
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for p in params:
+        g = p.grad if p.grad is not None else np.zeros_like(p.data)
+        m = state.m[p.name]
+        v = state.v[p.name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * g * g
+        p.data -= state.lr * (m / bc1) / (np.sqrt(v / bc2) + state.eps)

@@ -7,9 +7,9 @@ import pytest
 
 from crystalembed import autograd as ag
 from crystalembed.errors import NumericsError, ShapeError, ValidationError
-from crystalembed.optim import AdamState, adam_step
+from crystalembed.optim import BUCKET_VALUES, AdamState, adam_step
 
-from helpers import grad_check
+from helpers import adam_state_by_parameter, adam_step_by_parameter, grad_check
 
 
 def rand_param(rng, shape, name="p"):
@@ -225,6 +225,56 @@ class TestErrorsNameTheirSource:
         with np.errstate(over="ignore", divide="ignore"), pytest.raises(
                 NumericsError, match=r"non-finite gradient at the output of scale$"):
             loss.backward()
+
+
+class TestFinitenessGuard:
+    """Every finiteness check reads one reduction over the whole array: 0-d
+    and empty arrays pass when finite, and any NaN or +-inf anywhere fails
+    with the message naming its source."""
+
+    SHAPES = [(), (0,), (0, 3), (4,), (2, 3)]
+
+    @staticmethod
+    def _holding(shape, bad):
+        data = np.ones(shape)
+        if data.size:
+            data.flat[data.size // 2] = bad
+        return data
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_finite_and_empty_arrays_pass(self, shape):
+        w = ag.parameter(np.ones(shape), "w")
+        ag.sum_all(ag.mul(w, ag.constant(np.ones(shape)))).backward()
+        assert w.grad.shape == shape
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+    def test_tensor_values(self, shape, bad):
+        data = self._holding(shape, bad)
+        with pytest.raises(NumericsError, match=r"^w: non-finite values$"):
+            ag.parameter(data, "w")
+        with pytest.raises(NumericsError, match=r"^tensor: non-finite values$"):
+            ag.constant(data)
+        x = ag.parameter(np.ones(shape), "x")
+        with pytest.raises(NumericsError, match=r"^op: non-finite output$"):
+            ag.Tensor(data, (x,), lambda g: (g,), "op")
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("shape", [(), (4,), (2, 3)])
+    def test_backward_sweep(self, shape, bad):
+        def taped(leaf_rule, out_rule):
+            w = ag.parameter(np.ones(shape), "w")
+            mid = ag.Tensor(np.ones(shape), (w,), leaf_rule, "mid")
+            return ag.Tensor(np.array(1.0), (mid,), out_rule, "out")
+
+        ones = lambda g: (np.ones(shape),)  # noqa: E731
+        spoilt = lambda g: (self._holding(shape, bad),)  # noqa: E731
+        with pytest.raises(NumericsError, match=r"^backward: non-finite "
+                           r"gradient for parameter 'w'$"):
+            taped(spoilt, ones).backward()
+        with pytest.raises(NumericsError, match=r"^backward: non-finite "
+                           r"gradient at the output of mid$"):
+            taped(ones, spoilt).backward()
 
 
 class TestBackwardConsumesTheTape:
@@ -627,6 +677,53 @@ class TestAdam:
         p.grad = np.zeros(4)
         with pytest.raises(ShapeError):
             adam_step(state, [p])
+
+    @pytest.mark.parametrize("dim", [16, 64])
+    def test_buckets_equal_the_per_parameter_update(self, dim):
+        rng = np.random.default_rng(dim)
+        # a 0-d parameter, one that straddles a bucket edge, one whose
+        # gradient is never set, and the shapes of an encoder layer
+        shapes = [(), (BUCKET_VALUES // dim + 3, dim), (7,), (2 * dim + 2, dim),
+                  (dim,), (dim, dim)]
+        params = [ag.parameter(rng.normal(size=s), f"p{k}")
+                  for k, s in enumerate(shapes)]
+        twins = [ag.parameter(p.data, p.name) for p in params]
+        state = AdamState.for_params(params, lr=0.05)
+        oracle = adam_state_by_parameter(twins, lr=0.05)
+        sizes = np.array([p.data.size for p in params])
+        ends = np.cumsum(sizes)
+        edges = np.arange(BUCKET_VALUES, ends[-1], BUCKET_VALUES)
+        assert ((ends[:, None] - sizes[:, None] < edges)
+                & (edges < ends[:, None])).any()
+        for _ in range(5):
+            for k, (p, q) in enumerate(zip(params, twins)):
+                p.grad = None if k == 2 else rng.normal(size=p.data.shape)
+                q.grad = None if p.grad is None else p.grad.copy()
+            adam_step(state, params)
+            adam_step_by_parameter(oracle, twins)
+            for p, q in zip(params, twins):
+                assert np.array_equal(p.data, q.data), p.name
+                assert np.array_equal(state.m[p.name], oracle.m[p.name])
+                assert np.array_equal(state.v[p.name], oracle.v[p.name])
+        assert state.step == oracle.step == 5
+
+    def test_shape_mismatch_names_the_parameter(self):
+        params = [ag.parameter(np.zeros((2, 3)), "a"),
+                  ag.parameter(np.zeros(3), "b")]
+        state = AdamState.for_params(params)
+        params[1].grad = np.zeros(4)
+        with pytest.raises(ShapeError, match=r"gradient shape \(4,\) != param "
+                           r"shape \(3,\) for 'b'"):
+            adam_step(state, params)
+        assert np.array_equal(params[0].data, np.zeros((2, 3)))
+
+    def test_parameters_must_be_those_of_the_state(self):
+        a, b = ag.parameter(np.zeros(2), "a"), ag.parameter(np.zeros(2), "b")
+        state = AdamState.for_params([a])
+        with pytest.raises(ValidationError, match="2 parameters"):
+            adam_step(state, [a, b])
+        with pytest.raises(ValidationError, match="no moments for 'b'"):
+            adam_step(state, [b])
 
 
 def _ufunc_scatter(shape, index, values):

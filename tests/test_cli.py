@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from crystalembed import cli
+from crystalembed import cli, downstream
 from crystalembed.cli import build_parser, main
 from crystalembed.downstream import DownstreamConfig, validate_report
 from crystalembed.embeddings import load_table, save_table_csv
@@ -426,6 +426,23 @@ def test_sweep_run_counting_and_outputs(tmp_path, lab_jsonl, capsys):
     assert "Improv.%" in table_text
     assert "Improv.%" in capsys.readouterr().out
     assert (out / "sweep_config.json").exists()
+
+
+def test_sweep_with_a_nan_fraction_exits_2_before_any_run(tmp_path, lab_jsonl,
+                                                          capsys, monkeypatch):
+    runs = []
+    monkeypatch.setattr(downstream, "train_supervised",
+                        lambda *args, **kwargs: runs.append(args))
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=range(1, 119)), table_path)
+    out = tmp_path / "sw"
+    code = main(["sweep", "--data", str(lab_jsonl), "--table", str(table_path),
+                 "--out", str(out), "--fractions", "1,nan", "--runs", "1",
+                 *FAST_DOWNSTREAM])
+    assert code == 2
+    assert runs == []
+    assert "error:" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # -- config schema ----------------------------------------------------------

@@ -1,9 +1,12 @@
 """Supervised harness: featurizers, splits, training, sweep report."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
+from crystalembed import downstream
 from crystalembed.downstream import (
     DownstreamConfig,
     _batch_mae,
@@ -369,6 +372,50 @@ def test_sweep_rejects_an_empty_fraction_list(labeled):
     with pytest.raises(ValidationError, match="fraction"):
         label_fraction_sweep(labeled, DownstreamConfig(**FAST),
                              full_table(dim=8), fractions=())
+
+
+def test_sweep_builds_each_structure_once(labeled, monkeypatch):
+    built = []
+
+    def counted(s, cutoff):
+        built.append(s.id)
+        return build_periodic_graph(s, cutoff)
+
+    monkeypatch.setattr(downstream, "build_periodic_graph", counted)
+    label_fraction_sweep(labeled, DownstreamConfig(**FAST), full_table(dim=8),
+                         fractions=(1.0, 0.5), n_runs=2)
+    assert sorted(built) == sorted(s.id for s in labeled)
+
+
+@pytest.mark.parametrize("mode", ["baseline", "pretrained"])
+def test_run_on_given_graphs_equals_run_on_structures(labeled, mode):
+    cfg = DownstreamConfig(mode=mode, label_fraction=0.5, seed=2, **FAST)
+    graphs = [build_periodic_graph(s, cfg.cutoff) for s in labeled]
+    table = full_table(dim=8)
+    _, want = train_supervised(labeled, cfg, table)
+    _, got = train_supervised(labeled, cfg, table, graphs=graphs)
+    assert got.to_dict() == want.to_dict()
+
+
+def test_given_graphs_must_match_the_structures(labeled):
+    cfg = DownstreamConfig(**FAST)
+    graphs = [build_periodic_graph(s, 4.0) for s in labeled]
+    with pytest.raises(ValidationError, match="cutoff 5.0"):
+        train_supervised(labeled, cfg, graphs=graphs)
+    with pytest.raises(ValidationError, match="one graph per structure"):
+        train_supervised(labeled, replace(cfg, cutoff=4.0), graphs=graphs[1:])
+
+
+@pytest.mark.parametrize("fractions", [(1.0, float("nan")), (1.0, 1e-9)])
+def test_sweep_checks_every_run_before_training_any(labeled, monkeypatch,
+                                                    fractions):
+    runs = []
+    monkeypatch.setattr(downstream, "train_supervised",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(ValidationError):
+        label_fraction_sweep(labeled, DownstreamConfig(**FAST),
+                             full_table(dim=8), fractions=fractions, n_runs=2)
+    assert runs == []
 
 
 def test_render_table_layout():

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import tracemalloc
 
@@ -6,7 +7,7 @@ import pytest
 
 from crystalembed import autograd as ag
 from crystalembed import training
-from crystalembed.augmentation import two_views
+from crystalembed.augmentation import batch_views, two_views
 from crystalembed.checkpoint import load_checkpoint
 from crystalembed.contrastive import info_nce, paired_batch_partners, project
 from crystalembed.decoders import (
@@ -437,6 +438,78 @@ class TestPretrain:
         cfg = fast_cfg(epochs=1, batch_size=2)
         res = pretrain(graphs[:5], cfg, tmp_path / "run")
         assert res.opt.step == 2
+
+
+class TestPairTargetsOncePerGraph:
+    @pytest.fixture(scope="class")
+    def mixed(self):
+        cells = make_pretraining_structures(3, seed=4)
+        return [cells[0], supercell(cells[1], 2), supercell(cells[2], 3)]
+
+    def test_upper_triangle_of_the_targets_kept_as_int8(self, mixed):
+        for s in mixed:
+            g = build_periodic_graph(s, 5.0)
+            n = g.num_nodes
+            got = training.pair_targets(g)
+            assert got.dtype == np.int8 and got.shape == (n * (n + 1) // 2,)
+            want = multiplicity_targets(g).classes[np.triu_indices(n)]
+            assert np.array_equal(got, want)
+            assert training.pair_targets(g) is got
+
+    def test_batch_pairs_are_each_views_upper_triangle(self, mixed):
+        graphs = [build_periodic_graph(s, 5.0) for s in mixed]
+        batch = batch_views([v for k, g in enumerate(graphs)
+                             for v in two_views(g, 0.3, 0.2, k)])
+        want = np.concatenate([
+            np.column_stack(np.triu_indices(hi - lo)) + lo
+            for lo, hi in zip(batch.node_offsets[:-1], batch.node_offsets[1:])])
+        got = training._view_pairs(batch)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    def test_targets_made_once_per_graph_across_epochs(self, tmp_path,
+                                                       monkeypatch):
+        graphs = [build_periodic_graph(s, 5.0)
+                  for s in make_pretraining_structures(8, seed=1)]
+        made = []
+
+        def counted(g):
+            made.append(id(g))
+            return multiplicity_targets(g)
+
+        monkeypatch.setattr(training, "multiplicity_targets", counted)
+        pretrain(graphs, fast_cfg(epochs=3), tmp_path / "run")
+        assert sorted(made) == sorted(id(g) for g in graphs)
+        pretrain(graphs, fast_cfg(epochs=2), tmp_path / "again")
+        assert len(made) == len(graphs)
+
+    def test_cached_targets_hold_one_byte_per_pair(self):
+        # a 6x6x6 supercell: N=432, 93,528 pairs i <= j
+        g = build_periodic_graph(
+            supercell(make_pretraining_structures(2, seed=3)[0], 6), 5.0)
+        assert g.num_nodes == 432
+        arrays = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+        tracemalloc.start()
+        try:
+            training.pair_targets(g)
+            snapshot = tracemalloc.take_snapshot().filter_traces(arrays)
+        finally:
+            tracemalloc.stop()
+        held = sum(stat.size for stat in snapshot.statistics("filename"))
+        assert held <= 93_528, held
+
+    def test_pretrain_and_resume_keep_checkpoint_bytes(self, tmp_path):
+        # SHA-256 of the checkpoints the per-parameter Adam and per-step pair
+        # targets wrote; buckets and kept targets must not move a byte
+        graphs = [build_periodic_graph(s, 5.0)
+                  for s in make_pretraining_structures(8, seed=1)]
+        part = pretrain(graphs, fast_cfg(epochs=2), tmp_path / "part")
+        resumed = pretrain(graphs, fast_cfg(epochs=4), tmp_path / "resumed",
+                           resume_from=part.final_path)
+        digest = {path: hashlib.sha256(open(path, "rb").read()).hexdigest()
+                  for path in (part.final_path, resumed.final_path)}
+        assert list(digest.values()) == [
+            "8d3994799ac8ec514467fdfbfe78d87d48c695d80e102bc651477eabf1a9c449",
+            "d4137524f2dbbc82432930ab6462301e21830db76fcd4838329a3d100b2d5537"]
 
 
 class TestSaveLoadState:
