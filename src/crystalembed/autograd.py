@@ -520,9 +520,16 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
     pre-activation from column blocks of p_dst and p_src gathered to the
     edges and of feats @ W_e, added in the forward's order, recomputes its
     activations and replays the lifted composition's rules in an order its
-    sweep could run them. Both halves' pre-activation gradients are then
-    scattered to node rows before the weight products. A non-finite
-    gradient inside the layer names the part it appeared at.
+    sweep could run them. Each half's pre-activation gradient is scattered
+    to node rows, and its feats product formed, as soon as it is made; it
+    is kept only while feats needs a gradient. A non-finite gradient inside
+    the layer names the part it appeared at.
+
+    Each edge array is dropped after its last read. Besides the kept arrays
+    and node rows, the forward holds at most three (E, 2d) arrays at once
+    (an add's inputs and output; silu's x, e^-|x| and s), and the rule at
+    most four (E, d) arrays besides msg and gate, five when feats needs a
+    gradient.
     """
     w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
     src = np.asarray(src, dtype=np.int64)
@@ -531,10 +538,12 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
     with no_grad():
         w1 = concat([w1m, w1g], axis=1).data  # (2d + r, 2d): message | gate, kept
         p_dst = add(matmul(h, Tensor(w1[:d])), concat([b1m, b1g]))
-        a = row_gather(p_dst, dst)
         p_src = matmul(h, Tensor(w1[d:2 * d]))
-        a = add(add(a, row_gather(p_src, src)), matmul(feats, Tensor(w1[2 * d:])))
+        # each (E, 2d) array is dropped after its last read
+        a = add(row_gather(p_dst, dst), row_gather(p_src, src))
+        a = add(a, matmul(feats, Tensor(w1[2 * d:])))
         hidden = silu(a).data
+        del a
         msg = add(matmul(Tensor(hidden[:, :d]), w2m), b2m)
         gate = sigmoid(add(matmul(Tensor(hidden[:, d:]), w2g), b2g))
         out = add(h, row_scatter_add(mul(msg, gate), dst, n))
@@ -545,7 +554,10 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
         array (feats' is None when feats is off the tape)."""
         g_h = g + 0.0  # the residual add's copy for h; the scatter's is equal
         halves = (slice(0, d), slice(d, 2 * d))
-        g_a, g_w2, g_b2 = [], [], []  # per MLP half: message, gate
+        # per MLP half (message, gate): the pre-activation gradient scattered
+        # to dst and src node rows, its feats product, and the half itself
+        # only where g_feats needs it
+        g_dst, g_src, g_we, g_a, g_w2, g_b2 = [], [], [], [], [], []
         for cols, w1_half, w2, which in zip(halves, (w1m, w1g), (w2m, w2g),
                                             ("message", "gate")):
             # the half's pre-activation a, rebuilt as the forward added it,
@@ -568,18 +580,21 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
             a += s
             del s
             a *= _popped(g_out @ w2.data.T, f"the {which} MLP's hidden layer")
-            g_a.append(_popped(a, f"the {which} MLP's pre-activation"))
             del g_out
-        # the gathers' rules: the pre-activations' gradient on node rows
-        g_dst = _popped(np.concatenate([_scatter_rows(dst, b, n) for b in g_a], axis=1),
-                        "the node rows h @ W_dst + b1")
-        g_src = _popped(np.concatenate([_scatter_rows(src, b, n) for b in g_a], axis=1),
-                        "the node rows h @ W_src")
+            _popped(a, f"the {which} MLP's pre-activation")
+            # the gathers' rules, then the feats block of the weight product
+            g_dst.append(_scatter_rows(dst, a, n))
+            g_src.append(_scatter_rows(src, a, n))
+            g_we.append(feats.data.T @ a)
+            if feats.requires_grad:
+                g_a.append(a)
+            del a
+        g_dst = _popped(np.concatenate(g_dst, axis=1), "the node rows h @ W_dst + b1")
+        g_src = _popped(np.concatenate(g_src, axis=1), "the node rows h @ W_src")
         g_b1, g_hw = g_dst.sum(axis=0), (h.data.T @ g_dst, h.data.T @ g_src)
-        g_w1 = [np.concatenate([g_hw[0][:, c], g_hw[1][:, c], feats.data.T @ b])
-                for b, c in zip(g_a, halves)]
-        g_feats = (np.concatenate(g_a, axis=1) @ w1[2 * d:].T if feats.requires_grad
-                   else None)
+        g_w1 = [np.concatenate([g_hw[0][:, c], g_hw[1][:, c], we])
+                for we, c in zip(g_we, halves)]
+        g_feats = np.concatenate(g_a, axis=1) @ w1[2 * d:].T if g_a else None
         del g_a
         g_h += g_dst @ w1[:d].T
         g_h += g_src @ w1[d:2 * d].T

@@ -3,13 +3,17 @@
 Layout: one JSON header line (format tag, config snapshot, epoch, loss
 history, optimizer scalars, array directory), then the raw bytes of every
 array as little-endian float64 in directory order. Everything that goes in
-is float64, so a round trip is bitwise exact.
+is float64, so a round trip is bitwise exact. A save checks every array
+before it writes, into a sibling `<name>.partial` file that then replaces
+the file at the path, so a refused or interrupted save leaves that file as
+it was.
 """
 
 from dataclasses import dataclass, fields
 from pathlib import Path
 import json
 import math
+import os
 
 import numpy as np
 
@@ -49,18 +53,24 @@ def save_checkpoint(
             for name, arr in arrays.items()
         ],
     }
+    # NumPy arrays and scalars in the header become lists and numbers
+    head = json.dumps(header, sort_keys=True,
+                      default=lambda obj: obj.tolist()).encode("utf-8")
+    for arr in arrays.values():
+        if not np.all(np.isfinite(np.asarray(arr, dtype=np.float64))):
+            raise ValidationError("refusing to checkpoint non-finite values")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "wb") as fh:
-        # NumPy arrays and scalars in the header become lists and numbers
-        fh.write(json.dumps(header, sort_keys=True,
-                            default=lambda obj: obj.tolist()).encode("utf-8"))
-        fh.write(b"\n")
-        for arr in arrays.values():
-            a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-            if not np.all(np.isfinite(a)):
-                raise ValidationError("refusing to checkpoint non-finite values")
-            fh.write(a.astype("<f8").tobytes())
+    partial = path.with_name(path.name + ".partial")
+    try:
+        with open(partial, "wb") as fh:
+            fh.write(head + b"\n")
+            for arr in arrays.values():
+                fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        os.replace(partial, path)
+    except BaseException:  # an interrupt too: the file at path stays whole
+        partial.unlink(missing_ok=True)
+        raise
 
 
 def load_checkpoint(path) -> CheckpointData:

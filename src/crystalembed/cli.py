@@ -9,7 +9,9 @@ input but --out and --config, and the merged config. Any run is
 reproducible from that file, and a failed run leaves none behind.
 
 Exit codes: 0 success, 1 per-file ingest failures, 2 validation, parse or
-featurization errors and allocations that cannot be made, 3 numeric failures.
+featurization errors and allocations that cannot be made, 3 numeric failures,
+4 any other exception: a bug, which `entry` reports with its traceback
+(`main` lets it propagate).
 """
 
 import argparse
@@ -17,6 +19,7 @@ from dataclasses import fields
 import functools
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import numpy as np
@@ -38,6 +41,7 @@ EXIT_OK = 0
 EXIT_INGEST = 1
 EXIT_VALIDATION = 2
 EXIT_NUMERICS = 3
+EXIT_INTERNAL = 4
 
 
 def _float_list(text: str):
@@ -308,7 +312,14 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    """The console script: main's exit code, or EXIT_INTERNAL after printing
+    the traceback of an exception main does not map to a code."""
+    try:
+        code = main()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_INTERNAL
+    sys.exit(code)
 
 
 if __name__ == "__main__":

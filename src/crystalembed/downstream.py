@@ -59,6 +59,29 @@ class DownstreamConfig:
     from_dict = classmethod(from_dict)
 
 
+def _require_elements(present: np.ndarray, atomic_numbers) -> None:
+    """Raise FeaturizationError naming every element of atomic_numbers
+    whose table row is absent."""
+    numbers = np.asarray(atomic_numbers, dtype=np.int64)
+    missing = sorted(set(numbers[~present[numbers - 1]].tolist()))
+    if missing:
+        names = ", ".join(f"{z_to_symbol(z)} (Z={z})" for z in missing)
+        raise FeaturizationError(f"elements absent from embedding table: {names}")
+
+
+def _check_table(table: ElementEmbeddingTable | None, dim: int,
+                 atomic_numbers=()) -> None:
+    """Check that a pretrained-mode table exists, has width dim and holds a
+    row for every element of atomic_numbers: ValidationError for the first
+    two, FeaturizationError naming the missing elements."""
+    if table is None:
+        raise ValidationError("pretrained mode requires an embedding table")
+    if table.dim != dim:
+        raise ValidationError(
+            f"embedding table dim {table.dim} != configured dim {dim}")
+    _require_elements(table.present, atomic_numbers)
+
+
 def make_atom_featurizer(cfg: DownstreamConfig, rng: np.random.Generator,
                          table: ElementEmbeddingTable | None = None):
     """Initial-feature function plus its trainable tensors.
@@ -76,11 +99,7 @@ def make_atom_featurizer(cfg: DownstreamConfig, rng: np.random.Generator,
 
         return featurize, [lookup]
 
-    if table is None:
-        raise ValidationError("pretrained mode requires an embedding table")
-    if table.dim != cfg.dim:
-        raise ValidationError(
-            f"embedding table dim {table.dim} != configured dim {cfg.dim}")
+    _check_table(table, cfg.dim)
     adapter_w = ag.parameter(
         np.eye(cfg.dim) + cfg.adapter_noise * rng.normal(size=(cfg.dim, cfg.dim)),
         "downstream.adapter_w")
@@ -89,12 +108,7 @@ def make_atom_featurizer(cfg: DownstreamConfig, rng: np.random.Generator,
     present = table.present.copy()
 
     def featurize(graph: PeriodicGraph) -> Tensor:
-        missing = sorted(set(
-            int(z) for z in graph.atomic_numbers if not present[z - 1]))
-        if missing:
-            names = ", ".join(f"{z_to_symbol(z)} (Z={z})" for z in missing)
-            raise FeaturizationError(
-                f"elements absent from embedding table: {names}")
+        _require_elements(present, graph.atomic_numbers)
         rows = ag.constant(frozen[graph.atomic_numbers - 1])
         return ag.add(ag.matmul(rows, adapter_w), adapter_b)
 
@@ -272,8 +286,9 @@ def label_fraction_sweep(structures, cfg: DownstreamConfig,
     """Both modes x all fractions x n_runs paired seeds.
 
     Within one (fraction, run) cell both modes share a split seed, so their
-    MAEs are directly comparable. Every run's config and split is checked,
-    and every structure's graph built once, before the first run trains.
+    MAEs are directly comparable. Every run's config and split, and the
+    table against cfg.dim and the data's elements, are checked, and every
+    structure's graph built once, before the first run trains.
     """
     if n_runs < 1:
         raise ValidationError("n_runs must be >= 1")
@@ -287,6 +302,8 @@ def label_fraction_sweep(structures, cfg: DownstreamConfig,
     for run_cfgs in runs.values():
         for run_cfg in run_cfgs:
             _split(len(structures), run_cfg)
+    _check_table(table, cfg.dim,
+                np.concatenate([s.atomic_numbers for s in structures]))
     graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
     records, rows = [], []
     for fraction in fractions:

@@ -445,6 +445,25 @@ def test_sweep_with_a_nan_fraction_exits_2_before_any_run(tmp_path, lab_jsonl,
     assert not out.exists()
 
 
+
+@pytest.mark.parametrize("present, dim", [((3,), "8"), (range(1, 119), "16")],
+                         ids=["missing-elements", "dim-mismatch"])
+def test_sweep_checks_its_table_before_any_run(tmp_path, lab_jsonl, capsys,
+                                               monkeypatch, present, dim):
+    runs = []
+    monkeypatch.setattr(downstream, "train_supervised",
+                        lambda *args, **kwargs: runs.append(args))
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=present), table_path)
+    out = tmp_path / "sw"
+    code = main(["sweep", "--data", str(lab_jsonl), "--table", str(table_path),
+                 "--out", str(out), "--runs", "1", *FAST_DOWNSTREAM,
+                 "--dim", dim])
+    assert code == 2
+    assert runs == []
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not out.exists()
+
 # -- config schema ----------------------------------------------------------
 
 # (option string, dest) of every flag, as the hand-written parser had them
@@ -874,3 +893,34 @@ def test_allocation_failure_exits_2_without_effective_config(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and shown in err and err.count("\n") == 1
     assert not (out / "pretrain_config.json").exists()
+
+
+def test_uncaught_exception_exits_4_with_its_traceback(tmp_path, pre_jsonl,
+                                                       capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("a bug")
+
+    monkeypatch.setattr(cli, "pretrain", broken)
+    out = tmp_path / "out"
+    argv = ["pretrain", "--data", str(pre_jsonl), "--out", str(out),
+            *FAST_PRETRAIN]
+    with pytest.raises(RuntimeError):  # main lets it through
+        main(argv)
+    capsys.readouterr()
+    monkeypatch.setattr("sys.argv", ["crystalembed", *argv])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == cli.EXIT_INTERNAL == 4
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback (most recent call last):")
+    assert err.rstrip().endswith("RuntimeError: a bug")
+    assert not (out / "pretrain_config.json").exists()
+
+
+def test_entry_exits_with_the_code_main_returns(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["crystalembed", "pretrain", "--data",
+                                     str(tmp_path / "absent.jsonl"), "--out",
+                                     str(tmp_path / "out")])
+    with pytest.raises(SystemExit) as exited:
+        cli.entry()
+    assert exited.value.code == 2

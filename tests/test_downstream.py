@@ -21,6 +21,7 @@ from crystalembed.downstream import (
     train_supervised,
     validate_report,
 )
+from crystalembed.elements import z_to_symbol
 from crystalembed.embeddings import ElementEmbeddingTable
 from crystalembed.errors import FeaturizationError, ValidationError
 from crystalembed.optim import AdamState, adam_step
@@ -417,6 +418,32 @@ def test_sweep_checks_every_run_before_training_any(labeled, monkeypatch,
                              full_table(dim=8), fractions=fractions, n_runs=2)
     assert runs == []
 
+
+
+@pytest.mark.parametrize("table, dim, error, message", [
+    (small_table(dim=8, present=(3,)), 8, FeaturizationError,
+     "elements absent from embedding table: "),
+    (small_table(dim=8, present=range(1, 119)), 16, ValidationError,
+     "embedding table dim 8 != configured dim 16"),
+], ids=["missing-elements", "dim-mismatch"])
+def test_sweep_checks_its_table_before_any_run(labeled, monkeypatch, table,
+                                               dim, error, message):
+    runs = []
+    monkeypatch.setattr(downstream, "train_supervised",
+                        lambda *args, **kwargs: runs.append(args))
+    with pytest.raises(error, match=message):
+        label_fraction_sweep(labeled, DownstreamConfig(**{**FAST, "dim": dim}),
+                             table, fractions=(1.0, 0.5), n_runs=2)
+    assert runs == []
+
+
+def test_sweep_table_check_names_every_missing_element(labeled):
+    present = sorted({int(z) for s in labeled for z in s.atomic_numbers})
+    table = small_table(dim=8, present=present[1:-1])
+    with pytest.raises(FeaturizationError) as err:
+        label_fraction_sweep(labeled, DownstreamConfig(**FAST), table, n_runs=1)
+    names = str(err.value).split(": ", 1)[1].split(", ")
+    assert names == [f"{z_to_symbol(z)} (Z={z})" for z in (present[0], present[-1])]
 
 def test_render_table_layout():
     record = summarize_runs(8, 1.0, "baseline", [0, 1], [0.3, 0.4]).to_dict()

@@ -8,7 +8,8 @@ import pytest
 from crystalembed import autograd as ag
 from crystalembed import training
 from crystalembed.augmentation import batch_views, two_views
-from crystalembed.checkpoint import load_checkpoint
+from crystalembed import checkpoint
+from crystalembed.checkpoint import load_checkpoint, save_checkpoint
 from crystalembed.contrastive import info_nce, paired_batch_partners, project
 from crystalembed.decoders import (
     adj_weighted_ce,
@@ -20,7 +21,8 @@ from crystalembed.encoder import encode_graph
 from crystalembed.errors import ParseError, ValidationError
 from crystalembed.model import init_model_params
 from crystalembed.optim import AdamState
-from crystalembed.periodic_graph import build_periodic_graph, multiplicity_targets
+from crystalembed.periodic_graph import (batch_graphs, build_periodic_graph,
+                                         multiplicity_targets)
 from crystalembed.synthetic import make_pretraining_structures
 from crystalembed.training import (
     EXTRACT_UNION_EDGES,
@@ -142,6 +144,32 @@ class TestPretrainStep:
         held, _, _ = large_cell_step_memory(after_forward=True)
         assert held < 34e6, held
 
+    def test_step_peak_is_the_layer_floor(self):
+        # each edge array is dropped after its last read and each MLP half's
+        # gradient scattered as soon as it is made: a 32.4 MB peak, against
+        # 36.0 MB when the forward held four (E, 2d) arrays at once
+        _, peak, _ = large_cell_step_memory()
+        assert peak < 34e6, peak
+
+    def test_forward_layer_holds_at_most_three_edge_arrays(self):
+        # a forward-only encode of the pair's batch peaks at 3.48 (E, 2d)
+        # arrays: three, and the smaller arrays held alongside them (the
+        # (E, r) edge features, silu's sign mask, the node rows); 4.47 when
+        # a layer's first gather outlived its adds
+        cfg, graphs = large_cell_pair()
+        model = fast_model(cfg)
+        batch = batch_graphs(graphs)
+        edge_array = batch.graph.num_edges * 2 * cfg.dim * 8
+        with ag.no_grad():
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                encode_graph(model.encoder, batch.graph)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak - before < 3.75 * edge_array, (peak - before) / edge_array
+
     def test_batch_of_one_rejected(self, graphs):
         cfg = fast_cfg()
         model = fast_model(cfg)
@@ -184,15 +212,22 @@ class TestPretrainStep:
         assert np.isfinite(losses["L_total"])
 
 
+def large_cell_pair():
+    """The dim-64 config and the two 4x4x4 supercells (N=128, 1,792 edges
+    each) that the large-cell memory tests run on."""
+    cfg = PretrainConfig(dim=64, num_layers=2, rbf_count=8, cutoff=5.0)
+    graphs = [build_periodic_graph(supercell(s, 4), 5.0)
+              for s in make_pretraining_structures(2, seed=3)]
+    assert [g.num_nodes for g in graphs] == [128, 128]
+    return cfg, graphs
+
+
 def large_cell_step_memory(after_forward=False):
     """tracemalloc's held bytes, read after the backward or, if after_forward,
     after pretrain_losses, and peak bytes over pretrain_losses plus backward
     on two 4x4x4 supercells (N=128, 1,792 edges each) at dim 64, and the
     model they ran on."""
-    cfg = PretrainConfig(dim=64, num_layers=2, rbf_count=8, cutoff=5.0)
-    graphs = [build_periodic_graph(supercell(s, 4), 5.0)
-              for s in make_pretraining_structures(2, seed=3)]
-    assert [g.num_nodes for g in graphs] == [128, 128]
+    cfg, graphs = large_cell_pair()
     model = fast_model(cfg)
     tracemalloc.start()
     try:
@@ -536,6 +571,37 @@ class TestSaveLoadState:
         save_state(path, model, opt, cfg, 1, [])
         ck = load_checkpoint(path)
         assert "encoder.atom_table" in ck.arrays
+
+    @staticmethod
+    def _saved(tmp_path):
+        """A checkpoint of two arrays at tmp_path / "s.ckpt", and its bytes."""
+        path = tmp_path / "s.ckpt"
+        save_checkpoint(path, {"a": np.arange(3.0), "b": np.ones((2, 2))},
+                        {}, 1, [], {})
+        return path, path.read_bytes()
+
+    def test_refused_save_keeps_the_previous_file(self, tmp_path):
+        path, before = self._saved(tmp_path)
+        with pytest.raises(ValidationError, match="non-finite"):
+            save_checkpoint(path, {"a": np.arange(3.0),
+                                   "b": np.array([[1.0, 2.0], [3.0, np.nan]])},
+                            {}, 2, [], {})
+        assert path.read_bytes() == before
+        assert np.array_equal(load_checkpoint(path).arrays["b"], np.ones((2, 2)))
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ckpt"]
+
+    def test_interrupted_save_keeps_the_previous_file(self, tmp_path,
+                                                      monkeypatch):
+        path, before = self._saved(tmp_path)
+
+        def interrupt(src, dst):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(checkpoint.os, "replace", interrupt)
+        with pytest.raises(KeyboardInterrupt):
+            save_checkpoint(path, {"a": np.zeros(3)}, {}, 2, [], {})
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["s.ckpt"]
 
     @staticmethod
     def _edited_header(tmp_path, edit):
