@@ -37,6 +37,7 @@ in an order the sweep could run them, from the kept arrays.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from dataclasses import fields
 import logging
 
 import numpy as np
@@ -166,6 +167,28 @@ def parameter(data, name: str) -> Tensor:
 def constant(data) -> Tensor:
     """A leaf that gets no gradient."""
     return Tensor(data)
+
+
+class ParameterGroup:
+    """Base of a dataclass that holds parameters.
+
+    `tensors()` lists its Tensor fields in field order and, depth first, the
+    tensors of every ParameterGroup held in a field or a list field. That
+    order is the checkpoint's array order and the layout of Adam's flat
+    buffers, so reordering fields changes both, and a Tensor added as a
+    field is trained, saved and restored without being listed anywhere.
+    """
+
+    def tensors(self) -> list[Tensor]:
+        out = []
+        for f in fields(self):
+            value = getattr(self, f.name)
+            for item in value if isinstance(value, list) else (value,):
+                if isinstance(item, Tensor):
+                    out.append(item)
+                elif isinstance(item, ParameterGroup):
+                    out.extend(item.tensors())
+        return out
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:

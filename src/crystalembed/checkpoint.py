@@ -30,7 +30,6 @@ class CheckpointData:
     history: list
     adam: dict
     arrays: dict  # name -> float64 ndarray, insertion order = file order
-    path: str = ""
 
 
 def save_checkpoint(
@@ -88,7 +87,7 @@ def load_checkpoint(path) -> CheckpointData:
     if header.get("version") != FORMAT_VERSION:
         raise ParseError(f"{path}: unsupported checkpoint version "
                          f"{header.get('version')}")
-    kinds = {f.name: f.type for f in fields(CheckpointData) if f.name != "path"}
+    kinds = {f.name: f.type for f in fields(CheckpointData)}
     kinds["arrays"] = list  # a directory in the header, a dict once loaded
     for key, kind in kinds.items():
         if key not in header:
@@ -121,5 +120,4 @@ def load_checkpoint(path) -> CheckpointData:
         history=header["history"],
         adam=header["adam"],
         arrays=arrays,
-        path=str(path),
     )

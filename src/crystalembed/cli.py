@@ -113,12 +113,10 @@ def cmd_ingest(args, cfg) -> int:
         key = str(g.num_nodes)
         site_hist[key] = site_hist.get(key, 0) + 1
         edge_counts.append(g.num_edges)
-        # classes is symmetric: the upper triangle counts each off-diagonal
-        # pair once, so add the diagonal to the full count and halve
+        # classes is symmetric: its upper triangle counts each pair once
         classes = multiplicity_targets(g).classes
-        mult_hist += (np.bincount(classes.ravel(), minlength=NUM_MULTIPLICITY_CLASSES)
-                      + np.bincount(classes.diagonal(),
-                                    minlength=NUM_MULTIPLICITY_CLASSES)) // 2
+        mult_hist += np.bincount(classes[np.triu_indices(g.num_nodes)],
+                                 minlength=NUM_MULTIPLICITY_CLASSES)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_jsonl(out_dir / "dataset.jsonl", structures)

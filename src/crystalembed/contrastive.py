@@ -11,16 +11,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import ParameterGroup, Tensor
 from .errors import ValidationError
 
 
 @dataclass
-class ProjectorParams:
-    w1: Tensor  # (d, d_h)
-    b1: Tensor  # (d_h,)
-    w2: Tensor  # (d_h, d_z)
-    b2: Tensor  # (d_z,)
+class ProjectorParams(ParameterGroup):
+    w1: Tensor  # (d, d)
+    b1: Tensor  # (d,)
+    w2: Tensor  # (d, d)
+    b2: Tensor  # (d,)
     temperature: float = 0.1
 
     def __post_init__(self):
@@ -35,26 +35,19 @@ class ProjectorParams:
         if not self.temperature > 0.0:
             raise ValidationError("temperature must be positive")
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w1, self.b1, self.w2, self.b2]
-
 
 def init_projector(
     rng: np.random.Generator,
     dim: int,
-    hidden: int | None = None,
-    out: int | None = None,
     temperature: float = 0.1,
 ) -> ProjectorParams:
-    hidden = dim if hidden is None else hidden
-    out = dim if out is None else out
     return ProjectorParams(
-        w1=ag.parameter(rng.normal(0.0, dim ** -0.5, size=(dim, hidden)),
+        w1=ag.parameter(rng.normal(0.0, dim ** -0.5, size=(dim, dim)),
                         "projector.w1"),
-        b1=ag.parameter(np.zeros(hidden), "projector.b1"),
-        w2=ag.parameter(rng.normal(0.0, hidden ** -0.5, size=(hidden, out)),
+        b1=ag.parameter(np.zeros(dim), "projector.b1"),
+        w2=ag.parameter(rng.normal(0.0, dim ** -0.5, size=(dim, dim)),
                         "projector.w2"),
-        b2=ag.parameter(np.zeros(out), "projector.b2"),
+        b2=ag.parameter(np.zeros(dim), "projector.b2"),
         temperature=temperature,
     )
 

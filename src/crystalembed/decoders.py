@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import ParameterGroup, Tensor
 from .elements import MAX_Z
 from .errors import ValidationError
 from .periodic_graph import NUM_MULTIPLICITY_CLASSES
@@ -24,7 +24,7 @@ DEFAULT_CLASS_WEIGHTS = (0.1, 1.0, 1.0, 1.0, 1.0, 1.0)
 
 
 @dataclass
-class NodeDecoderParams:
+class NodeDecoderParams(ParameterGroup):
     w: Tensor  # (118, d)
     b: Tensor  # (118,)
 
@@ -34,12 +34,9 @@ class NodeDecoderParams:
         if self.b.data.shape != (MAX_Z,):
             raise ValidationError(f"node decoder bias must have {MAX_Z} entries")
 
-    def tensors(self) -> list[Tensor]:
-        return [self.w, self.b]
-
 
 @dataclass
-class AdjDecoderParams:
+class AdjDecoderParams(ParameterGroup):
     w_b: Tensor  # (d, 6, d) bilinear form
     b_b: Tensor  # (6,)
     w_a: Tensor  # (6, 6) output mixing
@@ -64,9 +61,6 @@ class AdjDecoderParams:
                 "zero-multiplicity class must be weighted below every other class"
             )
         self.class_weights = cw
-
-    def tensors(self) -> list[Tensor]:
-        return [self.w_b, self.b_b, self.w_a, self.b_a]
 
 
 def init_node_decoder(rng: np.random.Generator, dim: int) -> NodeDecoderParams:

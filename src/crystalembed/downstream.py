@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import ParameterGroup, Tensor
 from .elements import MAX_Z, z_to_symbol
 from .embeddings import ElementEmbeddingTable
 from .encoder import apply_layers, init_layers
@@ -116,7 +116,7 @@ def make_atom_featurizer(cfg: DownstreamConfig, rng: np.random.Generator,
 
 
 @dataclass
-class DownstreamModel:
+class DownstreamModel(ParameterGroup):
     cfg: DownstreamConfig
     featurize: object
     feat_tensors: list
@@ -132,13 +132,6 @@ class DownstreamModel:
                          self.cfg.cutoff)
         pooled = ag.segment_mean(h, batch.segments, batch.num_graphs)
         return ag.add(ag.matmul(pooled, self.head_w), self.head_b)
-
-    def trainable(self) -> list:
-        out = list(self.feat_tensors)
-        for layer in self.layers:
-            out.extend(layer.tensors())
-        out.extend([self.head_w, self.head_b])
-        return out
 
 
 def init_downstream_model(cfg: DownstreamConfig, rng: np.random.Generator,
@@ -246,7 +239,7 @@ def train_supervised(structures, cfg: DownstreamConfig,
 
     rng = np.random.default_rng(np.random.SeedSequence((cfg.seed & (2**63 - 1), 11)))
     model = init_downstream_model(cfg, rng, table)
-    params = model.trainable()
+    params = model.tensors()
     opt = AdamState.for_params(params, lr=cfg.lr)
 
     # the evaluation sets do not change during a run: batch each once

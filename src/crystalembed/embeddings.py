@@ -51,11 +51,6 @@ class ElementEmbeddingTable:
     def present(self) -> np.ndarray:
         return self.counts > 0
 
-    def row(self, z: int) -> np.ndarray:
-        if not 1 <= z <= MAX_Z:
-            raise ValidationError(f"atomic number {z} outside 1..{MAX_Z}")
-        return self.vectors[z - 1]
-
 
 def table_from_sums(sums: np.ndarray, counts: np.ndarray) -> ElementEmbeddingTable:
     """Normalize per-element running sums into a table; absent rows stay zero."""

@@ -12,14 +12,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autograd as ag
-from .autograd import Tensor
+from .autograd import ParameterGroup, Tensor
 from .elements import MAX_Z
 from .errors import ValidationError
 from .periodic_graph import GraphBatch, PeriodicGraph
 
 
 @dataclass
-class LayerParams:
+class LayerParams(ParameterGroup):
     """One message-passing layer: a message MLP and a gate MLP.
 
     Both are two-layer SiLU MLPs over [h_i || h_j || e_ij]; the gate output
@@ -35,15 +35,9 @@ class LayerParams:
     gate_w2: Tensor
     gate_b2: Tensor
 
-    def tensors(self) -> list[Tensor]:
-        return [
-            self.msg_w1, self.msg_b1, self.msg_w2, self.msg_b2,
-            self.gate_w1, self.gate_b1, self.gate_w2, self.gate_b2,
-        ]
-
 
 @dataclass
-class EncoderParams:
+class EncoderParams(ParameterGroup):
     atom_table: Tensor  # (118, d)
     mask_vector: Tensor  # (d,)
     layers: list[LayerParams] = field(default_factory=list)
@@ -67,12 +61,6 @@ class EncoderParams:
     @property
     def num_layers(self) -> int:
         return len(self.layers)
-
-    def tensors(self) -> list[Tensor]:
-        out = [self.atom_table, self.mask_vector]
-        for layer in self.layers:
-            out.extend(layer.tensors())
-        return out
 
 
 def _mlp_pair(rng, in_dim: int, hidden: int, out_dim: int, prefix: str):

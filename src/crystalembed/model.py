@@ -4,7 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .autograd import Tensor
+from .autograd import ParameterGroup, Tensor
 from .contrastive import ProjectorParams, init_projector
 from .decoders import (
     DEFAULT_CLASS_WEIGHTS,
@@ -18,21 +18,13 @@ from .errors import ValidationError
 
 
 @dataclass
-class ModelParams:
+class ModelParams(ParameterGroup):
     """Encoder, both reconstruction heads, and the contrastive projector."""
 
     encoder: EncoderParams
     node_decoder: NodeDecoderParams
     adj_decoder: AdjDecoderParams
     projector: ProjectorParams
-
-    def tensors(self) -> list[Tensor]:
-        return (
-            self.encoder.tensors()
-            + self.node_decoder.tensors()
-            + self.adj_decoder.tensors()
-            + self.projector.tensors()
-        )
 
     def named(self) -> dict[str, Tensor]:
         """Name -> tensor in a stable order; names must be unique."""

@@ -80,13 +80,13 @@ class PeriodicGraph:
         norms = np.sqrt((x * x + y * y) + z * z)
         if np.any(np.abs(norms - 1.0) > DIRECTION_NORM_TOL):
             raise ValidationError("direction vectors must have unit norm")
-        ox, oy, oz = self.offsets.T
-        if np.any((self.src == self.dst) & (ox == 0) & (oy == 0) & (oz == 0)):
+        keys, mirrors = self._keys_and_mirrors()
+        if np.any(keys == mirrors):
             raise ValidationError("self edge with zero offset")
         # every unordered connection needs as many (i, j, o) halves as
         # (j, i, -o) halves
-        reverse = self._reverse_half()
-        num_groups, inverse = self._number_groups(reverse)
+        reverse = mirrors < keys
+        num_groups, inverse = self._number_groups(np.minimum(keys, mirrors))
         unbalanced = (np.bincount(inverse[reverse], minlength=num_groups)
                       != np.bincount(inverse[~reverse], minlength=num_groups))
         if unbalanced.any():
@@ -99,43 +99,45 @@ class PeriodicGraph:
     def num_edges(self) -> int:
         return len(self.src)
 
-    def _reverse_half(self) -> np.ndarray:
-        """True where (j, i, -o) sorts before the edge's own (i, j, o)."""
-        ox, oy, oz = self.offsets.T
-        first = np.where(ox != 0, ox, np.where(oy != 0, oy, oz))
-        return (self.dst < self.src) | ((self.dst == self.src) & (first > 0))
-
-    def _key_columns(self, reverse) -> list:
-        """The five int columns of every directed edge's unordered key, given
-        _reverse_half. The key of (i, j, o) is the lexicographic minimum of
-        (i, j, o) and (j, i, -o); the two halves of an unordered connection
-        share it."""
-        return ([np.where(reverse, self.dst, self.src),
-                 np.where(reverse, self.src, self.dst)]
-                + [np.where(reverse, -o, o) for o in self.offsets.T])
+    def _keys_and_mirrors(self) -> tuple[np.ndarray, np.ndarray]:
+        """_edge_keys of every directed edge (i, j, o) and of its mirror
+        (j, i, -o)."""
+        keys = _edge_keys(self.num_nodes, self.src, self.dst, self.offsets)
+        # _edge_keys has bounded the offsets, so negating them cannot wrap
+        return keys, _edge_keys(self.num_nodes, self.dst, self.src, -self.offsets)
 
     def edge_groups(self) -> tuple[int, np.ndarray]:
         """(number of unordered connections, connection id of every directed
-        edge), ids in sorted key order as np.unique numbers them. Computed
+        edge), ids in sorted key order as np.unique numbers them. The key of
+        a connection is the smaller of its two halves' edge keys. Computed
         once per graph and kept, so the edge arrays must not change after
         construction."""
         if self._groups is None:
-            self._number_groups(self._reverse_half())
+            self._number_groups(np.minimum(*self._keys_and_mirrors()))
         return self._groups
 
-    def _number_groups(self, reverse) -> tuple[int, np.ndarray]:
-        """edge_groups from _reverse_half, kept on the graph."""
-        keys = self._key_columns(reverse)
-        order = np.lexsort(keys[::-1])
-        starts = np.ones(len(order), dtype=bool)
-        starts[1:] = False
-        for key in keys:
-            ordered = key[order]
-            starts[1:] |= ordered[1:] != ordered[:-1]
-        inverse = np.empty(len(order), dtype=np.int64)
-        inverse[order] = np.cumsum(starts) - 1
-        self._groups = (int(starts.sum()), inverse)
+    def _number_groups(self, keys) -> tuple[int, np.ndarray]:
+        """edge_groups from every edge's connection key, kept on the graph."""
+        unique, inverse = np.unique(keys, return_inverse=True)
+        self._groups = (len(unique), inverse)
         return self._groups
+
+
+def _edge_keys(n: int, src, dst, offsets) -> np.ndarray:
+    """One int64 per directed edge that sorts as the tuple (i, j, o) does:
+    i, j and the offsets shifted by their largest magnitude m are the digits
+    of a mixed-radix number with radices n, n and 2m + 1."""
+    n = int(n)
+    m = max(int(offsets.max()), -int(offsets.min())) if len(offsets) else 0
+    w = 2 * m + 1
+    if n * n * w ** 3 >= 2 ** 63:
+        raise ValidationError(
+            f"edge offsets up to {m} in magnitude over {n} nodes do not fit "
+            f"one int64 edge key")
+    key = src * n + dst
+    for o in offsets.T:
+        key = key * w + (o + m)
+    return key
 
 
 @dataclass
@@ -274,15 +276,10 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     np.sqrt(dist, out=dist)
     del sq
     keep = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
-    i_idx, j_idx, pair = i_idx[keep], j_idx[keep], pair[keep]
-    # canonical edge order: lexicographic by (src, dst, offset). For one
-    # (i, j) the offset is (bin_i + shift - bin_j) / nb per axis, rising with
-    # the shift, and shifts are listed in lexicographic order, so one key per
-    # candidate, (i, j, shift index) flattened below n * MAX_SEARCH_PAIRS,
-    # sorts the same (any sort kind: keys are distinct; the stable one shares
-    # its code with the check's lexsort)
-    order = np.argsort((i_idx * n + j_idx) * num_shifts + pair % num_shifts,
-                       kind="stable")
+    i_idx, j_idx, offsets = i_idx[keep], j_idx[keep], images[pair[keep]]
+    # canonical edge order: lexicographic by (src, dst, offset); the keys
+    # are distinct, so any sort kind gives this one order
+    order = np.argsort(_edge_keys(n, i_idx, j_idx, offsets))
     keep = keep[order]
     distances = dist[keep]
     directions = np.empty((len(keep), 3))
@@ -292,7 +289,7 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
         atomic_numbers=s.atomic_numbers.copy(),
         src=i_idx[order],
         dst=j_idx[order],
-        offsets=images[pair[order]],
+        offsets=offsets[order],
         distances=distances,
         directions=directions,
         cutoff=float(cutoff),

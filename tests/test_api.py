@@ -25,6 +25,9 @@ REMOVED = {
     "autograd": ["exp", "grad_check"],
     "autograd.Tensor": ["item"],
     "structures": ["structures_equal"],
+    "downstream.DownstreamModel": ["trainable"],
+    "embeddings.ElementEmbeddingTable": ["row"],
+    "checkpoint.CheckpointData": ["path"],
 }
 
 
@@ -82,15 +85,17 @@ def _unused_imports(path):
 
 
 def _unread_definitions(paths):
-    """(path, line, name) of every module-level def or class, and every
-    non-dunder method of a module-level class, that no module among paths
-    reads (by name or as an attribute) and no __all__ exports. A method is
-    named Class.method."""
+    """(path, line, name) of every module-level def or class that no module
+    among paths reads (by name or as an attribute) and no __all__ exports,
+    and every non-dunder method of a module-level class that no module among
+    paths reads as an attribute: a local of the same name does not count. A
+    method is named Class.method."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
-    read = set()
+    names, attrs = set(), set()
     for tree in trees.values():
-        read |= _names_read(tree)
-        read |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= _names_read(tree)
+        attrs |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    read = names | attrs
     for path, tree in trees.items():
         for node in tree.body:
             if (isinstance(node, (ast.FunctionDef, ast.ClassDef))
@@ -100,7 +105,7 @@ def _unread_definitions(paths):
                 for method in node.body:
                     if (isinstance(method, ast.FunctionDef)
                             and not method.name.startswith("__")
-                            and method.name not in read):
+                            and method.name not in attrs):
                         yield path, method.lineno, f"{node.name}.{method.name}"
 
 

@@ -1,3 +1,4 @@
+from dataclasses import dataclass
 import logging
 import math
 from itertools import combinations
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 
 from crystalembed import autograd as ag
+from crystalembed.encoder import LayerParams, init_layers
 from crystalembed.errors import NumericsError, ShapeError, ValidationError
 from crystalembed.optim import BUCKET_VALUES, AdamState, adam_step
 
@@ -830,3 +832,41 @@ def test_sigmoid_and_silu_match_two_branch_form_bitwise(x):
         p = ag.parameter(x, "x")
         ag.sum_all(ag.mul(op(p), ag.constant(g))).backward()
         assert _same_bits(p.grad, 0.0 + want)  # a gradient starts at +0.0
+
+
+class TestParameterGroup:
+    def test_a_tensor_field_added_to_a_group_is_listed(self):
+        # the case a hand-kept list misses: the new weight would go
+        # untrained, unsaved and unrestored
+        @dataclass
+        class WiderLayer(LayerParams):
+            extra: ag.Tensor = None
+
+        (layer,) = init_layers(np.random.default_rng(0), 2, 1, 1)
+        extra = ag.parameter(np.zeros(3), "extra")
+        wider = WiderLayer(*layer.tensors(), extra=extra)
+        assert wider.tensors() == [*layer.tensors(), extra]
+
+    def test_fields_in_order_groups_depth_first(self):
+        @dataclass
+        class Inner(ag.ParameterGroup):
+            a: ag.Tensor
+            b: ag.Tensor
+
+        @dataclass
+        class Plain:  # a dataclass that is not a group is not walked
+            hidden: ag.Tensor
+
+        @dataclass
+        class Outer(ag.ParameterGroup):
+            first: ag.Tensor
+            inner: Inner
+            items: list
+            plain: Plain
+            label: str
+            last: ag.Tensor
+
+        t = [ag.parameter(np.zeros(1), f"t{i}") for i in range(8)]
+        outer = Outer(t[0], Inner(t[1], t[2]), [t[3], Inner(t[4], t[5])],
+                      Plain(t[6]), "not a tensor", t[7])
+        assert outer.tensors() == [t[0], t[1], t[2], t[3], t[4], t[5], t[7]]

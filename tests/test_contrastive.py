@@ -41,14 +41,14 @@ class TestProject:
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
-        p = init_projector(rng, 5, hidden=7, out=3)
+        p = init_projector(rng, 5)
         h = rng.normal(size=(4, 5))
         got = project(ag.constant(h), p).data
         pooled = h.mean(axis=0)
         pre = p.w1.data.T @ pooled + p.b1.data
         act = pre / (1.0 + np.exp(-pre))
         expected = p.w2.data.T @ act + p.b2.data
-        assert got.shape == (1, 3)
+        assert got.shape == (1, 5)
         assert np.allclose(got[0], expected, atol=1e-12)
 
     def test_empty_input_rejected(self):

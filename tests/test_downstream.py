@@ -153,7 +153,7 @@ def test_batched_mae_matches_per_graph_predict_loop(mode):
     graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
     assert len({g.num_nodes for g in graphs}) > 1
     labels = np.linspace(-1.0, 2.0, len(graphs))
-    params = model.trainable()
+    params = model.tensors()
 
     def loop_mae():
         preds = ag.concat([model.predict(batch_graphs([g])) for g in graphs],
@@ -184,7 +184,7 @@ def test_evaluation_between_forward_and_backward_leaves_gradients(mode):
               for s in make_labeled_structures(6, seed=2)]
     train, held_out = batch_graphs(graphs[:4]), batch_graphs(graphs[4:])
     labels = np.linspace(-1.0, 2.0, len(graphs))
-    params = model.trainable()
+    params = model.tensors()
 
     def grads(evaluate):
         for p in params:
@@ -198,6 +198,20 @@ def test_evaluation_between_forward_and_backward_leaves_gradients(mode):
 
     for got, want in zip(grads(True), grads(False)):
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("mode, features", [("baseline", ["lookup"]),
+                                            ("pretrained", ["adapter_w", "adapter_b"])])
+def test_tensors_list_features_then_layers_then_head(mode, features):
+    cfg = DownstreamConfig(mode=mode, dim=8, num_layers=2, rbf_count=4)
+    model = init_downstream_model(cfg, np.random.default_rng(4), full_table())
+    assert [t.name for t in model.feat_tensors] == [
+        f"downstream.{name}" for name in features]
+    want = [*model.feat_tensors,
+            *(t for layer in model.layers for t in layer.tensors()),
+            model.head_w, model.head_b]
+    got = model.tensors()
+    assert len(got) == len(want) and all(a is b for a, b in zip(got, want))
 
 
 # -- splits ------------------------------------------------------------

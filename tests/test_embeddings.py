@@ -33,7 +33,7 @@ class TestTableConstruction:
         sums[0] = [6.0, 8.0, 0.0]
         counts[0] = 2  # mean (3, 4, 0) -> unit (0.6, 0.8, 0)
         table = table_from_sums(sums, counts)
-        assert np.allclose(table.row(1), [0.6, 0.8, 0.0], atol=1e-15)
+        assert np.allclose(table.vectors[0], [0.6, 0.8, 0.0], atol=1e-15)
         assert not table.present[1]
 
     def test_absent_rows_must_be_zero(self):
@@ -49,13 +49,6 @@ class TestTableConstruction:
         counts[3] = 4  # sum exactly zero -> no direction
         with pytest.raises(ValidationError):
             table_from_sums(sums, counts)
-
-    def test_row_bounds(self):
-        table = random_table(np.random.default_rng(0))
-        with pytest.raises(ValidationError):
-            table.row(0)
-        with pytest.raises(ValidationError):
-            table.row(119)
 
 
 class TestCsvRoundTrip:

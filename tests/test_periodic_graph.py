@@ -327,6 +327,28 @@ class TestGraphValidation:
         with pytest.raises(ValidationError, match="self edge with zero offset"):
             PeriodicGraph(**_graph_kwargs(g, np.arange(g.num_edges), edge))
 
+    @pytest.mark.parametrize("offsets", [[2**40, -2**40],
+                                         [np.iinfo(np.int64).min]])
+    def test_offsets_beyond_one_int64_edge_key_rejected(self, offsets):
+        # self edges of one node; only a search bounds the offsets, not
+        # raw arrays, and INT64_MIN has no mirror at all
+        e = len(offsets)
+        with pytest.raises(ValidationError, match="one int64 edge key"):
+            PeriodicGraph(num_nodes=1, atomic_numbers=[1], src=[0] * e,
+                          dst=[0] * e, offsets=[(o, 0, 0) for o in offsets],
+                          distances=[1.0] * e, directions=[(1.0, 0.0, 0.0)] * e,
+                          cutoff=2.0)
+
+    def test_largest_offsets_that_fit_one_edge_key_accepted(self):
+        # (2m + 1)^3 < 2^63 holds up to m = 2^20 - 1
+        m = 2**20 - 1
+        g = PeriodicGraph(num_nodes=1, atomic_numbers=[1], src=[0, 0],
+                          dst=[0, 0], offsets=[(m, -m, m), (-m, m, -m)],
+                          distances=[1.0, 1.0],
+                          directions=[(1.0, 0.0, 0.0), (-1.0, 0.0, 0.0)],
+                          cutoff=2.0)
+        assert g.edge_groups()[0] == 1
+
     def test_repeated_mirror_pair_accepted(self):
         g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=1.05)
         idx = np.concatenate([np.arange(g.num_edges), [3, _mirror_index(g, 3)]])

@@ -548,6 +548,21 @@ class TestPairTargetsOncePerGraph:
 
 
 class TestSaveLoadState:
+    def test_named_keeps_the_checkpoint_array_order(self):
+        # the order of the checkpoint's arrays: a reorder changes its bytes
+        model = init_model_params(np.random.default_rng(0), dim=4,
+                                  num_layers=2, rbf_count=2)
+        layer = ["msg_w1", "msg_b1", "msg_w2", "msg_b2",
+                 "gate_w1", "gate_b1", "gate_w2", "gate_b2"]
+        assert list(model.named()) == [
+            "encoder.atom_table", "encoder.mask_vector",
+            *(f"encoder.layer{ell}.{name}" for ell in (0, 1) for name in layer),
+            "decoder.node.w", "decoder.node.b",
+            "decoder.adj.w_b", "decoder.adj.b_b", "decoder.adj.w_a",
+            "decoder.adj.b_a",
+            "projector.w1", "projector.b1", "projector.w2", "projector.b2",
+        ]
+
     def test_corrupt_header_rejected(self, tmp_path):
         path = tmp_path / "bad.ckpt"
         path.write_bytes(b"not json\n\x00\x01")
@@ -668,7 +683,7 @@ class TestExtractEmbeddings:
         h = encode_graph(model.encoder, g).data
         for node, z in enumerate(g.atomic_numbers):
             expected = h[node] / np.linalg.norm(h[node])
-            assert np.allclose(table.row(int(z)), expected, atol=1e-12)
+            assert np.allclose(table.vectors[z - 1], expected, atol=1e-12)
 
     def test_identical_occurrences_mean(self):
         cfg = fast_cfg()
@@ -679,7 +694,7 @@ class TestExtractEmbeddings:
         from crystalembed.encoder import encode_graph
 
         h = encode_graph(model.encoder, g).data[0]
-        assert np.allclose(table.row(29), h / np.linalg.norm(h), atol=1e-12)
+        assert np.allclose(table.vectors[28], h / np.linalg.norm(h), atol=1e-12)
 
     def test_empty_dataset_rejected(self):
         cfg = fast_cfg()
