@@ -46,6 +46,8 @@ from .errors import NumericsError, ShapeError, ValidationError
 
 logger = logging.getLogger(__name__)
 
+NORM_EPS = 1e-12  # l2_normalize_rows divides rows of norm <= NORM_EPS by it
+
 _recording = True  # False inside no_grad()
 
 
@@ -81,10 +83,6 @@ class Tensor:
         # off the tape, a tensor needs neither its inputs nor its rule
         self._parents = parents if self.requires_grad else ()
         self._rule = rule if self.requires_grad else None
-
-    @property
-    def shape(self):
-        return self.data.shape
 
     def _accumulate(self, contribution, g):
         """Add one gradient contribution, an array shaped like the data, made
@@ -393,40 +391,39 @@ def logsumexp_rows(a: Tensor) -> Tensor:
     return Tensor(out, (a,), lambda g: (soft * g[:, None],), "logsumexp_rows")
 
 
-def l2_normalize_rows(a: Tensor, eps: float = 1e-12) -> Tensor:
-    """Rows scaled to unit norm; rows with norm <= eps are divided by eps."""
+def l2_normalize_rows(a: Tensor) -> Tensor:
+    """Rows scaled to unit norm; rows with norm <= NORM_EPS are divided by it."""
     if a.data.ndim != 2:
         raise ShapeError(f"l2_normalize_rows: need 2-D, got {a.data.shape}")
     norms = np.linalg.norm(a.data, axis=1, keepdims=True)
-    small = norms <= eps
+    small = norms <= NORM_EPS
     n_small = int(small.sum())
     if n_small:
         logger.warning("l2_normalize_rows: %d near-zero rows hit the eps guard", n_small)
-    denom = np.where(small, eps, norms)
+    denom = np.where(small, NORM_EPS, norms)
     y = a.data / denom
 
     def rule(g):
         # unit-norm rows: project out the radial component; guarded rows are
-        # a constant 1/eps scaling
+        # a constant 1/NORM_EPS scaling
         inner = (g * y).sum(axis=1, keepdims=True)
         full = (g - y * inner) / denom
-        guarded = g / eps
+        guarded = g / NORM_EPS
         return (np.where(small, guarded, full),)
 
     return Tensor(y, (a,), rule, "l2_normalize_rows")
 
 
-def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
+def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments) -> Tensor:
     """Bilinear scores of node pairs: out[p, k] = h[i] . w[:, k, :] . h[j] + b[k]
     for pairs[p] = (i, j).
 
-    segments gives the segment of every row of h (None: all rows are one
-    segment), and both nodes of a pair must share one. A segment of n rows
-    is scored as one dense block holding S_k = (h W_k) h^T for every class
-    k, made by one (n*k, d) x (d, n) product; segments of equal n are
-    stacked into one batched product, so the Python loop runs over distinct
-    sizes, not segments. Pairs pick their k scores
-    from the blocks in the order given, and a repeated pair adds its
+    segments gives the segment of every row of h, and both nodes of a pair
+    must share one. A segment of n rows is scored as one dense block holding
+    S_k = (h W_k) h^T for every class k, made by one (n*k, d) x (d, n)
+    product; segments of equal n are stacked into one batched product, so
+    the Python loop runs over distinct sizes, not segments. Pairs pick their
+    k scores from the blocks in the order given, and a repeated pair adds its
     gradient once per occurrence. Backward scatters the pair gradients into
     the blocks and stays in BLAS products; no per-pair (P, d) array is built.
     """
@@ -446,8 +443,7 @@ def bilinear(h: Tensor, w: Tensor, b: Tensor, pairs, segments=None) -> Tensor:
     pairs = _index("bilinear", pairs, n)
     if pairs.ndim != 2 or pairs.shape[1] != 2:
         raise ShapeError(f"bilinear: pairs must be (P, 2), got {pairs.shape}")
-    seg = (np.zeros(n, dtype=np.int64) if segments is None
-           else np.asarray(segments, dtype=np.int64))
+    seg = np.asarray(segments, dtype=np.int64)
     if seg.shape != (n,) or (n and seg.min() < 0):
         raise ShapeError("bilinear: one nonnegative segment id per row required")
     i, j = pairs.T

@@ -103,7 +103,7 @@ def cmd_ingest(args, cfg) -> int:
     for path, message in failures:
         print(f"ingest failed: {path}: {message}", file=sys.stderr)
     if not structures and not failures:
-        raise ValidationError("no input files given")
+        raise ValidationError("no structures in the given inputs")
 
     site_hist: dict = {}
     edge_counts = []

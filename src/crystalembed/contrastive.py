@@ -52,36 +52,24 @@ def init_projector(
     )
 
 
-def project(h: Tensor, params: ProjectorParams, segments=None) -> Tensor:
+def project(h: Tensor, params: ProjectorParams, segments) -> Tensor:
     """Mean-pool node embeddings and apply the MLP; returns (S, d_z).
 
     segments gives the graph of each node row when h holds a batch of S
-    graphs; None means all rows are one graph (S = 1).
+    graphs.
     """
     if h.data.ndim != 2 or h.data.shape[0] < 1:
         raise ValidationError("projection needs at least one node embedding")
-    if segments is None:
-        segments = np.zeros(h.data.shape[0], dtype=np.int64)
     pooled = ag.segment_mean(h, segments, int(np.max(segments)) + 1)
     hidden = ag.silu(ag.add(ag.matmul(pooled, params.w1), params.b1))
     return ag.add(ag.matmul(hidden, params.w2), params.b2)
 
 
-def _check_pairing(partner: np.ndarray, rows: int) -> None:
-    if partner.shape != (rows,):
-        raise ValidationError("pairing must assign one partner per row")
-    if partner.min() < 0 or partner.max() >= rows:
-        raise ValidationError("pairing index out of range")
-    if np.any(partner == np.arange(rows)):
-        raise ValidationError("a row cannot be its own positive")
-    if not np.array_equal(partner[partner], np.arange(rows)):
-        raise ValidationError("pairing must be an involution")
-
-
-def info_nce(z: Tensor, partner, temperature: float) -> Tensor:
+def info_nce(z: Tensor, temperature: float) -> Tensor:
     """Contrastive loss over 2N projected views; mean over all 2N anchors.
 
-    Per anchor i with positive j = partner[i]:
+    The rows are laid out as [a0, b0, a1, b1, ...], so anchor i has the
+    positive j = i ^ 1:
         -log( exp(sim_ij / t) / sum_{k != i} exp(sim_ik / t) )
     with sim = cosine similarity.
     """
@@ -92,22 +80,14 @@ def info_nce(z: Tensor, partner, temperature: float) -> Tensor:
         raise ValidationError(
             "contrastive batch needs at least two view pairs (4 rows)"
         )
-    partner = np.asarray(partner, dtype=np.int64)
-    _check_pairing(partner, rows)
 
     zn = ag.l2_normalize_rows(z)
     sims = ag.scale(ag.matmul(zn, ag.transpose(zn)), 1.0 / temperature)
     anchors = np.arange(rows, dtype=np.int64)
-    pos = ag.take(sims, anchors, partner)
+    pos = ag.take(sims, anchors, anchors ^ 1)
     # every column except the diagonal, flattened row by row
     off_rows, off_cols = np.nonzero(~np.eye(rows, dtype=bool))
     denom = ag.logsumexp_rows(
         ag.reshape(ag.take(sims, off_rows, off_cols), (rows, rows - 1))
     )
     return ag.scale(ag.sum_all(ag.sub(denom, pos)), 1.0 / rows)
-
-
-def paired_batch_partners(num_pairs: int) -> np.ndarray:
-    """Pairing for a batch laid out as [a0, b0, a1, b1, ...]."""
-    idx = np.arange(2 * num_pairs)
-    return idx ^ 1

@@ -99,13 +99,11 @@ def _segment_mean_nll(probs: Tensor, rows, cols, weights, segments,
                       empty: str) -> Tensor:
     """Mean over segments of each segment's weighted mean of -log p[row, col].
 
-    segments gives the segment of every probability row (None: all rows are
-    one segment); a segment whose picked weights sum to zero, or that has no
-    picked entry, raises ValidationError(empty).
+    segments gives the segment of every probability row; a segment whose
+    picked weights sum to zero, or that has no picked entry, raises
+    ValidationError(empty).
     """
     n = probs.data.shape[0]
-    if segments is None:
-        segments = np.zeros(n, dtype=np.int64)
     segments = np.asarray(segments, dtype=np.int64)
     if segments.shape != (n,):
         raise ValidationError("one segment id per probability row required")
@@ -119,13 +117,13 @@ def _segment_mean_nll(probs: Tensor, rows, cols, weights, segments,
     return ag.sum_all(ag.mul(ag.log(picked), ag.constant(-w)))
 
 
-def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope=None,
-             segments=None) -> Tensor:
+def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope,
+             segments) -> Tensor:
     """Mean negative log-likelihood of the true element over scope.
 
-    scope is a node index subset; None means every node. For a batch,
-    segments gives the graph of every probability row and the loss is the
-    mean over graphs of each graph's own mean over its scope rows.
+    scope is a node index subset; None means every node. segments gives the
+    graph of every probability row, and the loss is the mean over graphs of
+    each graph's own mean over its scope rows.
     """
     numbers = np.asarray(atomic_numbers, dtype=np.int64)
     n = probs.data.shape[0]
@@ -144,13 +142,13 @@ def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope=None,
 
 
 def adjacency_probs(h: Tensor, params: AdjDecoderParams, pairs: np.ndarray,
-                    segments=None) -> Tensor:
+                    segments) -> Tensor:
     """Multiplicity distribution for each unordered node pair; (|pairs|, 6).
 
     Embeddings are L2-normalized first. segments gives the segment (graph or
-    view) of every row of h, None meaning one segment; both nodes of a pair
-    (i, j), i <= j, lie in one, and every pair of a segment is scored from
-    one dense bilinear block over that segment's rows.
+    view) of every row of h; both nodes of a pair (i, j), i <= j, lie in
+    one, and every pair of a segment is scored from one dense bilinear block
+    over that segment's rows.
     """
     pairs = np.asarray(pairs, dtype=np.int64).reshape(-1, 2)
     n = h.data.shape[0]
@@ -164,17 +162,13 @@ def adjacency_probs(h: Tensor, params: AdjDecoderParams, pairs: np.ndarray,
     return ag.softmax_rows(logits)
 
 
-def adj_weighted_ce(
-    probs: Tensor,
-    classes: np.ndarray,
-    class_weights,
-    segments=None,
-) -> Tensor:
+def adj_weighted_ce(probs: Tensor, classes: np.ndarray, class_weights,
+                    segments) -> Tensor:
     """Weighted cross entropy over pair multiplicity classes.
 
-    classes holds the true class of every probability row. Returns
-    sum_p w[c_p] * (-log p_p[c_p]) / sum_p w[c_p]; the weights are data, not
-    parameters. For a batch, segments gives the graph of every row and the
+    classes holds the true class of every probability row. Per segment
+    returns sum_p w[c_p] * (-log p_p[c_p]) / sum_p w[c_p]; the weights are
+    data, not parameters. segments gives the graph of every row, and the
     loss is the mean over graphs of each graph's own weighted mean.
     """
     classes = np.asarray(classes, dtype=np.int64)

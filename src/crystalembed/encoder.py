@@ -58,10 +58,6 @@ class EncoderParams(ParameterGroup):
         if self.rbf_count < 1:
             raise ValidationError("rbf_count must be >= 1")
 
-    @property
-    def num_layers(self) -> int:
-        return len(self.layers)
-
 
 def _mlp_pair(rng, in_dim: int, hidden: int, out_dim: int, prefix: str):
     w1 = ag.parameter(rng.normal(0.0, in_dim ** -0.5, size=(in_dim, hidden)),

@@ -68,6 +68,7 @@ class PeriodicGraph:
         if np.any((self.atomic_numbers < 1) | (self.atomic_numbers > MAX_Z)):
             raise ValidationError(f"atomic numbers must lie in 1..{MAX_Z}")
         if e == 0:
+            self._groups = (0, np.zeros(0, dtype=np.int64))
             return
         if self.src.min() < 0 or self.src.max() >= self.num_nodes:
             raise ValidationError("edge src index out of range")
@@ -80,13 +81,16 @@ class PeriodicGraph:
         norms = np.sqrt((x * x + y * y) + z * z)
         if np.any(np.abs(norms - 1.0) > DIRECTION_NORM_TOL):
             raise ValidationError("direction vectors must have unit norm")
-        keys, mirrors = self._keys_and_mirrors()
+        keys = _edge_keys(self.num_nodes, self.src, self.dst, self.offsets)
+        # _edge_keys has bounded the offsets, so negating them cannot wrap
+        mirrors = _edge_keys(self.num_nodes, self.dst, self.src, -self.offsets)
         if np.any(keys == mirrors):
             raise ValidationError("self edge with zero offset")
         # every unordered connection needs as many (i, j, o) halves as
         # (j, i, -o) halves
         reverse = mirrors < keys
-        num_groups, inverse = self._number_groups(np.minimum(keys, mirrors))
+        unique, inverse = np.unique(np.minimum(keys, mirrors), return_inverse=True)
+        num_groups = len(unique)
         unbalanced = (np.bincount(inverse[reverse], minlength=num_groups)
                       != np.bincount(inverse[~reverse], minlength=num_groups))
         if unbalanced.any():
@@ -94,32 +98,18 @@ class PeriodicGraph:
             o = tuple(self.offsets[k].tolist())
             raise ValidationError(
                 f"edge ({self.src[k]}, {self.dst[k]}, {o}) lacks its mirror")
+        self._groups = (num_groups, inverse)
 
     @property
     def num_edges(self) -> int:
         return len(self.src)
 
-    def _keys_and_mirrors(self) -> tuple[np.ndarray, np.ndarray]:
-        """_edge_keys of every directed edge (i, j, o) and of its mirror
-        (j, i, -o)."""
-        keys = _edge_keys(self.num_nodes, self.src, self.dst, self.offsets)
-        # _edge_keys has bounded the offsets, so negating them cannot wrap
-        return keys, _edge_keys(self.num_nodes, self.dst, self.src, -self.offsets)
-
     def edge_groups(self) -> tuple[int, np.ndarray]:
         """(number of unordered connections, connection id of every directed
         edge), ids in sorted key order as np.unique numbers them. The key of
-        a connection is the smaller of its two halves' edge keys. Computed
-        once per graph and kept, so the edge arrays must not change after
-        construction."""
-        if self._groups is None:
-            self._number_groups(np.minimum(*self._keys_and_mirrors()))
-        return self._groups
-
-    def _number_groups(self, keys) -> tuple[int, np.ndarray]:
-        """edge_groups from every edge's connection key, kept on the graph."""
-        unique, inverse = np.unique(keys, return_inverse=True)
-        self._groups = (len(unique), inverse)
+        a connection is the smaller of its two halves' edge keys. Numbered
+        by the check of a constructed graph, so the edge arrays must not
+        change after construction; a batch_graphs union has none."""
         return self._groups
 
 

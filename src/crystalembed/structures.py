@@ -73,6 +73,8 @@ class CrystalStructure:
             raise ValidationError("atomic numbers must lie in 1..118")
         if self.label is not None:
             try:
+                if isinstance(self.label, (str, bool)):  # float() takes both
+                    raise TypeError
                 self.label = float(self.label)
             except (TypeError, ValueError, OverflowError):
                 raise ValidationError(

@@ -17,7 +17,7 @@ keeps the weight it would have on its own, whatever its size:
   are (i, j), i <= j, within one view, and their classes come from that
   graph's own targets, kept on the graph once made (`pair_targets`);
 - the projector pools each view by a per-segment mean, so InfoNCE sees 2B
-  rows laid out as paired_batch_partners expects.
+  rows in which row i ^ 1 is the other view of row i's graph.
 """
 
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -31,7 +31,7 @@ import numpy as np
 from . import autograd as ag
 from .augmentation import batch_views, two_views
 from .checkpoint import load_checkpoint, save_checkpoint
-from .contrastive import info_nce, paired_batch_partners, project
+from .contrastive import info_nce, project
 from .decoders import (
     DEFAULT_CLASS_WEIGHTS,
     adj_weighted_ce,
@@ -142,11 +142,8 @@ def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds)
     loss_adj = adj_weighted_ce(
         adjacency_probs(h, model.adj_decoder, pairs, batch.segments),
         classes, model.adj_decoder.class_weights, batch.segments[pairs[:, 0]])
-    loss_nce = info_nce(
-        project(h, model.projector, batch.segments),
-        paired_batch_partners(len(graphs)),
-        cfg.temperature,
-    )
+    loss_nce = info_nce(project(h, model.projector, batch.segments),
+                        cfg.temperature)
     total = ag.add(
         ag.add(ag.scale(loss_node, cfg.alpha), ag.scale(loss_adj, cfg.beta)),
         ag.scale(loss_nce, cfg.gamma),
@@ -255,6 +252,8 @@ def pretrain(graphs, cfg: PretrainConfig, out_dir, resume_from=None) -> Pretrain
     graphs = list(graphs)
     if len(graphs) < 2:
         raise ValidationError(f"pretraining needs at least 2 graphs, got {len(graphs)}")
+    if any(g.cutoff != cfg.cutoff for g in graphs):
+        raise ValidationError(f"pretraining needs graphs built at cutoff {cfg.cutoff}")
     if resume_from is not None:
         model, opt, saved_cfg, start_epoch, history = load_state(resume_from)
         # only the stop point may move

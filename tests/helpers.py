@@ -165,6 +165,11 @@ def reconstruct_original(view):
     return _graph_from_edges(view.source, sorted(merged, key=lambda e: keys[e]))
 
 
+def one_segment(n):
+    """Segment ids that put all n rows in one graph, for single-view calls."""
+    return np.zeros(n, dtype=np.int64)
+
+
 def all_unordered_pairs(num_nodes):
     """Every unordered node pair (i, j) with i <= j, in row-major order."""
     return [(i, j) for i in range(num_nodes) for j in range(i, num_nodes)]

@@ -16,7 +16,7 @@ import pytest
 
 from crystalembed import autograd as ag
 from crystalembed.augmentation import two_views
-from crystalembed.contrastive import info_nce, paired_batch_partners
+from crystalembed.contrastive import info_nce
 from crystalembed.decoders import adj_weighted_ce, node_nll
 from crystalembed.downstream import (DownstreamConfig, improvement_pct,
                                      label_fraction_sweep,
@@ -31,7 +31,7 @@ from crystalembed.training import (PretrainConfig, extract_embeddings,
                                    pretrain, pretrain_losses)
 
 from helpers import (all_unordered_pairs, brute_force_edges, grad_check,
-                     random_structure, reconstruct_original)
+                     one_segment, random_structure, reconstruct_original)
 
 # Frozen benchmark: pretraining corpus covers all 20 synthetic elements;
 # the labeled corpus has fixed cell geometry so only atom identity carries
@@ -102,19 +102,21 @@ def test_criterion_2_end_to_end_gradient_check():
 
 def test_criterion_3_analytic_loss_values():
     uniform_nodes = ag.constant(np.full((5, 118), 1.0 / 118.0))
-    l_node = float(node_nll(uniform_nodes, np.array([1, 7, 26, 79, 118])).data)
+    l_node = float(node_nll(uniform_nodes, np.array([1, 7, 26, 79, 118]), None,
+                            one_segment(5)).data)
     assert abs(l_node - math.log(118.0)) < 1e-9
 
     pairs = np.asarray(all_unordered_pairs(3), dtype=np.int64)
     uniform_adj = ag.constant(np.full((len(pairs), 6), 1.0 / 6.0))
     counts = np.array([[0, 1, 2], [1, 3, 4], [2, 4, 5]])
     l_adj = float(adj_weighted_ce(uniform_adj, counts[pairs[:, 0], pairs[:, 1]],
-                                  (0.1, 1.0, 1.0, 1.0, 1.0, 1.0)).data)
+                                  (0.1, 1.0, 1.0, 1.0, 1.0, 1.0),
+                                  one_segment(len(pairs))).data)
     assert abs(l_adj - math.log(6.0)) < 1e-9
 
     for n in (2, 4, 8):
         z = ag.constant(np.tile(np.arange(1.0, 5.0), (2 * n, 1)))
-        l_nce = float(info_nce(z, paired_batch_partners(n), 0.1).data)
+        l_nce = float(info_nce(z, 0.1).data)
         assert abs(l_nce - math.log(2 * n - 1)) < 1e-9
     _pass(3, "ln 118, ln 6, ln(2N-1) for N in {2,4,8}, all within 1e-9")
 

@@ -9,21 +9,25 @@ from pathlib import Path
 import pytest
 
 import crystalembed
+from crystalembed import autograd, contrastive, decoders
 from crystalembed.augmentation import AugmentedView
 from crystalembed.optim import adam_step
 
-# names each module no longer has: code only tests used, and the canonical
-# edge order, which only periodic_graph knows
+# names each module no longer has: code only tests used, the canonical edge
+# order, which only periodic_graph knows, and the InfoNCE pairing, which the
+# batch layout fixes
 REMOVED = {
     "augmentation": ["DroppedEdges", "identity_view", "reconstruct_original",
                      "_lex_order"],
     "augmentation.AugmentedView": ["graph", "dropped"],
     "periodic_graph.PeriodicGraph": ["edge_keys", "edge_multiset",
-                                     "unordered_keys"],
+                                     "unordered_keys", "_keys_and_mirrors",
+                                     "_number_groups"],
     "encoder": ["message_passing"],
-    "encoder.EncoderParams": ["edge_dim"],
+    "encoder.EncoderParams": ["edge_dim", "num_layers"],
     "autograd": ["exp", "grad_check"],
-    "autograd.Tensor": ["item"],
+    "autograd.Tensor": ["item", "shape"],
+    "contrastive": ["paired_batch_partners", "_check_pairing"],
     "structures": ["structures_equal"],
     "downstream.DownstreamModel": ["trainable"],
     "embeddings.ElementEmbeddingTable": ["row"],
@@ -55,6 +59,23 @@ def test_a_view_is_its_masks():
 
 def test_adam_step_reads_only_the_parameter_gradients():
     assert list(signature(adam_step).parameters) == ["state", "params"]
+
+
+def test_info_nce_and_l2_normalize_rows_take_no_options():
+    assert list(signature(contrastive.info_nce).parameters) == [
+        "z", "temperature"]
+    assert list(signature(autograd.l2_normalize_rows).parameters) == ["a"]
+
+
+@pytest.mark.parametrize("fn, name", [
+    *((fn, "segments") for fn in (
+        autograd.bilinear, decoders._segment_mean_nll, decoders.node_nll,
+        decoders.adjacency_probs, decoders.adj_weighted_ce, contrastive.project)),
+    (decoders.node_nll, "scope"),
+], ids=lambda v: getattr(v, "__name__", v))
+def test_loss_path_arguments_have_no_default(fn, name):
+    param = signature(fn).parameters[name]
+    assert param.default is param.empty
 
 
 def _names_read(tree):

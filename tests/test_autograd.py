@@ -11,7 +11,8 @@ from crystalembed.encoder import LayerParams, init_layers
 from crystalembed.errors import NumericsError, ShapeError, ValidationError
 from crystalembed.optim import BUCKET_VALUES, AdamState, adam_step
 
-from helpers import adam_state_by_parameter, adam_step_by_parameter, grad_check
+from helpers import (adam_state_by_parameter, adam_step_by_parameter, grad_check,
+                     one_segment)
 
 
 def rand_param(rng, shape, name="p"):
@@ -86,7 +87,8 @@ class TestForwardValues:
         h = ag.constant(rng.normal(size=(5, 3)))
         b = ag.constant(np.arange(6.0))
         w = ag.constant(np.zeros((3, 6, 3)))
-        out = ag.bilinear(h, w, b, np.array([[0, 1], [2, 2], [4, 3], [1, 0]]))
+        out = ag.bilinear(h, w, b, np.array([[0, 1], [2, 2], [4, 3], [1, 0]]),
+                          one_segment(5))
         assert np.array_equal(out.data, np.tile(np.arange(6.0), (4, 1)))
 
     def test_bilinear_d1_ramp(self):
@@ -97,6 +99,7 @@ class TestForwardValues:
             ag.constant(w),
             ag.constant(np.zeros(6)),
             np.array([[0, 0]]),
+            one_segment(1),
         )
         assert np.array_equal(out.data, [[0.0, 1.0, 2.0, 3.0, 4.0, 5.0]])
 
@@ -106,7 +109,8 @@ class TestForwardValues:
         w, b = rng.normal(size=(4, 6, 4)), rng.normal(size=6)
         pairs = np.array([[0, 5], [3, 3], [5, 0], [2, 4], [1, 2]])
         hi, hj = h[pairs[:, 0]], h[pairs[:, 1]]
-        out = ag.bilinear(ag.constant(h), ag.constant(w), ag.constant(b), pairs)
+        out = ag.bilinear(ag.constant(h), ag.constant(w), ag.constant(b), pairs,
+                          one_segment(6))
         expected = np.zeros((5, 6))
         for p in range(5):
             for k in range(6):
@@ -467,7 +471,7 @@ class TestBilinearAgainstEinsum:
         return (rand_param(rng, (nodes, self.D), "h"), w,
                 rand_param(rng, (self.K,), "b"), rng.normal(size=(pairs, self.K)))
 
-    def _check_against_oracle(self, h, w, b, g, pairs, segments=None):
+    def _check_against_oracle(self, h, w, b, g, pairs, segments):
         out = ag.bilinear(h, w, b, pairs, segments)
         ag.sum_all(ag.mul(out, ag.constant(g))).backward()
         want = _gathered_oracle(h.data, w.data, b.data, pairs, g)
@@ -480,11 +484,12 @@ class TestBilinearAgainstEinsum:
         h, w, b, g = self._inputs(54, pairs, seed=pairs)
         triu = np.column_stack(np.triu_indices(54))
         order = np.random.default_rng(pairs).permutation(len(triu))[:pairs]
-        self._check_against_oracle(h, w, b, g, triu[order])
+        self._check_against_oracle(h, w, b, g, triu[order], one_segment(54))
 
     def test_same_tensor_on_both_sides(self):
         h, w, b, g = self._inputs(40, 40, seed=7)
-        self._check_against_oracle(h, w, b, g, np.repeat(np.arange(40), 2).reshape(40, 2))
+        self._check_against_oracle(h, w, b, g, np.repeat(np.arange(40), 2).reshape(40, 2),
+                                   one_segment(40))
 
     def test_mixed_block_sizes_in_one_call(self):
         # segments of 16, 1, 54, 2, 16 and 2 rows, their rows interleaved

@@ -148,6 +148,15 @@ def test_ingest_cubic_toy_multiplicity_histogram(tmp_path):
         "0": 0, "1": 0, "2": 0, "3": 1, "4": 0, "5": 0}
 
 
+def test_ingest_of_inputs_without_structures_exits_2_saying_so(tmp_path, capsys):
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("")
+    out = tmp_path / "ing"
+    assert main(["ingest", str(empty), "--out", str(out)]) == 2
+    assert "error: no structures in the given inputs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_ingest_bad_cutoff_exits_2(tmp_path, capsys):
     cif = tmp_path / "na.cif"
     cif.write_text(CUBIC_NA_CIF)
@@ -161,8 +170,11 @@ def test_ingest_bad_cutoff_exits_2(tmp_path, capsys):
     ("label", "x", "label must be a real number, got 'x'"),
     ("label", "", "label must be a real number, got ''"),
     ("label", [1], "label must be a real number, got [1]"),
+    ("label", "3.5", "label must be a real number, got '3.5'"),
+    ("label", True, "label must be a real number, got True"),
     ("atomic_numbers", [10**30], "malformed array field"),
-], ids=["label-x", "label-empty", "label-list", "z-beyond-int64"])
+], ids=["label-x", "label-empty", "label-list", "label-numeric-string",
+        "label-bool", "z-beyond-int64"])
 def test_ingest_counts_a_malformed_jsonl_field_as_failed(tmp_path, capsys,
                                                          field, value, reason):
     record = json.loads(serialize_jsonl(CrystalStructure(

@@ -9,14 +9,13 @@ from crystalembed.contrastive import (
     ProjectorParams,
     info_nce,
     init_projector,
-    paired_batch_partners,
     project,
 )
 from crystalembed.encoder import encode, init_encoder_params
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import build_periodic_graph
 
-from helpers import cubic_structure, grad_check, rocksalt_structure
+from helpers import cubic_structure, grad_check, one_segment, rocksalt_structure
 
 
 class TestProject:
@@ -24,7 +23,7 @@ class TestProject:
         rng = np.random.default_rng(0)
         p = init_projector(rng, 4)
         h = rng.normal(size=(1, 4))
-        got = project(ag.constant(h), p).data
+        got = project(ag.constant(h), p, one_segment(1)).data
         x = h[0] @ p.w1.data + p.b1.data
         s = x / (1.0 + np.exp(-x))  # SiLU = x * sigmoid(x)
         expected = s @ p.w2.data + p.b2.data
@@ -35,15 +34,15 @@ class TestProject:
         p = init_projector(rng, 4)
         h = rng.normal(size=(3, 4))
         doubled = np.vstack([h, h])
-        a = project(ag.constant(h), p).data
-        b = project(ag.constant(doubled), p).data
+        a = project(ag.constant(h), p, one_segment(3)).data
+        b = project(ag.constant(doubled), p, one_segment(6)).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_matches_loop_oracle(self):
         rng = np.random.default_rng(2)
         p = init_projector(rng, 5)
         h = rng.normal(size=(4, 5))
-        got = project(ag.constant(h), p).data
+        got = project(ag.constant(h), p, one_segment(4)).data
         pooled = h.mean(axis=0)
         pre = p.w1.data.T @ pooled + p.b1.data
         act = pre / (1.0 + np.exp(-pre))
@@ -55,7 +54,7 @@ class TestProject:
         rng = np.random.default_rng(3)
         p = init_projector(rng, 4)
         with pytest.raises(ValidationError):
-            project(ag.constant(np.zeros((0, 4))), p)
+            project(ag.constant(np.zeros((0, 4))), p, one_segment(0))
 
 
 class TestProjectorValidation:
@@ -82,10 +81,10 @@ class TestInfoNce:
         for n_pairs, tau in ((2, 1.0), (2, 0.1), (4, 0.25)):
             rows = 2 * n_pairs
             z = ag.constant(np.tile([1.0, 2.0, 3.0], (rows, 1)))
-            loss = info_nce(z, paired_batch_partners(n_pairs), tau)
+            loss = info_nce(z, tau)
             assert abs(loss.data - math.log(rows - 1)) < 1e-12
         z = ag.constant(np.ones((4, 3)))
-        loss = info_nce(z, paired_batch_partners(2), 1.0)
+        loss = info_nce(z, 1.0)
         assert abs(loss.data - 1.0986122886681098) < 1e-12
 
     def test_orthogonal_negatives_hand_value(self):
@@ -95,7 +94,7 @@ class TestInfoNce:
             [1.0, 0.0], [1.0, 0.0],
             [0.0, 1.0], [0.0, 1.0],
         ]))
-        loss = info_nce(z, paired_batch_partners(2), 1.0)
+        loss = info_nce(z, 1.0)
         expected = -math.log(math.e / (math.e + 2.0))
         assert abs(loss.data - expected) < 1e-15
         assert abs(loss.data - 0.5514447139320511) < 1e-12
@@ -103,21 +102,21 @@ class TestInfoNce:
     def test_scale_invariance(self):
         rng = np.random.default_rng(4)
         z = rng.normal(size=(6, 4))
-        partner = paired_batch_partners(3)
-        a = info_nce(ag.constant(z), partner, 0.2).data
-        b = info_nce(ag.constant(2.5 * z), partner, 0.2).data
+        a = info_nce(ag.constant(z), 0.2).data
+        b = info_nce(ag.constant(2.5 * z), 0.2).data
         assert abs(a - b) < 1e-12
 
     def test_permutation_invariance(self):
+        # the layout fixes rows 2k and 2k + 1 as a pair: reordering whole
+        # pairs, or the two views within pairs, keeps every positive
         rng = np.random.default_rng(5)
         z = rng.normal(size=(6, 4))
-        partner = paired_batch_partners(3)
-        perm = rng.permutation(6)
-        inv = np.argsort(perm)
-        permuted_partner = inv[partner[perm]]
-        a = info_nce(ag.constant(z), partner, 0.5).data
-        b = info_nce(ag.constant(z[perm]), permuted_partner, 0.5).data
-        assert abs(a - b) < 1e-12
+        a = info_nce(ag.constant(z), 0.5).data
+        pairs = 2 * rng.permutation(3)
+        for perm in (np.column_stack([pairs, pairs + 1]).ravel(),
+                     np.array([1, 0, 2, 3, 5, 4])):
+            b = info_nce(ag.constant(z[perm]), 0.5).data
+            assert abs(a - b) < 1e-12
 
     def test_monotone_in_positive_similarity(self):
         # positives at angle 2a from each other, negatives orthogonal and
@@ -128,24 +127,16 @@ class TestInfoNce:
             p1 = [math.cos(a), -math.sin(a), 0.0]
             z = ag.constant(np.array([p0, p1,
                                       [0.0, 0.0, 1.0], [0.0, 0.0, 1.0]]))
-            losses.append(info_nce(z, paired_batch_partners(2), 0.5).data)
+            losses.append(info_nce(z, 0.5).data)
         assert all(x > y for x, y in zip(losses, losses[1:]))
 
     def test_validation(self):
-        z4 = ag.constant(np.ones((4, 2)))
         with pytest.raises(ValidationError):
-            info_nce(z4, paired_batch_partners(2), 0.0)
+            info_nce(ag.constant(np.ones((4, 2))), 0.0)
         with pytest.raises(ValidationError):
-            info_nce(ag.constant(np.ones((2, 2))), np.array([1, 0]), 1.0)
+            info_nce(ag.constant(np.ones((2, 2))), 1.0)
         with pytest.raises(ValidationError):
-            info_nce(ag.constant(np.ones((3, 2))), np.array([1, 0, 2]), 1.0)
-        with pytest.raises(ValidationError):  # fixed point
-            info_nce(z4, np.array([0, 1, 3, 2]), 1.0)
-        with pytest.raises(ValidationError):  # not an involution
-            info_nce(z4, np.array([1, 2, 3, 0]), 1.0)
-
-    def test_paired_batch_partners(self):
-        assert np.array_equal(paired_batch_partners(3), [1, 0, 3, 2, 5, 4])
+            info_nce(ag.constant(np.ones((5, 2))), 1.0)
 
 
 class TestEndToEndGradient:
@@ -164,9 +155,9 @@ class TestEndToEndGradient:
             views.extend(two_views(g, mask_ratio=0.3, drop_ratio=0.2, seed=k))
 
         def f():
-            zs = [project(encode(enc, batch_views([v])), proj) for v in views]
-            return info_nce(ag.concat(zs, axis=0),
-                            paired_batch_partners(2), proj.temperature)
+            zs = [project(encode(enc, batch_views([v])), proj,
+                          one_segment(v.source.num_nodes)) for v in views]
+            return info_nce(ag.concat(zs, axis=0), proj.temperature)
 
         params = enc.tensors() + proj.tensors()
         err = grad_check(f, params, h=1e-5, floor=1e-3)

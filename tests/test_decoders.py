@@ -19,7 +19,7 @@ from crystalembed.decoders import (
 from crystalembed.errors import ValidationError
 from crystalembed.periodic_graph import build_periodic_graph, multiplicity_targets
 
-from helpers import (all_unordered_pairs, dropped_edges, grad_check,
+from helpers import (all_unordered_pairs, dropped_edges, grad_check, one_segment,
                      reconstruct_original, rocksalt_structure, view_graph)
 
 
@@ -75,12 +75,13 @@ class TestNodeNll:
         probs = np.full((2, 118), 1e-30)
         probs[0, 7] = 1.0  # Z=8
         probs[1, 0] = 1.0  # Z=1
-        loss = node_nll(ag.constant(probs), np.array([8, 1]))
+        loss = node_nll(ag.constant(probs), np.array([8, 1]), None, one_segment(2))
         assert loss.data == 0.0
 
     def test_uniform_predictions_log118(self):
         probs = np.full((3, 118), 1.0 / 118.0)
-        loss = node_nll(ag.constant(probs), np.array([1, 50, 118]))
+        loss = node_nll(ag.constant(probs), np.array([1, 50, 118]), None,
+                        one_segment(3))
         assert abs(loss.data - math.log(118.0)) < 1e-15
         assert abs(loss.data - 4.770684624465665) < 1e-12
 
@@ -88,7 +89,7 @@ class TestNodeNll:
         probs = np.full((2, 118), 1e-9)
         probs[0, 10] = 0.5
         probs[1, 20] = 0.25
-        loss = node_nll(ag.constant(probs), np.array([11, 21]))
+        loss = node_nll(ag.constant(probs), np.array([11, 21]), None, one_segment(2))
         expected = (-math.log(0.5) - math.log(0.25)) / 2.0
         assert abs(loss.data - expected) < 1e-15
         assert abs(loss.data - 1.039720770839918) < 1e-12
@@ -97,28 +98,28 @@ class TestNodeNll:
         probs = np.full((2, 118), 1e-9)
         probs[0, 10] = 0.5
         probs[1, 20] = 0.25
-        loss = node_nll(ag.constant(probs), np.array([11, 21]), scope=[1])
+        loss = node_nll(ag.constant(probs), np.array([11, 21]), [1], one_segment(2))
         assert abs(loss.data - (-math.log(0.25))) < 1e-15
 
     def test_segments_weigh_graphs_equally(self):
         probs = np.full((3, 118), 1e-9)
         probs[0, 10], probs[1, 20], probs[2, 30] = 0.5, 0.25, 0.125
         numbers, segments = np.array([11, 21, 31]), np.array([0, 1, 1])
-        loss = node_nll(ag.constant(probs), numbers, segments=segments)
+        loss = node_nll(ag.constant(probs), numbers, None, segments)
         expected = (math.log(2.0) + (math.log(4.0) + math.log(8.0)) / 2.0) / 2.0
         assert abs(loss.data - expected) < 1e-15
         with pytest.raises(ValidationError, match="scope is empty"):
-            node_nll(ag.constant(probs), numbers, scope=[1, 2], segments=segments)
+            node_nll(ag.constant(probs), numbers, [1, 2], segments)
 
     def test_empty_scope_rejected(self):
         probs = np.full((1, 118), 1.0 / 118.0)
         with pytest.raises(ValidationError):
-            node_nll(ag.constant(probs), np.array([1]), scope=[])
+            node_nll(ag.constant(probs), np.array([1]), [], one_segment(1))
 
     def test_length_mismatch_rejected(self):
         probs = np.full((2, 118), 1.0 / 118.0)
         with pytest.raises(ValidationError):
-            node_nll(ag.constant(probs), np.array([1]))
+            node_nll(ag.constant(probs), np.array([1]), None, one_segment(2))
 
 
 class TestAdjacencyProbs:
@@ -131,7 +132,7 @@ class TestAdjacencyProbs:
             b_a=ag.parameter(np.zeros(6), "ba"),
         )
         pairs = np.array([[0, 0], [0, 1], [1, 2]])
-        probs = adjacency_probs(rand_h(rng, 3, 4), p, pairs)
+        probs = adjacency_probs(rand_h(rng, 3, 4), p, pairs, one_segment(3))
         assert probs.data.shape == (3, 6)
         assert np.allclose(probs.data, 1.0 / 6.0, atol=1e-15)
 
@@ -140,7 +141,7 @@ class TestAdjacencyProbs:
         p = init_adj_decoder(rng, 4)
         h = rng.normal(size=(3, 4))
         pairs = np.asarray(all_unordered_pairs(3))
-        got = adjacency_probs(ag.constant(h), p, pairs).data
+        got = adjacency_probs(ag.constant(h), p, pairs, one_segment(3)).data
         hn = h / np.linalg.norm(h, axis=1, keepdims=True)
         for row, (i, j) in enumerate(pairs):
             s = np.zeros(6)
@@ -158,17 +159,18 @@ class TestAdjacencyProbs:
         p = init_adj_decoder(rng, 4)
         h = rng.normal(size=(3, 4))
         pairs = np.asarray(all_unordered_pairs(3))
-        a = adjacency_probs(ag.constant(h), p, pairs).data
-        b = adjacency_probs(ag.constant(100.0 * h), p, pairs).data
+        a = adjacency_probs(ag.constant(h), p, pairs, one_segment(3)).data
+        b = adjacency_probs(ag.constant(100.0 * h), p, pairs,
+                            one_segment(3)).data
         assert np.max(np.abs(a - b)) < 1e-12
 
     def test_unordered_convention_enforced(self):
         rng = np.random.default_rng(6)
         p = init_adj_decoder(rng, 4)
         with pytest.raises(ValidationError):
-            adjacency_probs(rand_h(rng, 3, 4), p, np.array([[2, 1]]))
+            adjacency_probs(rand_h(rng, 3, 4), p, np.array([[2, 1]]), one_segment(3))
         with pytest.raises(ValidationError):
-            adjacency_probs(rand_h(rng, 3, 4), p, np.array([[0, 3]]))
+            adjacency_probs(rand_h(rng, 3, 4), p, np.array([[0, 3]]), one_segment(3))
 
 
 class TestAdjWeightedCe:
@@ -179,7 +181,7 @@ class TestAdjWeightedCe:
         counts = np.array([[0, 1], [1, 0]])
         pairs = np.array([[0, 1], [1, 1]])
         loss = adj_weighted_ce(ag.constant(probs), classes_of(counts, pairs),
-                               DEFAULT_CLASS_WEIGHTS)
+                               DEFAULT_CLASS_WEIGHTS, one_segment(2))
         assert loss.data == 0.0
 
     def test_uniform_predictions_log6_any_weights(self):
@@ -188,7 +190,8 @@ class TestAdjWeightedCe:
         pairs = np.array([[0, 0], [0, 1], [1, 1]])
         for weights in (DEFAULT_CLASS_WEIGHTS, (0.01, 3, 1, 4, 1, 5)):
             loss = adj_weighted_ce(ag.constant(probs),
-                                   classes_of(counts, pairs), weights)
+                                   classes_of(counts, pairs), weights,
+                                   one_segment(3))
             assert abs(loss.data - math.log(6.0)) < 1e-15
             assert abs(loss.data - 1.791759469228055) < 1e-12
 
@@ -201,7 +204,7 @@ class TestAdjWeightedCe:
         counts = np.array([[0, 2], [2, 0]])
         pairs = np.array([[0, 0], [0, 1]])
         loss = adj_weighted_ce(ag.constant(probs), classes_of(counts, pairs),
-                               (0.1, 1.0, 1.0, 1.0, 1.0, 1.0))
+                               (0.1, 1.0, 1.0, 1.0, 1.0, 1.0), one_segment(2))
         assert abs(loss.data - math.log(2.0)) < 1e-15
 
     def test_segments_weigh_graphs_equally(self):
@@ -209,20 +212,21 @@ class TestAdjWeightedCe:
         probs[0, 1], probs[1, 0], probs[2, 2] = 0.5, 0.25, 0.125
         weights = (0.1, 1.0, 1.0, 1.0, 1.0, 1.0)
         loss = adj_weighted_ce(ag.constant(probs), np.array([1, 0, 2]), weights,
-                               segments=np.array([0, 1, 1]))
+                               np.array([0, 1, 1]))
         second = (0.1 * math.log(4.0) + math.log(8.0)) / 1.1
         assert abs(loss.data - (math.log(2.0) + second) / 2.0) < 1e-15
         with pytest.raises(ValidationError, match="sum to zero"):
             adj_weighted_ce(ag.constant(probs), np.array([1, 0, 0]),
                             (0.0, 1.0, 1.0, 1.0, 1.0, 1.0),
-                            segments=np.array([0, 1, 1]))
+                            np.array([0, 1, 1]))
 
     def test_zero_weight_sum_rejected(self):
         probs = np.full((1, 6), 1.0 / 6.0)
         counts = np.zeros((2, 2), dtype=int)
         with pytest.raises(ValidationError):
             adj_weighted_ce(ag.constant(probs),
-                            classes_of(counts, np.array([[0, 1]])), (0.0,) * 6)
+                            classes_of(counts, np.array([[0, 1]])), (0.0,) * 6,
+                            one_segment(1))
 
     def test_row_count_mismatch_rejected(self):
         probs = np.full((1, 6), 1.0 / 6.0)
@@ -230,7 +234,7 @@ class TestAdjWeightedCe:
         with pytest.raises(ValidationError):
             adj_weighted_ce(ag.constant(probs),
                             classes_of(counts, np.array([[0, 0], [0, 1]])),
-                            DEFAULT_CLASS_WEIGHTS)
+                            DEFAULT_CLASS_WEIGHTS, one_segment(1))
 
 
 class TestParamValidation:
@@ -275,7 +279,7 @@ class TestDecoderGradients:
         numbers = np.array([6, 8, 26])
 
         def f():
-            return node_nll(node_probs(h, p), numbers)
+            return node_nll(node_probs(h, p), numbers, None, one_segment(3))
 
         err = grad_check(f, [h] + p.tensors(), h=1e-5, floor=1e-3)
         assert err < 1e-4, err
@@ -288,9 +292,9 @@ class TestDecoderGradients:
         counts = np.array([[1, 0, 2], [0, 0, 5], [2, 5, 1]])
 
         def f():
-            probs = adjacency_probs(h, p, pairs)
+            probs = adjacency_probs(h, p, pairs, one_segment(3))
             return adj_weighted_ce(probs, classes_of(counts, pairs),
-                                   p.class_weights)
+                                   p.class_weights, one_segment(len(pairs)))
 
         err = grad_check(f, [h] + p.tensors(), h=1e-5, floor=1e-3)
         assert err < 1e-4, err

@@ -356,7 +356,7 @@ class TestParamValidation:
 
     def test_init_shapes(self):
         p = small_params(dim=5, num_layers=3, rbf_count=6, cutoff=5.0)
-        assert p.num_layers == 3
+        assert len(p.layers) == 3
         assert p.atom_table.data.shape == (118, 5)
         in_dim = 2 * 5 + 9
         for layer in p.layers:

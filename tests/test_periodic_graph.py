@@ -438,3 +438,11 @@ def test_edge_groups_number_connections_like_np_unique():
         num_groups, got = g.edge_groups()
         assert num_groups == len(groups) == g.num_edges // 2
         assert np.array_equal(got, inverse.ravel())
+
+
+def test_edgeless_graph_has_no_connections():
+    g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=0.5)
+    assert g.num_edges == 0
+    num_groups, inverse = g.edge_groups()
+    assert num_groups == 0
+    assert inverse.tolist() == [] and inverse.dtype == np.int64

@@ -10,7 +10,7 @@ from crystalembed import training
 from crystalembed.augmentation import batch_views, two_views
 from crystalembed import checkpoint
 from crystalembed.checkpoint import load_checkpoint, save_checkpoint
-from crystalembed.contrastive import info_nce, paired_batch_partners, project
+from crystalembed.contrastive import info_nce, project
 from crystalembed.decoders import (
     adj_weighted_ce,
     adjacency_probs,
@@ -36,8 +36,8 @@ from crystalembed.training import (
 )
 
 from helpers import (all_unordered_pairs, cubic_structure,
-                     extract_one_graph_at_a_time, rocksalt_structure, supercell,
-                     view_graph)
+                     extract_one_graph_at_a_time, one_segment, rocksalt_structure,
+                     supercell, view_graph)
 
 FAST = dict(dim=8, num_layers=1, rbf_count=4, cutoff=5.0, batch_size=4)
 
@@ -250,12 +250,13 @@ def per_view_losses(graphs, model, cfg, view_seeds):
         for view in two_views(g, cfg.mask_ratio, cfg.drop_ratio, seed):
             h = encode_graph(model.encoder, view_graph(view), view.masked_nodes)
             scope = view.masked_nodes if cfg.node_loss_scope == "masked" else None
+            segments = one_segment(g.num_nodes)
             node.append(node_nll(node_probs(h, model.node_decoder),
-                                 g.atomic_numbers, scope))
+                                 g.atomic_numbers, scope, segments))
             adj.append(adj_weighted_ce(
-                adjacency_probs(h, model.adj_decoder, pairs), classes,
-                model.adj_decoder.class_weights))
-            zs.append(project(h, model.projector))
+                adjacency_probs(h, model.adj_decoder, pairs, segments), classes,
+                model.adj_decoder.class_weights, one_segment(len(pairs))))
+            zs.append(project(h, model.projector, segments))
 
     def mean(terms):
         total = terms[0]
@@ -264,8 +265,7 @@ def per_view_losses(graphs, model, cfg, view_seeds):
         return ag.scale(total, 1.0 / len(terms))
 
     l_node, l_adj = mean(node), mean(adj)
-    l_nce = info_nce(ag.concat(zs, axis=0),
-                     paired_batch_partners(len(graphs)), cfg.temperature)
+    l_nce = info_nce(ag.concat(zs, axis=0), cfg.temperature)
     total = ag.add(ag.add(ag.scale(l_node, cfg.alpha), ag.scale(l_adj, cfg.beta)),
                    ag.scale(l_nce, cfg.gamma))
     return l_node, l_adj, l_nce, total
@@ -467,6 +467,17 @@ class TestPretrain:
             pretrain([], fast_cfg(), tmp_path / "x")
         with pytest.raises(ValidationError):
             pretrain(graphs[:1], fast_cfg(), tmp_path / "y")
+
+    @pytest.mark.parametrize("cutoff", [6.0, 4.0])
+    def test_graphs_at_another_cutoff_rejected_before_any_output(self, tmp_path,
+                                                                 cutoff):
+        # 6.0 used to fail at the first step, 4.0 to train and save a config
+        # naming a cutoff its graphs were not built at
+        graphs = [build_periodic_graph(s, cutoff)
+                  for s in make_pretraining_structures(4, seed=1)]
+        with pytest.raises(ValidationError, match="built at cutoff 5.0"):
+            pretrain(graphs, fast_cfg(), tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_trailing_singleton_folded_into_last_batch(self, graphs, tmp_path):
         # 5 graphs with batch 2 -> batches of 2, 2+1
