@@ -4,8 +4,10 @@ Two modes share one architecture (message-passing layers, mean pool, linear
 head) and differ only in where initial atom features come from: a trainable
 per-element lookup learned from scratch (baseline), or frozen rows of a
 pretrained element embedding table passed through a small trainable linear
-adapter (pretrained). The label-fraction sweep shrinks the training split
-while leaving validation and test untouched, then compares the two modes.
+adapter (pretrained). `_check_table` is the one table check; a pretrained
+run makes it over every structure before its first step. The label-fraction
+sweep shrinks the training split while leaving validation and test
+untouched, then compares the two modes.
 """
 
 from dataclasses import asdict, dataclass, fields, replace
@@ -59,77 +61,51 @@ class DownstreamConfig:
     from_dict = classmethod(from_dict)
 
 
-def _require_elements(present: np.ndarray, atomic_numbers) -> None:
-    """Raise FeaturizationError naming every element of atomic_numbers
-    whose table row is absent."""
-    numbers = np.asarray(atomic_numbers, dtype=np.int64)
-    missing = sorted(set(numbers[~present[numbers - 1]].tolist()))
-    if missing:
-        names = ", ".join(f"{z_to_symbol(z)} (Z={z})" for z in missing)
-        raise FeaturizationError(f"elements absent from embedding table: {names}")
-
-
 def _check_table(table: ElementEmbeddingTable | None, dim: int,
-                 atomic_numbers=()) -> None:
-    """Check that a pretrained-mode table exists, has width dim and holds a
-    row for every element of atomic_numbers: ValidationError for the first
-    two, FeaturizationError naming the missing elements."""
+                 atomic_numbers) -> None:
+    """The one table check: table exists, has width dim and holds a row for
+    every element of atomic_numbers. ValidationError for the first two,
+    FeaturizationError naming every missing element."""
     if table is None:
         raise ValidationError("pretrained mode requires an embedding table")
     if table.dim != dim:
         raise ValidationError(
             f"embedding table dim {table.dim} != configured dim {dim}")
-    _require_elements(table.present, atomic_numbers)
-
-
-def make_atom_featurizer(cfg: DownstreamConfig, rng: np.random.Generator,
-                         table: ElementEmbeddingTable | None = None):
-    """Initial-feature function plus its trainable tensors.
-
-    baseline: a trainable 118 x d lookup, any table argument is ignored.
-    pretrained: frozen table rows through a trainable near-identity adapter;
-    an element missing from the table is a hard error naming the element.
-    """
-    if cfg.mode == "baseline":
-        lookup = ag.parameter(rng.normal(size=(MAX_Z, cfg.dim)),
-                              "downstream.lookup")
-
-        def featurize(graph: PeriodicGraph) -> Tensor:
-            return ag.row_gather(lookup, graph.atomic_numbers - 1)
-
-        return featurize, [lookup]
-
-    _check_table(table, cfg.dim)
-    adapter_w = ag.parameter(
-        np.eye(cfg.dim) + cfg.adapter_noise * rng.normal(size=(cfg.dim, cfg.dim)),
-        "downstream.adapter_w")
-    adapter_b = ag.parameter(np.zeros(cfg.dim), "downstream.adapter_b")
-    frozen = table.vectors.copy()
-    present = table.present.copy()
-
-    def featurize(graph: PeriodicGraph) -> Tensor:
-        _require_elements(present, graph.atomic_numbers)
-        rows = ag.constant(frozen[graph.atomic_numbers - 1])
-        return ag.add(ag.matmul(rows, adapter_w), adapter_b)
-
-    return featurize, [adapter_w, adapter_b]
+    numbers = np.asarray(atomic_numbers, dtype=np.int64)
+    missing = sorted(set(numbers[~table.present[numbers - 1]].tolist()))
+    if missing:
+        names = ", ".join(f"{z_to_symbol(z)} (Z={z})" for z in missing)
+        raise FeaturizationError(f"elements absent from embedding table: {names}")
 
 
 @dataclass
 class DownstreamModel(ParameterGroup):
+    """Atom features, message-passing layers, mean pool, linear head. A
+    baseline model learns `lookup`; a pretrained one reads the held `table`
+    through `adapter_w` and `adapter_b`. The other mode's fields are None."""
     cfg: DownstreamConfig
-    featurize: object
-    feat_tensors: list
+    lookup: Tensor | None
+    adapter_w: Tensor | None
+    adapter_b: Tensor | None
+    table: ElementEmbeddingTable | None
     layers: list
     head_w: Tensor
     head_b: Tensor
 
+    def features(self, graph: PeriodicGraph) -> Tensor:
+        """The (N, dim) initial atom features; in pretrained mode an element
+        absent from the table is a FeaturizationError naming it."""
+        if self.cfg.mode == "baseline":
+            return ag.row_gather(self.lookup, graph.atomic_numbers - 1)
+        _check_table(self.table, self.cfg.dim, graph.atomic_numbers)
+        rows = ag.constant(self.table.vectors[graph.atomic_numbers - 1])
+        return ag.add(ag.matmul(rows, self.adapter_w), self.adapter_b)
+
     def predict(self, batch: GraphBatch) -> Tensor:
         """One prediction per graph of the batch, (B, 1), from one forward
         pass over its disjoint union."""
-        h0 = self.featurize(batch.graph)
-        h = apply_layers(self.layers, batch.graph, h0, self.cfg.rbf_count,
-                         self.cfg.cutoff)
+        h = apply_layers(self.layers, batch.graph, self.features(batch.graph),
+                         self.cfg.rbf_count, self.cfg.cutoff)
         pooled = ag.segment_mean(h, batch.segments, batch.num_graphs)
         return ag.add(ag.matmul(pooled, self.head_w), self.head_b)
 
@@ -137,13 +113,27 @@ class DownstreamModel(ParameterGroup):
 def init_downstream_model(cfg: DownstreamConfig, rng: np.random.Generator,
                           table: ElementEmbeddingTable | None = None
                           ) -> DownstreamModel:
-    featurize, feat_tensors = make_atom_featurizer(cfg, rng, table)
+    """A fresh model drawn from rng: the feature parameters, then the layers,
+    then the head. baseline draws a 118 x dim lookup and ignores table;
+    pretrained checks table and draws a near-identity adapter."""
+    lookup = adapter_w = adapter_b = None
+    if cfg.mode == "baseline":
+        table = None
+        lookup = ag.parameter(rng.normal(size=(MAX_Z, cfg.dim)),
+                              "downstream.lookup")
+    else:
+        _check_table(table, cfg.dim, ())
+        adapter_w = ag.parameter(
+            np.eye(cfg.dim) + cfg.adapter_noise * rng.normal(size=(cfg.dim, cfg.dim)),
+            "downstream.adapter_w")
+        adapter_b = ag.parameter(np.zeros(cfg.dim), "downstream.adapter_b")
     layers = init_layers(rng, cfg.dim, cfg.num_layers, cfg.rbf_count,
                          "downstream")
     head_w = ag.parameter(rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, 1)),
                           "downstream.head_w")
     head_b = ag.parameter(np.zeros(1), "downstream.head_b")
-    return DownstreamModel(cfg, featurize, feat_tensors, layers, head_w, head_b)
+    return DownstreamModel(cfg, lookup, adapter_w, adapter_b, table, layers,
+                           head_w, head_b)
 
 
 def split_indices(n: int, seed: int):
@@ -227,6 +217,9 @@ def train_supervised(structures, cfg: DownstreamConfig,
     for s in structures:
         if s.label is None:
             raise ValidationError(f"structure {s.id!r} has no label")
+    if cfg.mode == "pretrained":  # every split's elements, before any step
+        _check_table(table, cfg.dim,
+                     [z for s in structures for z in s.atomic_numbers])
     if graphs is None:
         graphs = [build_periodic_graph(s, cfg.cutoff) for s in structures]
     elif len(graphs) != len(structures) or any(g.cutoff != cfg.cutoff

@@ -351,6 +351,9 @@ def extract_embeddings(model: ModelParams, graphs) -> ElementEmbeddingTable:
     graphs = list(graphs)
     if not graphs:
         raise ValidationError("cannot extract embeddings from an empty dataset")
+    if any(g.cutoff != model.encoder.cutoff for g in graphs):
+        raise ValidationError(
+            f"extraction needs graphs built at cutoff {model.encoder.cutoff}")
     sums = np.zeros((MAX_Z, model.encoder.dim))
     counts = np.zeros(MAX_Z, dtype=np.int64)
     with ag.no_grad():

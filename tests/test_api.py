@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import sys
 from dataclasses import fields
 from inspect import signature
 from pathlib import Path
@@ -11,11 +12,13 @@ import pytest
 import crystalembed
 from crystalembed import autograd, contrastive, decoders
 from crystalembed.augmentation import AugmentedView
+from crystalembed.downstream import DownstreamModel
 from crystalembed.optim import adam_step
 
 # names each module no longer has: code only tests used, the canonical edge
 # order, which only periodic_graph knows, and the InfoNCE pairing, which the
-# batch layout fixes
+# batch layout fixes, and the downstream feature closure, whose parameters
+# are now the model's own fields
 REMOVED = {
     "augmentation": ["DroppedEdges", "identity_view", "reconstruct_original",
                      "_lex_order"],
@@ -29,7 +32,8 @@ REMOVED = {
     "autograd.Tensor": ["item", "shape"],
     "contrastive": ["paired_batch_partners", "_check_pairing"],
     "structures": ["structures_equal"],
-    "downstream.DownstreamModel": ["trainable"],
+    "downstream": ["make_atom_featurizer", "_require_elements"],
+    "downstream.DownstreamModel": ["trainable", "featurize", "feat_tensors"],
     "embeddings.ElementEmbeddingTable": ["row"],
     "checkpoint.CheckpointData": ["path"],
 }
@@ -55,6 +59,12 @@ def test_removed_names_stay_gone(owner):
 def test_a_view_is_its_masks():
     assert [f.name for f in fields(AugmentedView)] == [
         "source", "keep", "masked_nodes"]
+
+
+def test_a_downstream_model_is_its_parameters():
+    assert [f.name for f in fields(DownstreamModel)] == [
+        "cfg", "lookup", "adapter_w", "adapter_b", "table", "layers",
+        "head_w", "head_b"]
 
 
 def test_adam_step_reads_only_the_parameter_gradients():
@@ -145,3 +155,33 @@ def test_every_src_definition_is_read():
     assert paths
     assert [f"{path.relative_to(root)}:{line}: {name}"
             for path, line, name in _unread_definitions(paths)] == []
+
+
+def _third_party_imports(source):
+    """(line, top-level name) of every absolute import in source that is
+    neither the standard library, numpy nor crystalembed."""
+    allowed = {*sys.stdlib_module_names, "numpy", "crystalembed"}
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names = [node.module]
+        else:
+            continue
+        for name in names:
+            if name.partition(".")[0] not in allowed:
+                yield node.lineno, name.partition(".")[0]
+
+
+def test_src_imports_only_the_stdlib_and_numpy():
+    # pyproject declares numpy as the one runtime dependency
+    assert list(_third_party_imports(
+        "import scipy.linalg\nfrom os import path\nfrom . import x\n"
+        "from numpy.linalg import norm\nfrom crystalembed import y\n"
+        "import json, torch\n")) == [(1, "scipy"), (6, "torch")]
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "crystalembed").rglob("*.py"))
+    assert paths
+    assert [f"{path.relative_to(root)}:{line}: {name}" for path in paths
+            for line, name in _third_party_imports(
+                path.read_text(encoding="utf-8"))] == []

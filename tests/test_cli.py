@@ -17,7 +17,7 @@ from crystalembed.synthetic import (make_labeled_structures,
                                     make_pretraining_structures)
 from crystalembed.training import PretrainConfig, load_state
 
-from test_downstream import small_table
+from test_downstream import small_table, with_a_test_only_element
 
 CUBIC_NA_CIF = """\
 data_na_test
@@ -420,6 +420,28 @@ def test_table_missing_a_data_element_exits_2(tmp_path, lab_jsonl, capsys,
     assert "error: elements absent from embedding table: " in (
         capsys.readouterr().err)
     assert not (out / f"{command}_config.json").exists()
+
+
+def test_downstream_checks_a_test_only_element_before_training(
+        tmp_path, capsys, monkeypatch):
+    steps = []
+    monkeypatch.setattr(downstream, "adam_step",
+                        lambda state, params: steps.append(params))
+    data = tmp_path / "lab.jsonl"
+    save_jsonl(data, with_a_test_only_element(
+        make_labeled_structures(40, seed=5), DownstreamConfig().seed))
+    table_path = tmp_path / "table.csv"
+    save_table_csv(small_table(dim=8, present=[z for z in range(1, 119)
+                                               if z != 92]), table_path)
+    out = tmp_path / "ds"
+    code = main(["downstream", "--data", str(data), "--table",
+                 str(table_path), "--out", str(out), "--mode", "pretrained",
+                 *FAST_DOWNSTREAM])
+    assert code == 2
+    assert "U (Z=92)" in capsys.readouterr().err
+    assert steps == []
+    assert not (out / "report.json").exists()
+    assert not (out / "downstream_config.json").exists()
 
 
 def test_sweep_run_counting_and_outputs(tmp_path, lab_jsonl, capsys):

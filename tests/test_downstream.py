@@ -14,7 +14,6 @@ from crystalembed.downstream import (
     improvement_pct,
     init_downstream_model,
     label_fraction_sweep,
-    make_atom_featurizer,
     render_sweep_table,
     split_indices,
     summarize_runs,
@@ -46,6 +45,17 @@ def small_table(dim=8, present=(3, 8, 11, 26), seed=0):
 
 def full_table(dim=8, seed=0):
     return small_table(dim, present=range(1, 119), seed=seed)
+
+
+def with_a_test_only_element(structures, seed, z=92):
+    """structures with the first site of one test-split structure (split
+    seed) set to element z, which no other structure holds."""
+    assert all(z not in s.atomic_numbers for s in structures)
+    _, _, test = split_indices(len(structures), seed)
+    out = list(structures)
+    s = out[test[0]]
+    out[test[0]] = replace(s, atomic_numbers=[z, *s.atomic_numbers[1:]])
+    return out
 
 
 # -- config ------------------------------------------------------------
@@ -81,47 +91,47 @@ def test_config_rejects_unknown_keys():
 
 def test_baseline_featurizer_gathers_lookup_rows():
     cfg = DownstreamConfig(dim=4)
-    featurize, tensors = make_atom_featurizer(cfg, np.random.default_rng(0))
-    (lookup,) = tensors
+    model = init_downstream_model(cfg, np.random.default_rng(0))
+    lookup = model.lookup
     g = build_periodic_graph(
         cubic_structure(4.0, numbers=(11, 26),
                         coords=[[0, 0, 0], [0.5, 0.5, 0.5]]), 5.0)
-    h0 = featurize(g)
+    h0 = model.features(g)
     assert np.array_equal(h0.data, lookup.data[[10, 25]])
 
 
 def test_pretrained_mode_requires_table():
     cfg = DownstreamConfig(mode="pretrained", dim=8)
     with pytest.raises(ValidationError):
-        make_atom_featurizer(cfg, np.random.default_rng(0), table=None)
+        init_downstream_model(cfg, np.random.default_rng(0), table=None)
 
 
 def test_pretrained_mode_rejects_dim_mismatch():
     cfg = DownstreamConfig(mode="pretrained", dim=16)
     with pytest.raises(ValidationError):
-        make_atom_featurizer(cfg, np.random.default_rng(0), small_table(dim=8))
+        init_downstream_model(cfg, np.random.default_rng(0), small_table(dim=8))
 
 
 def test_zero_noise_adapter_reproduces_table_rows():
     cfg = DownstreamConfig(mode="pretrained", dim=8, adapter_noise=0.0)
     table = small_table(dim=8)
-    featurize, _ = make_atom_featurizer(cfg, np.random.default_rng(0), table)
+    model = init_downstream_model(cfg, np.random.default_rng(0), table)
     g = build_periodic_graph(
         cubic_structure(4.0, numbers=(11, 26),
                         coords=[[0, 0, 0], [0.5, 0.5, 0.5]]), 5.0)
-    h0 = featurize(g)
+    h0 = model.features(g)
     assert np.array_equal(h0.data, table.vectors[[10, 25]])
 
 
 def test_missing_element_error_names_symbols():
     cfg = DownstreamConfig(mode="pretrained", dim=8)
     table = small_table(dim=8, present=(11,))
-    featurize, _ = make_atom_featurizer(cfg, np.random.default_rng(0), table)
+    model = init_downstream_model(cfg, np.random.default_rng(0), table)
     g = build_periodic_graph(
         cubic_structure(4.0, numbers=(26, 79),
                         coords=[[0, 0, 0], [0.5, 0.5, 0.5]]), 5.0)
     with pytest.raises(FeaturizationError) as err:
-        featurize(g)
+        model.features(g)
     assert "Fe (Z=26)" in str(err.value) and "Au (Z=79)" in str(err.value)
 
 
@@ -129,14 +139,14 @@ def test_adapter_training_leaves_table_bitwise_unchanged():
     cfg = DownstreamConfig(mode="pretrained", dim=8)
     table = small_table(dim=8, present=(11, 26))
     before = table.vectors.copy()
-    featurize, tensors = make_atom_featurizer(cfg, np.random.default_rng(0),
-                                              table)
+    model = init_downstream_model(cfg, np.random.default_rng(0), table)
+    tensors = [model.adapter_w, model.adapter_b]
     g = build_periodic_graph(
         cubic_structure(4.0, numbers=(11, 26),
                         coords=[[0, 0, 0], [0.5, 0.5, 0.5]]), 5.0)
     opt = AdamState.for_params(tensors, lr=0.1)
     for _ in range(3):
-        loss = ag.mean_all(ag.abs_(featurize(g)))
+        loss = ag.mean_all(ag.abs_(model.features(g)))
         for p in tensors:
             p.zero_grad()
         loss.backward()
@@ -205,9 +215,10 @@ def test_evaluation_between_forward_and_backward_leaves_gradients(mode):
 def test_tensors_list_features_then_layers_then_head(mode, features):
     cfg = DownstreamConfig(mode=mode, dim=8, num_layers=2, rbf_count=4)
     model = init_downstream_model(cfg, np.random.default_rng(4), full_table())
-    assert [t.name for t in model.feat_tensors] == [
+    feat_tensors = [getattr(model, name) for name in features]
+    assert [t.name for t in feat_tensors] == [
         f"downstream.{name}" for name in features]
-    want = [*model.feat_tensors,
+    want = [*feat_tensors,
             *(t for layer in model.layers for t in layer.tensors()),
             model.head_w, model.head_b]
     got = model.tensors()
@@ -304,6 +315,20 @@ def test_single_run_report_fields(labeled):
     assert report.std is None
     assert report.mean == report.maes[0]
     assert np.isfinite(report.mean)
+
+
+def test_pretrained_run_checks_every_split_before_its_first_step(
+        labeled, monkeypatch):
+    steps = []
+    monkeypatch.setattr(downstream, "adam_step",
+                        lambda state, params: steps.append(params))
+    cfg = DownstreamConfig(mode="pretrained", seed=0, **FAST)
+    structures = with_a_test_only_element(labeled, cfg.seed)
+    table = small_table(dim=8, present=[z for z in range(1, 119) if z != 92])
+    with pytest.raises(FeaturizationError,
+                       match=r"embedding table: U \(Z=92\)$"):
+        train_supervised(structures, cfg, table)
+    assert steps == []
 
 
 def test_pretrained_run_uses_table(labeled):

@@ -685,7 +685,7 @@ class TestExtractEmbeddings:
         assert np.all(table.vectors[~present] == 0.0)
 
     def test_single_occurrence_row(self):
-        cfg = fast_cfg()
+        cfg = fast_cfg(cutoff=4.0)
         model = fast_model(cfg)
         g = build_periodic_graph(rocksalt_structure(3.0), cutoff=4.0)
         from crystalembed.encoder import encode_graph
@@ -697,7 +697,7 @@ class TestExtractEmbeddings:
             assert np.allclose(table.vectors[z - 1], expected, atol=1e-12)
 
     def test_identical_occurrences_mean(self):
-        cfg = fast_cfg()
+        cfg = fast_cfg(cutoff=4.0)
         model = fast_model(cfg)
         g = build_periodic_graph(cubic_structure(3.0, numbers=(29,)), cutoff=4.0)
         table = extract_embeddings(model, [g, g])
@@ -706,6 +706,19 @@ class TestExtractEmbeddings:
 
         h = encode_graph(model.encoder, g).data[0]
         assert np.allclose(table.vectors[28], h / np.linalg.norm(h), atol=1e-12)
+
+    @pytest.mark.parametrize("cutoff", [4.0, 6.0])
+    def test_graphs_at_another_cutoff_rejected_before_encoding(
+            self, cutoff, monkeypatch):
+        encoded = []
+        monkeypatch.setattr(training, "encode_graph",
+                            lambda *args: encoded.append(args))
+        graphs = [build_periodic_graph(s, cutoff)
+                  for s in make_pretraining_structures(4, seed=1)]
+        with pytest.raises(ValidationError,
+                           match="extraction needs graphs built at cutoff 5.0"):
+            extract_embeddings(fast_model(fast_cfg()), graphs)
+        assert encoded == []
 
     def test_empty_dataset_rejected(self):
         cfg = fast_cfg()
@@ -764,7 +777,7 @@ class TestExtractionUnions:
         runs = training._unions([g] * (2 * EXTRACT_UNION_EDGES + 3),
                                 EXTRACT_UNION_EDGES)
         assert [len(r) for r in runs] == [EXTRACT_UNION_EDGES] * 2 + [3]
-        model = fast_model(fast_cfg())
+        model = fast_model(fast_cfg(cutoff=1.0))
         got = extract_embeddings(model, [g] * 3)
         want = extract_one_graph_at_a_time(model, [g] * 3)
         assert np.array_equal(got.vectors, want.vectors)
