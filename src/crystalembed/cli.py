@@ -168,11 +168,11 @@ def cmd_extract(args, cfg) -> int:
 
 
 def cmd_downstream(args, cfg) -> int:
-    table = None
-    if cfg.mode == "pretrained":
-        if args.table is None:
-            raise ValidationError("pretrained mode requires --table")
-        table = load_table(args.table)
+    if cfg.mode == "pretrained" and args.table is None:
+        raise ValidationError("pretrained mode requires --table")
+    if cfg.mode == "baseline" and args.table is not None:
+        raise ValidationError("baseline mode reads no table: drop --table")
+    table = None if args.table is None else load_table(args.table)
     structures = _load_structures(args.data)
     out_dir = Path(args.out)
     _, report = train_supervised(structures, cfg, table)

@@ -210,7 +210,8 @@ def train_supervised(structures, cfg: DownstreamConfig,
     """Train one model; returns (model, single-run EvalReport).
 
     graphs, when given, are the structures' periodic graphs at cfg.cutoff,
-    in the same order, so several runs can share one build of them.
+    in the same order, so several runs can share one build of them; each is
+    checked against its structure's sites before the split.
     Test MAE is reported at the best-validation epoch, not the last one.
     """
     structures = list(structures)
@@ -226,6 +227,11 @@ def train_supervised(structures, cfg: DownstreamConfig,
                                                for g in graphs):
         raise ValidationError(f"graphs= needs one graph per structure, built "
                               f"at cutoff {cfg.cutoff}")
+    else:
+        for i, (s, g) in enumerate(zip(structures, graphs)):
+            if not np.array_equal(g.atomic_numbers, s.atomic_numbers):
+                raise ValidationError(f"graphs[{i}] is not the graph of "
+                                      f"structure {s.id!r}: its sites differ")
     labels = np.array([s.label for s in structures])  # CrystalStructure made each a float
 
     train_idx, val_idx, test_idx = _split(len(graphs), cfg)

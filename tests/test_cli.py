@@ -398,6 +398,20 @@ def test_downstream_pretrained_without_table_exits_2(tmp_path, lab_jsonl,
     assert "--table" in capsys.readouterr().err
 
 
+def test_downstream_baseline_with_a_table_exits_2_before_any_output(
+        tmp_path, lab_jsonl, capsys):
+    # baseline mode never reads a table, so a --table there is a mistake
+    out = tmp_path / "ds"
+    code = main(["downstream", "--data", str(lab_jsonl), "--out", str(out),
+                 "--mode", "baseline", "--table", str(tmp_path / "none.csv"),
+                 *FAST_DOWNSTREAM])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "baseline mode" in err and "--table" in err
+    assert not (out / "report.json").exists()
+    assert not (out / "downstream_config.json").exists()
+
+
 def test_downstream_bad_fraction_exits_2(tmp_path, lab_jsonl, capsys):
     code = main(["downstream", "--data", str(lab_jsonl),
                  "--out", str(tmp_path / "ds"), "--label-fraction", "0.0",

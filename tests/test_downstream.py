@@ -446,6 +446,27 @@ def test_given_graphs_must_match_the_structures(labeled):
         train_supervised(labeled, replace(cfg, cutoff=4.0), graphs=graphs[1:])
 
 
+@pytest.mark.parametrize("case", ["another corpus", "a supercell"])
+def test_given_graphs_must_be_their_structures_graphs(labeled, monkeypatch, case):
+    steps = []
+    monkeypatch.setattr(downstream, "adam_step",
+                        lambda state, params: steps.append(params))
+    cfg = DownstreamConfig(**FAST)
+    graphs = [build_periodic_graph(s, cfg.cutoff) for s in labeled]
+    if case == "another corpus":  # same sizes and count, other elements
+        graphs = [build_periodic_graph(s, cfg.cutoff)
+                  for s in make_labeled_structures(len(labeled), seed=6)]
+        bad = next(i for i, (s, g) in enumerate(zip(labeled, graphs))
+                   if not np.array_equal(s.atomic_numbers, g.atomic_numbers))
+    else:  # the same elements in order, more sites
+        bad = 3
+        graphs[bad] = build_periodic_graph(supercell(labeled[bad], 2), cfg.cutoff)
+    with pytest.raises(ValidationError, match=rf"graphs\[{bad}\] is not the "
+                                              rf"graph of structure 'lab-{bad}'"):
+        train_supervised(labeled, cfg, graphs=graphs)
+    assert steps == []
+
+
 @pytest.mark.parametrize("fractions", [(1.0, float("nan")), (1.0, 1e-9)])
 def test_sweep_checks_every_run_before_training_any(labeled, monkeypatch,
                                                     fractions):

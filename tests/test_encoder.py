@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -341,6 +342,31 @@ class TestGatedMessageIsTheComposition:
             names.append(h.name)
             h = h._parents[0]
         assert names == ["gated_message"] * 3
+
+
+def test_gated_message_keeps_one_edge_array_for_its_rule():
+    # between its forward and its backward a layer holds its (N, 2d) node
+    # rows, its (E, d) gate and small arrays (the output, the stacked first
+    # layer); its rule remakes msg. 1.2 (E, d) arrays beyond the node rows
+    # here, 2.2 when the layer kept msg as well
+    cell = make_pretraining_structures(2, seed=3)[0]
+    g = build_periodic_graph(supercell(cell, 4), 5.0)
+    assert (g.num_nodes, g.num_edges) == (128, 1792)
+    dim, rng = 64, np.random.default_rng(0)
+    p = init_encoder_params(rng, dim, num_layers=1, rbf_count=8, cutoff=5.0)
+    h = ag.parameter(rng.normal(size=(g.num_nodes, dim)), "h")
+    feats = ag.constant(edge_features(g.distances, g.directions, 8, 5.0))
+    node_rows, edge_array = 2 * g.num_nodes * 2 * dim * 8, g.num_edges * dim * 8
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        out = ag.gated_message(h, feats, g.src, g.dst, p.layers[0].tensors())
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert held < node_rows + 1.5 * edge_array, (held - node_rows) / edge_array
+    ag.sum_all(out).backward()
+    assert np.isfinite(h.grad).all()
 
 
 class TestParamValidation:

@@ -132,9 +132,9 @@ class TestPretrainStep:
         assert all(p.grad is not None for p in model.tensors())
 
     def test_encoder_layers_keep_four_edge_arrays(self):
-        # each layer is one tape entry keeping two (E, d) arrays and two
-        # (N, 2d) node-row arrays, where its 17 unfused ops kept about 9.6 KB
-        # per edge: a ~36 MB peak against 132 MB
+        # each layer is one tape entry keeping one (E, d) array, the gate,
+        # and two (N, 2d) node-row arrays, where its 17 unfused ops kept
+        # about 9.6 KB per edge: a ~27 MB peak against 132 MB
         _, peak, _ = large_cell_step_memory()
         assert peak < 70e6, peak
 
@@ -150,6 +150,17 @@ class TestPretrainStep:
         # 36.0 MB when the forward held four (E, 2d) arrays at once
         _, peak, _ = large_cell_step_memory()
         assert peak < 34e6, peak
+
+    def test_encoder_layers_keep_only_the_gate_across_the_step(self):
+        # held after the forward: 23.0 MB with each layer keeping one (E, d)
+        # array, the gate, and its rule remaking msg; 29.3 MB keeping both
+        held, _, _ = large_cell_step_memory(after_forward=True)
+        assert held < 26e6, held
+
+    def test_step_peak_falls_with_msg_remade_in_the_rule(self):
+        # 26.9 MB with msg remade in the rule, 32.4 MB when the layer kept it
+        _, peak, _ = large_cell_step_memory()
+        assert peak < 29.5e6, peak
 
     def test_forward_layer_holds_at_most_three_edge_arrays(self):
         # a forward-only encode of the pair's batch peaks at 3.48 (E, 2d)
