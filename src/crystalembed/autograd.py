@@ -264,11 +264,12 @@ def _index(op: str, idx, size: int) -> np.ndarray:
 def _scatter_rows(idx: np.ndarray, rows: np.ndarray, num_rows: int) -> np.ndarray:
     """out[idx[k]] += rows[k] for every k, into zeros((num_rows, d)): one
     np.bincount over flat positions, which adds each position's terms in
-    index order, bitwise as NumPy's unbuffered in-place ufunc add does."""
+    index order, bitwise as NumPy's unbuffered in-place ufunc add does.
+    Zero rows give zeros of rows' dtype (np.bincount's are int64)."""
     d = rows.shape[1]
     flat = (idx[:, None] * d + np.arange(d)).ravel()
-    return np.bincount(flat, weights=rows.ravel(),
-                       minlength=num_rows * d).reshape(num_rows, d)
+    out = np.bincount(flat, weights=rows.ravel(), minlength=num_rows * d)
+    return out.reshape(num_rows, d).astype(rows.dtype, copy=False)
 
 
 def row_gather(a: Tensor, idx) -> Tensor:

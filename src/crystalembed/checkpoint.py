@@ -107,7 +107,7 @@ def load_checkpoint(path) -> CheckpointData:
         nbytes = math.prod(shape) * 8
         if offset + nbytes > len(body):
             raise ParseError(f"{path}: truncated array data for {entry['name']}")
-        arr = np.frombuffer(body[offset:offset + nbytes], dtype="<f8").copy()
+        arr = np.frombuffer(body[offset:offset + nbytes], dtype="<f8")
         if not np.isfinite(arr).all():
             raise ParseError(f"{path}: array {entry['name']} holds non-finite values")
         arrays[entry["name"]] = arr.reshape(shape).astype(np.float64)

@@ -133,9 +133,7 @@ def node_nll(probs: Tensor, atomic_numbers: np.ndarray, scope,
         rows = np.arange(n, dtype=np.int64)
     else:
         rows = np.asarray(scope, dtype=np.int64)
-        if rows.size == 0:
-            raise ValidationError("node loss scope is empty")
-        if rows.min() < 0 or rows.max() >= n:
+        if rows.size and (rows.min() < 0 or rows.max() >= n):
             raise ValidationError("scope index out of range")
     return _segment_mean_nll(probs, rows, numbers[rows] - 1, np.ones(rows.size),
                              segments, "node loss scope is empty")

@@ -4,7 +4,7 @@ Initial node features come from a learned per-element table (or a learned mask
 vector for feature-masked nodes); edges are featurized with Gaussian radial
 basis values plus the raw unit direction. Each layer adds a gated message sum
 over incoming directed edges to the running node state (residual form), so a
-node with no neighbors passes through unchanged.
+node with no neighbors adds an empty sum; an edgeless graph runs every layer.
 """
 
 from dataclasses import dataclass, field
@@ -134,11 +134,9 @@ def initial_embeddings(
     if idx.size and (idx.min() < 0 or idx.max() >= MAX_Z):
         raise ValidationError("atomic number outside 1..118")
     masked = np.asarray(masked_nodes, dtype=np.int64)
-    if masked.size:
-        if masked.min() < 0 or masked.max() >= numbers.shape[0]:
-            raise ValidationError("masked node index out of range")
-        idx = idx.copy()
-        idx[masked] = MAX_Z  # row appended below
+    if masked.size and (masked.min() < 0 or masked.max() >= numbers.shape[0]):
+        raise ValidationError("masked node index out of range")
+    idx[masked] = MAX_Z  # row appended below; idx is a new array
     table = ag.concat(
         [params.atom_table, ag.reshape(params.mask_vector, (1, params.dim))],
         axis=0,
@@ -155,9 +153,6 @@ def apply_layers(
 ) -> Tensor:
     """Run residual gated layers on initial node states h0 (N, d), one
     `ag.gated_message` tape entry per layer."""
-    if graph.src.size == 0:
-        # empty-sum convention: no edges leaves every node state untouched
-        return h0
     feats = ag.constant(edge_features(
         graph.distances, graph.directions, rbf_count, cutoff))
     h = h0

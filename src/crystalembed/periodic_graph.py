@@ -67,12 +67,10 @@ class PeriodicGraph:
             raise ValidationError("atomic_numbers length != num_nodes")
         if np.any((self.atomic_numbers < 1) | (self.atomic_numbers > MAX_Z)):
             raise ValidationError(f"atomic numbers must lie in 1..{MAX_Z}")
-        if e == 0:
-            self._groups = (0, np.zeros(0, dtype=np.int64))
-            return
-        if self.src.min() < 0 or self.src.max() >= self.num_nodes:
+        # the initial values let an edgeless graph pass, also one of no nodes
+        if self.src.min(initial=0) < 0 or self.src.max(initial=-1) >= self.num_nodes:
             raise ValidationError("edge src index out of range")
-        if self.dst.min() < 0 or self.dst.max() >= self.num_nodes:
+        if self.dst.min(initial=0) < 0 or self.dst.max(initial=-1) >= self.num_nodes:
             raise ValidationError("edge dst index out of range")
         if np.any(self.distances <= 0) or np.any(self.distances > self.cutoff):
             raise ValidationError("edge distance outside (0, cutoff]")
@@ -290,17 +288,7 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
 class MultiplicityTargets:
     """Unordered image-connection counts per node pair, clamped to 5 ('5+')."""
 
-    classes: np.ndarray
-
-    def __post_init__(self):
-        self.classes = np.asarray(self.classes, dtype=np.int64)
-        n = self.classes.shape[0]
-        if self.classes.shape != (n, n):
-            raise ValidationError("classes must be square")
-        if not np.array_equal(self.classes, self.classes.T):
-            raise ValidationError("classes must be symmetric")
-        if self.classes.min() < 0 or self.classes.max() >= NUM_MULTIPLICITY_CLASSES:
-            raise ValidationError("classes must lie in 0..5")
+    classes: np.ndarray  # (N, N) int64 in 0..5, symmetric: multiplicity_targets'
 
 
 def multiplicity_targets(g: PeriodicGraph) -> MultiplicityTargets:
@@ -308,6 +296,5 @@ def multiplicity_targets(g: PeriodicGraph) -> MultiplicityTargets:
     n = g.num_nodes
     counts = np.bincount(g.src * n + g.dst, minlength=n * n).reshape(n, n)
     # directed self edges come in +-o pairs; one unordered connection each
-    diag = counts.diagonal().copy() // 2
-    np.fill_diagonal(counts, diag)
+    np.fill_diagonal(counts, counts.diagonal() // 2)
     return MultiplicityTargets(classes=np.minimum(counts, NUM_MULTIPLICITY_CLASSES - 1))

@@ -12,6 +12,7 @@ import json
 import math
 import shlex
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -292,16 +293,30 @@ def parse_cif(text: str) -> CrystalStructure:
 
 
 def parse_jsonl(line: str) -> CrystalStructure:
-    """Parse one JSON-lines record into a CrystalStructure."""
+    """Parse one JSON-lines record into a CrystalStructure. The lattice is 9
+    JSON numbers in row-major order, frac_coords N rows of 3 JSON numbers and
+    atomic_numbers N JSON integers; a bool or a string is neither."""
     try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise ParseError(f"malformed JSON: {exc} in {line[:80]!r}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
-    for key in ("lattice", "frac_coords", "atomic_numbers"):
+    # np.asarray would coerce a bool, a numeric string or, to int64, a float
+    for key, kinds in (("lattice", (int, float)), ("frac_coords", (int, float)),
+                       ("atomic_numbers", (int,))):
         if key not in obj:
             raise ParseError(f"missing field {key!r} in record {obj.get('id', '?')!r}")
+        # a list left among scalars is ragged: np.asarray rejects it below
+        level, types = [obj[key]], {type(obj[key])}
+        while types == {list}:
+            level = list(chain.from_iterable(level))
+            types = set(map(type, level))
+        if not types <= {list, *kinds}:
+            bad = next(v for v in level if type(v) not in (list, *kinds))
+            what = "numbers" if float in kinds else "integers"
+            raise ValidationError(
+                f"field {key!r} must hold JSON {what}, got {bad!r:.40}")
     try:
         lattice = np.asarray(obj["lattice"], dtype=np.float64)
         frac = np.asarray(obj["frac_coords"], dtype=np.float64)

@@ -143,7 +143,7 @@ def pretrain_losses(graphs, model: ModelParams, cfg: PretrainConfig, view_seeds)
         adjacency_probs(h, model.adj_decoder, pairs, batch.segments),
         classes, model.adj_decoder.class_weights, batch.segments[pairs[:, 0]])
     loss_nce = info_nce(project(h, model.projector, batch.segments),
-                        cfg.temperature)
+                        model.projector.temperature)
     total = ag.add(
         ag.add(ag.scale(loss_node, cfg.alpha), ag.scale(loss_adj, cfg.beta)),
         ag.scale(loss_nce, cfg.gamma),
@@ -196,7 +196,8 @@ def save_state(path, model: ModelParams, opt: AdamState, cfg: PretrainConfig,
 
 
 def load_state(path):
-    """Rebuild (model, optimizer, config, epoch, history) from a checkpoint."""
+    """Rebuild (model, optimizer, config, epoch, history) from a checkpoint
+    whose arrays are exactly its config's parameters and their Adam moments."""
     ck = load_checkpoint(path)
     cfg = PretrainConfig.from_dict(ck.config)
     model = init_model_params(
@@ -208,9 +209,10 @@ def load_state(path):
         raise ParseError(f"{path}: checkpoint adam header keys {sorted(wrong)} "
                          f"are missing or unknown")
     opt = from_dict(AdamState, ck.adam).allocate(model.tensors())
+    unread = dict(ck.arrays)
     for name, tensor in model.named().items():
         for key in (name, f"adam.m.{name}", f"adam.v.{name}"):
-            if key not in ck.arrays:
+            if unread.pop(key, None) is None:
                 raise ValidationError(f"{path}: checkpoint missing array {key}")
             if ck.arrays[key].shape != tensor.data.shape:
                 raise ValidationError(
@@ -220,6 +222,9 @@ def load_state(path):
         tensor.data = ck.arrays[name]
         opt.m[name][...] = ck.arrays[f"adam.m.{name}"]
         opt.v[name][...] = ck.arrays[f"adam.v.{name}"]
+    if unread:
+        raise ParseError(f"{path}: checkpoint holds array {next(iter(unread))}, "
+                         f"which the model its config builds does not read")
     for k, rec in enumerate(ck.history):
         if not (isinstance(rec, dict) and type(rec.get("epoch")) is int
                 and all(type(rec.get(key)) in (int, float)
@@ -367,9 +372,7 @@ def extract_embeddings(model: ModelParams, graphs) -> ElementEmbeddingTable:
             present[key] = True
             slot = np.cumsum(present) - 1
             pair_sums = ag.row_scatter_add(h, slot[key], slot[-1] + 1)
-            # the running sums first, then each pair's sum in graph order
-            rows = np.concatenate([np.arange(MAX_Z), np.flatnonzero(present) % MAX_Z])
-            sums = ag.row_scatter_add(
-                ag.constant(np.concatenate([sums, pair_sums.data])), rows, MAX_Z).data
+            # each pair's sum onto its element's running sum, in graph order
+            np.add.at(sums, np.flatnonzero(present) % MAX_Z, pair_sums.data)
             counts += np.bincount(z, minlength=MAX_Z)
     return table_from_sums(sums, counts)

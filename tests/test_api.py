@@ -36,6 +36,7 @@ REMOVED = {
     "downstream.DownstreamModel": ["trainable", "featurize", "feat_tensors"],
     "embeddings.ElementEmbeddingTable": ["row"],
     "checkpoint.CheckpointData": ["path"],
+    "periodic_graph.MultiplicityTargets": ["__post_init__"],
 }
 
 

@@ -786,6 +786,11 @@ class TestScatterAddAgainstUfuncAt:
         ag.sum_all(ag.mul(taken, ag.constant(g))).backward()
         assert _same_bits(table.grad, _ufunc_scatter((rows, d), (r, c), g))
 
+    def test_zero_rows_scatter_to_float64_zeros(self):
+        # np.bincount of an empty input is int64, whatever its weights
+        got = ag._scatter_rows(np.zeros(0, dtype=np.int64), np.zeros((0, 4)), 6)
+        assert got.dtype == np.float64 and _same_bits(got, np.zeros((6, 4)))
+
     def test_dense_then_scatter_contributions(self):
         # integer values keep every sum exact, so the order the contributions
         # are added in cannot change a bit

@@ -173,8 +173,14 @@ def test_ingest_bad_cutoff_exits_2(tmp_path, capsys):
     ("label", "3.5", "label must be a real number, got '3.5'"),
     ("label", True, "label must be a real number, got True"),
     ("atomic_numbers", [10**30], "malformed array field"),
+    ("atomic_numbers", [11.7], "field 'atomic_numbers' must hold JSON integers"),
+    ("atomic_numbers", [True], "field 'atomic_numbers' must hold JSON integers"),
+    ("frac_coords", [[True, 0, 0]], "field 'frac_coords' must hold JSON numbers"),
+    ("lattice", ["4", 0, 0, 0, 4, 0, 0, 0, 4],
+     "field 'lattice' must hold JSON numbers"),
 ], ids=["label-x", "label-empty", "label-list", "label-numeric-string",
-        "label-bool", "z-beyond-int64"])
+        "label-bool", "z-beyond-int64", "z-float", "z-bool", "coord-bool",
+        "lattice-string"])
 def test_ingest_counts_a_malformed_jsonl_field_as_failed(tmp_path, capsys,
                                                          field, value, reason):
     record = json.loads(serialize_jsonl(CrystalStructure(
@@ -669,6 +675,22 @@ def test_extract_malformed_checkpoint_header_exits_2(tmp_path, trained, capsys,
                  "--out", str(tmp_path / "emb")])
     assert code == 2
     assert message in capsys.readouterr().err
+
+
+def test_extract_checkpoint_with_an_unread_array_exits_2_before_any_output(
+        tmp_path, trained, capsys):
+    ckpt, data = trained
+    line, body = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(line)
+    header["arrays"].append({"name": "stray", "shape": [2]})
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(json.dumps(header).encode() + b"\n" + body + bytes(16))
+    out = tmp_path / "emb"
+    code = main(["extract", "--checkpoint", str(bad), "--data", str(data),
+                 "--out", str(out)])
+    assert code == 2
+    assert "checkpoint holds array stray," in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("history", [[5], [{"epoch": 1}]],

@@ -8,6 +8,7 @@ from crystalembed import autograd as ag
 from crystalembed.augmentation import augment, batch_views, two_views
 from crystalembed.encoder import (
     EncoderParams,
+    apply_layers,
     edge_features,
     encode,
     encode_graph,
@@ -113,6 +114,27 @@ class TestEncode:
         h = encode_graph(p, g)
         h0 = initial_embeddings(p, g.atomic_numbers)
         assert np.array_equal(h.data, h0.data)
+
+    def test_edgeless_union_backward_reaches_every_parameter(self):
+        # apply_layers runs its layers on an edgeless union as on any graph
+        p = small_params(seed=4)
+        lone = build_periodic_graph(cubic_structure(9.0, numbers=(8,)), p.cutoff)
+        pair = build_periodic_graph(cubic_structure(
+            10.0, numbers=(6, 7), coords=[[0.0, 0.0, 0.0], [0.5, 0.5, 0.5]]),
+            p.cutoff)
+        g = batch_graphs([lone, pair, lone]).graph
+        assert g.num_edges == 0 and g.num_nodes == 4
+        mix = np.random.default_rng(0).normal(size=(4, p.dim))
+        h = apply_layers(p.layers, g, initial_embeddings(p, g.atomic_numbers),
+                         p.rbf_count, p.cutoff)
+        assert h.name == h._parents[0].name == "gated_message"  # two layers
+        ag.sum_all(ag.mul(h, ag.constant(mix))).backward()
+        # each atom's table row takes its own upstream rows, nothing more
+        want = np.zeros_like(p.atom_table.data)
+        np.add.at(want, g.atomic_numbers - 1, mix)
+        assert np.array_equal(p.atom_table.grad, want)
+        for t in (w for layer in p.layers for w in layer.tensors()):
+            assert np.array_equal(t.grad, np.zeros_like(t.data)), t.name
 
     def test_isolated_node_keeps_initial_state(self):
         # a = 10 puts both atoms out of range of everything
@@ -333,6 +355,23 @@ class TestGatedMessageIsTheComposition:
         err = grad_check(lambda: ag.sum_all(ag.mul(run(ag.gated_message), mix)),
                          leaves)
         assert err < 1e-6, err
+
+    def test_zero_edges(self):
+        # the layer adds an empty message sum: h's bits out, the upstream
+        # gradient passed to h bit for bit, and all-zero weight gradients
+        rng = np.random.default_rng(3)
+        p = init_encoder_params(rng, 4, num_layers=1, rbf_count=2, cutoff=3.0)
+        h = ag.parameter(rng.normal(size=(3, 4)), "h")
+        weights = p.layers[0].tensors()
+        none = np.zeros(0, dtype=np.int64)
+        out = ag.gated_message(h, ag.constant(np.zeros((0, 5))), none, none,
+                               weights)
+        assert out.data.tobytes() == h.data.tobytes()
+        g = rng.normal(size=(3, 4))
+        ag.sum_all(ag.mul(out, ag.constant(g))).backward()
+        assert h.grad.tobytes() == g.tobytes()
+        for t in weights:
+            assert t.grad.tobytes() == np.zeros_like(t.data).tobytes(), t.name
 
     def test_one_tape_entry_per_layer(self, mixed_batch):
         p = small_params(dim=4, num_layers=3, rbf_count=4, cutoff=5.0)

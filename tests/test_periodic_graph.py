@@ -358,7 +358,7 @@ class TestGraphValidation:
     @pytest.mark.parametrize("z", [0, 119])
     @pytest.mark.parametrize("cutoff", [1.05, 0.5])
     def test_atomic_number_outside_periodic_table_rejected(self, z, cutoff):
-        # also on an edgeless graph, which skips the edge checks
+        # also on an edgeless graph, whose edge checks pass on empty arrays
         g = build_periodic_graph(rocksalt_structure(a=1.0), cutoff=cutoff)
         kwargs = _graph_kwargs(g, np.arange(g.num_edges))
         kwargs["atomic_numbers"] = [11, z]

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -202,6 +203,38 @@ class TestJsonl:
         )
         with pytest.raises(ValidationError):
             parse_jsonl(line)
+
+    @pytest.mark.parametrize("field, value, kind", [
+        ("atomic_numbers", [11.7, 17], "integers"),
+        ("atomic_numbers", [11.0, 17], "integers"),
+        ("atomic_numbers", [True, 17], "integers"),
+        ("atomic_numbers", ["11", "17"], "integers"),
+        ("frac_coords", [[True, 0, 0], [0.5, 0.5, 0.5]], "numbers"),
+        ("frac_coords", [[0, 0, 0], [0.5, "0.5", 0.5]], "numbers"),
+        ("frac_coords", [[0, 0, 0], [0.5, None, 0.5]], "numbers"),
+        ("lattice", [4, 0, 0, 0, 4, 0, 0, 0, False], "numbers"),
+        ("lattice", ["4", 0, 0, 0, 4, 0, 0, 0, 4], "numbers"),
+    ], ids=["z-float", "z-integral-float", "z-bool", "z-strings", "coord-bool",
+            "coord-string", "coord-null", "lattice-bool", "lattice-string"])
+    def test_arrays_hold_json_numbers(self, field, value, kind):
+        record = {"id": "x", "lattice": [4, 0, 0, 0, 4, 0, 0, 0, 4],
+                  "frac_coords": [[0, 0, 0], [0.5, 0.5, 0.5]],
+                  "atomic_numbers": [11, 17]}
+        assert parse_jsonl(json.dumps(record)).atomic_numbers.tolist() == [11, 17]
+        record[field] = value
+        with pytest.raises(ValidationError,
+                           match=f"field '{field}' must hold JSON {kind}"):
+            parse_jsonl(json.dumps(record))
+
+    @pytest.mark.parametrize("field", ["lattice", "frac_coords"])
+    def test_ragged_or_deep_arrays_are_validation_errors(self, field):
+        record = {"id": "x", "lattice": [4, 0, 0, 0, 4, 0, 0, 0, 4],
+                  "frac_coords": [[0, 0, 0]], "atomic_numbers": [11]}
+        # a bool below a ragged level, and nesting as deep as json takes
+        for value in ([[True, 0, 0], 1], json.loads("[" * 900 + "1" + "]" * 900)):
+            record[field] = value
+            with pytest.raises(ValidationError, match="malformed array field"):
+                parse_jsonl(json.dumps(record))
 
     def test_golden_lines(self):
         for s, golden in GOLDEN_CASES:

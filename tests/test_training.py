@@ -215,6 +215,13 @@ class TestPretrainStep:
         for p, g, w in zip(params, grads, want):
             assert g.tobytes() == w.tobytes(), p.name
 
+    def test_info_nce_reads_the_projector_temperature(self, graphs):
+        model = init_model_params(np.random.default_rng(0), 8, 1, 4, 5.0,
+                                  temperature=0.5)
+        nce = [pretrain_losses(graphs[:3], model, fast_cfg(temperature=t),
+                               [5, 6, 7])[2].data for t in (0.1, 0.5)]
+        assert nce[0] == nce[1]
+
     def test_masked_scope_runs(self, graphs):
         cfg = fast_cfg(node_loss_scope="masked", mask_ratio=0.5)
         model = fast_model(cfg)
@@ -641,10 +648,10 @@ class TestSaveLoadState:
         assert [p.name for p in tmp_path.iterdir()] == ["s.ckpt"]
 
     @staticmethod
-    def _edited_header(tmp_path, edit):
-        """A saved untrained state (epoch 0, empty history) whose JSON header
-        line went through edit(header)."""
-        cfg = fast_cfg(epochs=1)
+    def _edited_header(tmp_path, edit, **overrides):
+        """A saved untrained state (epoch 0, empty history) of fast_cfg(epochs=1,
+        **overrides) whose JSON header line went through edit(header)."""
+        cfg = fast_cfg(epochs=1, **overrides)
         model = fast_model(cfg)
         path = tmp_path / "s.ckpt"
         save_state(path, model, AdamState.for_params(model.tensors(), lr=cfg.lr),
@@ -672,6 +679,12 @@ class TestSaveLoadState:
         path = self._edited_header(
             tmp_path, lambda h: h["adam"].update(momentum=0.9))
         with pytest.raises(ParseError, match="momentum"):
+            load_state(path)
+
+    def test_array_the_model_does_not_read_is_parse_error(self, tmp_path):
+        path = self._edited_header(
+            tmp_path, lambda h: h["config"].update(num_layers=1), num_layers=2)
+        with pytest.raises(ParseError, match="holds array encoder.layer1.msg_w1,"):
             load_state(path)
 
     def test_adam_header_round_trips(self, tmp_path):
