@@ -74,14 +74,10 @@ def save_checkpoint(
 
 def load_checkpoint(path) -> CheckpointData:
     with reading(path):
-        raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    if nl < 0:
-        raise ParseError(f"{path}: missing checkpoint header line")
-    try:
-        header = json.loads(raw[:nl].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ParseError(f"{path}: bad checkpoint header: {exc}") from exc
+        head, newline, body = Path(path).read_bytes().partition(b"\n")
+        if not newline:
+            raise ParseError(f"{path}: missing checkpoint header line")
+        header = json.loads(head.decode("utf-8"))
     if not isinstance(header, dict) or header.get("format") != FORMAT_NAME:
         raise ParseError(f"{path}: not a {FORMAT_NAME} file")
     if header.get("version") != FORMAT_VERSION:
@@ -95,7 +91,6 @@ def load_checkpoint(path) -> CheckpointData:
         if type(header[key]) is not kind:  # JSON values: a bool is no int
             raise ParseError(f"{path}: checkpoint header {key!r} must be "
                              f"{kind.__name__}, got {header[key]!r:.40}")
-    body = raw[nl + 1:]
     arrays = {}
     offset = 0
     for entry in header["arrays"]:

@@ -8,10 +8,9 @@ Each only computes, writes its own outputs and returns its exit code.
 input but --out and --config, and the merged config. Any run is
 reproducible from that file, and a failed run leaves none behind.
 
-Exit codes: 0 success, 1 per-file ingest failures, 2 validation, parse or
-featurization errors and allocations that cannot be made, 3 numeric failures,
-4 any other exception: a bug, which `entry` reports with its traceback
-(`main` lets it propagate).
+Exit codes: 0 success, 1 per-file ingest failures, else the code `errors`
+gives the fault's class; 4 marks any other exception, a bug, which `entry`
+reports with its traceback (`main` lets it propagate).
 """
 
 import argparse
@@ -29,8 +28,8 @@ from .downstream import (DownstreamConfig, label_fraction_sweep,
 from .elements import category_of, z_to_symbol
 from .embeddings import (format_float17, load_table, project_2d,
                          save_table_csv, save_table_json)
-from .errors import (CrystalEmbedError, FeaturizationError, NumericsError,
-                     ParseError, ShapeError, ValidationError, reading)
+from .errors import (CrystalEmbedError, NumericsError, ParseError,
+                     ValidationError, reading)
 from .periodic_graph import (NUM_MULTIPLICITY_CLASSES, build_periodic_graph,
                              multiplicity_targets)
 from .structures import load_jsonl, parse_cif, save_jsonl
@@ -52,11 +51,8 @@ def _float_list(text: str):
 
 
 def _load_config_file(path) -> dict:
-    try:
-        with reading(path), open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: cannot read config: {exc}")
+    with reading(path), open(path, encoding="utf-8") as fh:
+        data = json.load(fh)
     if not isinstance(data, dict):
         raise ParseError(f"{path}: config must be a JSON object")
     # Accept an effective-config file written by an earlier run as-is.
@@ -93,12 +89,13 @@ def cmd_ingest(args, cfg) -> int:
         path = Path(raw)
         try:
             if path.suffix.lower() == ".cif":
-                structures.append(parse_cif(path.read_text(encoding="utf-8")))
+                with reading(path):
+                    structures.append(parse_cif(path.read_text(encoding="utf-8")))
             elif path.suffix.lower() == ".jsonl":
                 structures.extend(load_jsonl(path))
             else:
                 raise ParseError(f"unsupported input extension {path.suffix!r}")
-        except (OSError, UnicodeDecodeError, CrystalEmbedError) as exc:
+        except CrystalEmbedError as exc:
             failures.append((str(path), str(exc)))
     for path, message in failures:
         print(f"ingest failed: {path}: {message}", file=sys.stderr)
@@ -168,8 +165,6 @@ def cmd_extract(args, cfg) -> int:
 
 
 def cmd_downstream(args, cfg) -> int:
-    if cfg.mode == "pretrained" and args.table is None:
-        raise ValidationError("pretrained mode requires --table")
     if cfg.mode == "baseline" and args.table is not None:
         raise ValidationError("baseline mode reads no table: drop --table")
     table = None if args.table is None else load_table(args.table)
@@ -299,8 +294,7 @@ def main(argv=None) -> int:
     except NumericsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NUMERICS
-    except (ValidationError, ShapeError, ParseError, FeaturizationError,
-            MemoryError) as exc:  # NumPy's _ArrayMemoryError is a MemoryError
+    except (CrystalEmbedError, MemoryError) as exc:  # NumPy's _ArrayMemoryError too
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_VALIDATION
     if cfg is not None:

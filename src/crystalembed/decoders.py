@@ -173,8 +173,6 @@ def adj_weighted_ce(probs: Tensor, classes: np.ndarray, class_weights,
     p = probs.data.shape[0]
     if classes.shape != (p,):
         raise ValidationError("one probability row per pair required")
-    if p == 0:
-        raise ValidationError("no pairs to score")
     cw = np.asarray(class_weights, dtype=np.float64)
     return _segment_mean_nll(probs, np.arange(p, dtype=np.int64), classes,
                              cw[classes], segments,

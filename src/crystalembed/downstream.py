@@ -19,7 +19,7 @@ from . import autograd as ag
 from .autograd import ParameterGroup, Tensor
 from .elements import MAX_Z, z_to_symbol
 from .embeddings import ElementEmbeddingTable
-from .encoder import apply_layers, init_layers
+from .encoder import MAX_SIZE, apply_layers, init_layers
 from .errors import FeaturizationError, ValidationError, from_dict, require_finite
 from .optim import AdamState, adam_step
 from .periodic_graph import (GraphBatch, PeriodicGraph, batch_graphs,
@@ -52,7 +52,8 @@ class DownstreamConfig:
             raise ValidationError("epochs and batch_size must be >= 1")
         if self.lr <= 0.0 or self.cutoff <= 0.0:
             raise ValidationError("lr and cutoff must be positive")
-        if self.dim < 1 or self.num_layers < 0 or self.rbf_count < 1:
+        if not (0 < self.dim <= MAX_SIZE and 0 <= self.num_layers <= MAX_SIZE
+                and 0 < self.rbf_count <= MAX_SIZE):
             raise ValidationError("bad encoder dimensions")
         if self.adapter_noise < 0.0:
             raise ValidationError("adapter_noise must be nonnegative")

@@ -5,7 +5,7 @@ Z runs 1..118 throughout the package; arrays indexed by Z-1.
 
 from __future__ import annotations
 
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 MAX_Z = 118
 
@@ -55,7 +55,7 @@ def symbol_to_z(symbol: str) -> int:
 
 def z_to_symbol(z: int) -> str:
     if not 1 <= z <= MAX_Z:
-        raise ValueError(f"atomic number out of range: {z}")
+        raise ValidationError(f"atomic number out of range: {z}")
     return SYMBOLS[z - 1]
 
 

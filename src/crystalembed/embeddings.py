@@ -87,8 +87,8 @@ def _table_from_rows(source: str, dim: int, rows) -> ElementEmbeddingTable:
     """Table from (where, Z, symbol, count, vector) rows, as both loaders
     read them from `source`, which must list an element. Each vector must
     hold dim values, checked before the table is allocated; each Z must lie
-    in 1..MAX_Z, come once and match its symbol. `where` names the row in
-    the error."""
+    in 1..MAX_Z, come once and match its symbol, and each count must lie
+    in 0..2**63 - 1 (int64). `where` names the row in the error."""
     if not rows:
         raise ParseError(f"{source} lists no element")
     for where, _, _, _, vector in rows:
@@ -103,6 +103,8 @@ def _table_from_rows(source: str, dim: int, rows) -> ElementEmbeddingTable:
             raise ParseError(f"{where}: Z={z} out of range")
         if z in seen:
             raise ParseError(f"{where}: duplicate Z={z}")
+        if not 0 <= count < 2**63:
+            raise ParseError(f"{where}: count={count} out of range")
         if symbol_to_z(symbol) != z:
             raise ParseError(f"{where}: symbol/Z mismatch")
         seen.add(z)
@@ -114,10 +116,7 @@ def _table_from_rows(source: str, dim: int, rows) -> ElementEmbeddingTable:
 def load_table_csv(path) -> ElementEmbeddingTable:
     with reading(path), open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise ParseError(f"{path}: empty embedding CSV") from None
+        header = next(reader, [])
         if header[:3] != ["Z", "symbol", "count"]:
             raise ParseError(f"{path}: unexpected CSV header {header[:3]}")
         dim = len(header) - 3
@@ -152,17 +151,14 @@ def save_table_json(table: ElementEmbeddingTable, path) -> None:
 
 
 def load_table_json(path) -> ElementEmbeddingTable:
-    try:
-        with reading(path), open(path, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}: {exc}") from exc
+    with reading(path), open(path, encoding="utf-8") as fh:
+        obj = json.load(fh)
     try:
         return _table_from_rows(f"{path}: embedding JSON", int(obj["dim"]), [
             (f"{path}: element {k}", int(e["z"]), str(e["symbol"]),
              int(e["count"]), [float(x) for x in e["vector"]])
             for k, e in enumerate(obj["elements"])])
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed embedding JSON: {exc}") from exc
 
 

@@ -69,6 +69,12 @@ def _mlp_pair(rng, in_dim: int, hidden: int, out_dim: int, prefix: str):
     return w1, b1, w2, b2
 
 
+# Largest dim, num_layers or rbf_count a config takes. The widest weight,
+# (dim, 6, dim) float64s, stays under the 2**63 bytes past which NumPy raises
+# ValueError instead of MemoryError; no memory holds 2**28 layers either.
+MAX_SIZE = 2**28
+
+
 def init_layers(
     rng: np.random.Generator,
     dim: int,

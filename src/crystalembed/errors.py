@@ -1,9 +1,18 @@
-"""Exception hierarchy shared across the package, the context that turns a
-file that cannot be read into one of them, and the checked dict-to-dataclass
-conversion and finiteness check that turn bad config input into one of them."""
+"""The package's faults: which error each raises, and the exit code
+`cli.main` gives it. No other module decides either.
+
+- ParseError (2): bytes, text or a header that cannot be read as its format.
+- ValidationError (2): readable values the system cannot represent, or that
+  contradict each other or the config; ShapeError and FeaturizationError
+  are kinds of it.
+- NumericsError (3): non-finite arithmetic.
+
+A MemoryError exits 2 too. Any other exception is a bug (exit 4).
+"""
 
 from contextlib import contextmanager
 from dataclasses import fields
+import json
 import math
 
 
@@ -19,7 +28,7 @@ class ValidationError(CrystalEmbedError):
     """Raised when a value violates a documented invariant or precondition."""
 
 
-class ShapeError(CrystalEmbedError):
+class ShapeError(ValidationError):
     """Raised on tensor shape mismatches."""
 
 
@@ -27,19 +36,19 @@ class NumericsError(CrystalEmbedError):
     """Raised when a computation produces non-finite values."""
 
 
-class FeaturizationError(CrystalEmbedError):
+class FeaturizationError(ValidationError):
     """Raised when node features cannot be built for a structure."""
 
 
 @contextmanager
-def reading(path):
-    """Re-raise a failure to open, read or decode `path` as a ParseError
-    that names it."""
+def reading(source):
+    """Re-raise a failure to open or read `source` (a file or a record), or
+    to decode it as text or JSON, as a ParseError that names it."""
     try:
         yield
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         reason = getattr(exc, "strerror", None) or exc  # OSError: no errno prefix
-        raise ParseError(f"{path}: {reason}") from exc
+        raise ParseError(f"{source}: {reason}") from exc
 
 
 def _fits(value, default) -> bool:

@@ -13,6 +13,7 @@ import math
 import shlex
 from dataclasses import dataclass
 from itertools import chain
+from numbers import Real
 
 import numpy as np
 
@@ -73,13 +74,14 @@ class CrystalStructure:
         if np.any(self.atomic_numbers < 1) or np.any(self.atomic_numbers > MAX_Z):
             raise ValidationError("atomic numbers must lie in 1..118")
         if self.label is not None:
-            try:
-                if isinstance(self.label, (str, bool)):  # float() takes both
-                    raise TypeError
-                self.label = float(self.label)
-            except (TypeError, ValueError, OverflowError):
+            # a bool is an int, and float() would also take a numeric string
+            if isinstance(self.label, bool) or not isinstance(self.label, Real):
                 raise ValidationError(
-                    f"label must be a real number, got {self.label!r}") from None
+                    f"label must be a real number, got {self.label!r}")
+            try:
+                self.label = float(self.label)
+            except OverflowError:  # an int past float64
+                self.label = math.inf
             if not math.isfinite(self.label):
                 raise ValidationError("label must be finite")
         self.frac_coords = _wrap_frac(self.frac_coords)
@@ -296,10 +298,8 @@ def parse_jsonl(line: str) -> CrystalStructure:
     """Parse one JSON-lines record into a CrystalStructure. The lattice is 9
     JSON numbers in row-major order, frac_coords N rows of 3 JSON numbers and
     atomic_numbers N JSON integers; a bool or a string is neither."""
-    try:
+    with reading("malformed JSON record"):
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"malformed JSON: {exc} in {line[:80]!r}") from None
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
     # np.asarray would coerce a bool, a numeric string or, to int64, a float
@@ -327,8 +327,6 @@ def parse_jsonl(line: str) -> CrystalStructure:
         raise ValidationError(
             f"lattice must hold 9 reals row-major, got shape {lattice.shape}"
         )
-    if frac.size == 0:
-        frac = frac.reshape(0, 3)
     return CrystalStructure(
         lattice=lattice.reshape(3, 3),
         frac_coords=frac,

@@ -41,7 +41,7 @@ from .decoders import (
 )
 from .elements import MAX_Z
 from .embeddings import ElementEmbeddingTable, table_from_sums
-from .encoder import encode, encode_graph
+from .encoder import MAX_SIZE, encode, encode_graph
 from .errors import ParseError, ValidationError, from_dict, require_finite
 from .model import ModelParams, init_model_params
 from .optim import AdamState, adam_step
@@ -80,7 +80,8 @@ class PretrainConfig:
             raise ValidationError("batch_size must be >= 2 for in-batch negatives")
         if self.epochs < 1:
             raise ValidationError("epochs must be >= 1")
-        if self.dim < 1 or self.num_layers < 0 or self.rbf_count < 1:
+        if not (0 < self.dim <= MAX_SIZE and 0 <= self.num_layers <= MAX_SIZE
+                and 0 < self.rbf_count <= MAX_SIZE):
             raise ValidationError("bad encoder dimensions")
         if self.cutoff <= 0.0 or self.lr <= 0.0 or self.temperature <= 0.0:
             raise ValidationError("cutoff, lr, and temperature must be positive")
@@ -223,8 +224,9 @@ def load_state(path):
         opt.m[name][...] = ck.arrays[f"adam.m.{name}"]
         opt.v[name][...] = ck.arrays[f"adam.v.{name}"]
     if unread:
-        raise ParseError(f"{path}: checkpoint holds array {next(iter(unread))}, "
-                         f"which the model its config builds does not read")
+        raise ValidationError(
+            f"{path}: checkpoint holds array {next(iter(unread))}, "
+            f"which the model its config builds does not read")
     for k, rec in enumerate(ck.history):
         if not (isinstance(rec, dict) and type(rec.get("epoch")) is int
                 and all(type(rec.get(key)) in (int, float)

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import crystalembed
-from crystalembed import autograd, contrastive, decoders
+from crystalembed import autograd, contrastive, decoders, errors
 from crystalembed.augmentation import AugmentedView
 from crystalembed.downstream import DownstreamModel
 from crystalembed.optim import adam_step
@@ -186,3 +186,34 @@ def test_src_imports_only_the_stdlib_and_numpy():
     assert [f"{path.relative_to(root)}:{line}: {name}" for path in paths
             for line, name in _third_party_imports(
                 path.read_text(encoding="utf-8"))] == []
+
+
+def _foreign_raises(source):
+    """(line, exception) of every raise in source of a class outside the
+    package's errors. A bare re-raise, `type(exc)(...)`, which re-raises the
+    class caught, and argparse's ArgumentTypeError pass."""
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        raised = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+        if isinstance(raised, ast.Call) and ast.unparse(raised.func) == "type":
+            continue
+        name = ast.unparse(raised)
+        cls = getattr(errors, name, None)
+        if not (name == "argparse.ArgumentTypeError" or isinstance(cls, type)
+                and issubclass(cls, errors.CrystalEmbedError)):
+            yield node.lineno, name
+
+
+def test_every_src_raise_is_a_package_error():
+    # errors.py alone decides which class, and so which exit code, a fault has
+    assert list(_foreign_raises(
+        "raise ValueError('x')\nraise ParseError('y') from None\nraise\n"
+        "raise type(exc)('z')\nraise TypeError\n"
+        "raise argparse.ArgumentTypeError('a')\nraise ShapeError\n")) == [
+            (1, "ValueError"), (5, "TypeError")]
+    root = Path(__file__).resolve().parents[1]
+    paths = sorted((root / "src" / "crystalembed").rglob("*.py"))
+    assert paths
+    assert [f"{path.relative_to(root)}:{line}: {name}" for path in paths
+            for line, name in _foreign_raises(path.read_text(encoding="utf-8"))] == []

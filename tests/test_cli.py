@@ -172,6 +172,7 @@ def test_ingest_bad_cutoff_exits_2(tmp_path, capsys):
     ("label", [1], "label must be a real number, got [1]"),
     ("label", "3.5", "label must be a real number, got '3.5'"),
     ("label", True, "label must be a real number, got True"),
+    ("label", 10**400, "label must be finite"),
     ("atomic_numbers", [10**30], "malformed array field"),
     ("atomic_numbers", [11.7], "field 'atomic_numbers' must hold JSON integers"),
     ("atomic_numbers", [True], "field 'atomic_numbers' must hold JSON integers"),
@@ -179,7 +180,7 @@ def test_ingest_bad_cutoff_exits_2(tmp_path, capsys):
     ("lattice", ["4", 0, 0, 0, 4, 0, 0, 0, 4],
      "field 'lattice' must hold JSON numbers"),
 ], ids=["label-x", "label-empty", "label-list", "label-numeric-string",
-        "label-bool", "z-beyond-int64", "z-float", "z-bool", "coord-bool",
+        "label-bool", "label-past-float64", "z-beyond-int64", "z-float", "z-bool", "coord-bool",
         "lattice-string"])
 def test_ingest_counts_a_malformed_jsonl_field_as_failed(tmp_path, capsys,
                                                          field, value, reason):
@@ -401,7 +402,7 @@ def test_downstream_pretrained_without_table_exits_2(tmp_path, lab_jsonl,
                  "--out", str(tmp_path / "ds"), "--mode", "pretrained",
                  *FAST_DOWNSTREAM])
     assert code == 2
-    assert "--table" in capsys.readouterr().err
+    assert "pretrained mode requires an embedding table" in capsys.readouterr().err
 
 
 def test_downstream_baseline_with_a_table_exits_2_before_any_output(
@@ -947,22 +948,39 @@ def test_non_finite_config_float_exits_2_before_any_output(
     assert not out.exists()
 
 
-@pytest.mark.parametrize("message, shown", [
+PAST_INT64 = "99999999999999999999"
+
+
+@pytest.mark.parametrize("message, shown, command, flags", [
     ("Unable to allocate 859. TiB for an array with shape (118, 1000000000000)",
-     "Unable to allocate 859. TiB"),
-    ("", "out of memory")], ids=["numpy-message", "bare"])
+     "Unable to allocate 859. TiB", "pretrain", []),
+    ("", "out of memory", "pretrain", []),
+    # sizes NumPy cannot describe: refused before anything is allocated
+    (None, "bad encoder dimensions", "pretrain", ["--dim", PAST_INT64]),
+    (None, "bad encoder dimensions", "pretrain", ["--config", {"dim": 2**62}]),
+    (None, "bad encoder dimensions", "downstream", ["--dim", PAST_INT64]),
+], ids=["numpy-message", "bare", "dim-past-int64", "config-dim-2**62",
+        "downstream-dim-past-int64"])
 def test_allocation_failure_exits_2_without_effective_config(
-        tmp_path, pre_jsonl, capsys, monkeypatch, message, shown):
+        tmp_path, pre_jsonl, lab_jsonl, capsys, monkeypatch, message, shown,
+        command, flags):
     def allocate(*args, **kwargs):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli, "pretrain", allocate)
+    if message is not None:
+        monkeypatch.setattr(cli, "pretrain", allocate)
+    if flags[:1] == ["--config"]:
+        (tmp_path / "cfg.json").write_text(json.dumps(flags[1]))
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    data, fast = {"pretrain": (pre_jsonl, FAST_PRETRAIN),
+                  "downstream": (lab_jsonl, FAST_DOWNSTREAM)}[command]
     out = tmp_path / "out"
-    assert main(["pretrain", "--data", str(pre_jsonl), "--out", str(out),
-                 *FAST_PRETRAIN]) == 2
+    # fast[:2] is "--dim 8", which would override a --config dim
+    assert main([command, "--data", str(data), "--out", str(out), *fast[2:],
+                 *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and shown in err and err.count("\n") == 1
-    assert not (out / "pretrain_config.json").exists()
+    assert not (out / f"{command}_config.json").exists()
 
 
 def test_uncaught_exception_exits_4_with_its_traceback(tmp_path, pre_jsonl,

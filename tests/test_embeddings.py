@@ -79,6 +79,12 @@ class TestCsvRoundTrip:
         with pytest.raises(ParseError):
             load_table_csv(path)
 
+    def test_count_past_int64_rejected(self, tmp_path):
+        path = tmp_path / "count.csv"
+        path.write_text("Z,symbol,count,e0\n1,H,99999999999999999999,1.0\n")
+        with pytest.raises(ParseError, match="count=99999999999999999999 out of range"):
+            load_table_csv(path)
+
     def test_symbol_mismatch_rejected(self, tmp_path):
         path = tmp_path / "sym.csv"
         path.write_text("Z,symbol,count,e0\n1,He,1,1.0\n")
@@ -139,6 +145,18 @@ class TestJsonRoundTrip:
     def test_malformed_json_rejected(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text("{\"dim\": 2, \"elements\": [{\"z\": 1}]}")
+        with pytest.raises(ParseError):
+            load_table_json(path)
+
+    @pytest.mark.parametrize("dim, z, count", [
+        ("1e400", "1", "1"), ("1", "1e400", "1"), ("1", "1", "1e400"),
+        ("1", "1", "99999999999999999999")],
+        ids=["dim-overflow", "z-overflow", "count-overflow", "count-past-int64"])
+    def test_integer_past_its_type_rejected(self, tmp_path, dim, z, count):
+        # 1e400 reads as inf, which no int holds; a count must fit int64
+        path = tmp_path / "big.json"
+        path.write_text(f'{{"dim": {dim}, "elements": [{{"z": {z}, "symbol": '
+                        f'"H", "count": {count}, "vector": [1.0]}}]}}')
         with pytest.raises(ParseError):
             load_table_json(path)
 

@@ -681,10 +681,10 @@ class TestSaveLoadState:
         with pytest.raises(ParseError, match="momentum"):
             load_state(path)
 
-    def test_array_the_model_does_not_read_is_parse_error(self, tmp_path):
+    def test_array_the_model_does_not_read_is_validation_error(self, tmp_path):
         path = self._edited_header(
             tmp_path, lambda h: h["config"].update(num_layers=1), num_layers=2)
-        with pytest.raises(ParseError, match="holds array encoder.layer1.msg_w1,"):
+        with pytest.raises(ValidationError, match="holds array encoder.layer1.msg_w1,"):
             load_state(path)
 
     def test_adam_header_round_trips(self, tmp_path):
