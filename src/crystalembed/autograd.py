@@ -29,10 +29,13 @@ restores the state it found, so scopes nest.
 
 A composite op (`gated_message`) runs public ops off the tape, inside
 `no_grad`, so its forward is theirs bit for bit, and puts one tensor on the
-tape in their place. It keeps a few of their arrays, node rows rather than
-edge rows where it can, and one edge array where it must; its rule rebuilds
-the rest from them with the forward's own arithmetic, bit for bit, and
-replays their rules, in an order the sweep could run them.
+tape in their place. It runs its edge work in tiles of the edge order,
+each of whose (t, 2d) arrays fits in EDGE_TILE_BYTES, and keeps node rows
+and one tile's edge array, the last tile's gate; no array with a row for
+every edge outlives its forward. Its rule walks the tiles last to first,
+rebuilds every other array of a tile from the node rows with the forward's
+own arithmetic, bit for bit, replays their rules in an order the sweep
+could run them, and adds each tile's gradients to running sums.
 """
 
 from __future__ import annotations
@@ -48,6 +51,9 @@ from .errors import NumericsError, ShapeError, ValidationError
 logger = logging.getLogger(__name__)
 
 NORM_EPS = 1e-12  # l2_normalize_rows divides rows of norm <= NORM_EPS by it
+# gated_message runs its edge work in tiles whose (t, 2d) float64 arrays
+# each fit in this many bytes: 512 edges at d = 64, 2,048 at d = 16
+EDGE_TILE_BYTES = 2**19
 
 _recording = True  # False inside no_grad()
 
@@ -517,6 +523,26 @@ def _popped(g: np.ndarray, part: str) -> np.ndarray:
     return g
 
 
+def _edge_tiles(num_edges: int, d: int) -> list[slice]:
+    """Contiguous slices of the edge order, each of at most
+    EDGE_TILE_BYTES // (16 d) edges, so that a (t, 2d) float64 array fits in
+    EDGE_TILE_BYTES; one empty slice when there are no edges. Their sizes
+    differ by at most one edge, so no slice holds a single edge unless all
+    do: NumPy runs a one-row product as a matrix-vector one, whose sums
+    differ from those of the matrix-matrix product's rows."""
+    count = max(1, -(-num_edges // max(1, EDGE_TILE_BYTES // (16 * d))))
+    ends = [k * num_edges // count for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
+
+
+def _span(idx: np.ndarray) -> tuple[int, int]:
+    """The first row idx names and one past its last; (0, 0) if empty.
+    ufunc reduce, as .min() dispatches at more cost than a tile's work."""
+    if not len(idx):
+        return 0, 0
+    return int(np.minimum.reduce(idx)), int(np.maximum.reduce(idx)) + 1
+
+
 def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
     """One residual gated message-passing layer, a CGCNN-style convolution
     (Xie & Grossman, PRL 2018), as one tape entry:
@@ -534,105 +560,157 @@ def gated_message(h: Tensor, feats: Tensor, src, dst, weights) -> Tensor:
         a = (h @ W_dst + b1)[dst] + (h @ W_src)[src] + feats @ W_e   (E, 2d)
 
     so the two node products run on N rows and no (E, 2d + r) edge input is
-    built. The forward runs these public ops under no_grad and keeps the
-    node rows p_dst = h @ W_dst + b1 and p_src = h @ W_src, each (N, 2d),
-    and one edge array, the (E, d) gate; msg is dropped once msg * gate has
-    read it, and no (E, 2d) pre-activation outlives the forward.
-    Backward takes one MLP half at a time, the message half first: it
-    rebuilds the half's (E, d) pre-activation from column blocks of p_dst
-    and p_src gathered to the edges and of feats @ W_e, added in the
-    forward's order, recomputes its activations and replays the lifted
-    composition's rules in an order its sweep could run them. The message
-    half also remakes msg from its rebuilt hidden layer, bit for bit the
-    forward's, at the cost of one (E, d) @ (d, d) product; the gate half
-    reads it and drops it. Each half's pre-activation gradient is scattered
-    to node rows, and its feats product formed, as soon as it is made; it
-    is kept only while feats needs a gradient. A non-finite gradient inside
-    the layer names the part it appeared at.
+    built. The edge work runs in tiles (`_edge_tiles`): contiguous runs of
+    the given edge order, whose (t, 2d) float64 arrays each fit in
+    EDGE_TILE_BYTES, as in the tiling of FlashAttention (Dao et al. 2022);
+    src and dst may come in any order. Per tile, the forward runs these
+    public ops under no_grad from the pre-activation to msg * gate; the
+    tiles' products are joined into one (E, d) array, scattered onto dst
+    once. So every node adds its terms in edge order, and the row products are row
+    blocks of the one-tile products: the output is bitwise the one-tile
+    layer's (except where a tile has one row, whose products NumPy runs as
+    matrix-vector ones, with other sums). The layer keeps the node rows
+    p_dst = h @ W_dst + b1 and p_src = h @ W_src, each (N, 2d), and the last
+    tile's (t, d) gate; no (E, ·) array outlives the forward.
 
-    Each edge array is dropped after its last read. Besides the kept arrays
-    and node rows, the forward holds at most three (E, 2d) arrays at once
-    (an add's inputs and output; silu's x, e^-|x| and s), and the rule five
-    (E, d) arrays besides the gate, whether or not feats needs a gradient
-    (measured at d = 64: a peak of 5.2 (E, d) arrays above what the layer
-    holds when its backward starts, 5.5 with a feats gradient, node-row
-    arrays included).
+    The rule recomputes, as in Chen et al., "Training Deep Nets with
+    Sublinear Memory Cost" (2016). It walks the tiles last to first. Per
+    tile it rebuilds the pre-activation from p_dst and p_src gathered to the
+    tile's edges and from feats @ W_e, added in the forward's order, and the
+    hidden layer; from that it remakes msg, and every gate but the kept one,
+    bit for bit the forward's. It then replays the rules of the message
+    half and of the gate half, in an order the sweep could run them. The
+    weight and bias gradients are running sums over the tiles. Each tile's
+    pre-activation gradient, both halves at once, is scattered onto only
+    the node rows its dst and src span, and gives that tile's rows of
+    feats' gradient when feats is on the tape. So a one-tile union runs the untiled layer's
+    arithmetic; with more tiles, sums over edges are added tile by tile. A
+    non-finite gradient inside the layer names the part it appeared at.
+
+    Memory, besides the kept arrays: the forward holds the tiles' products,
+    (E, d) in all, per tile at most three (t, 2d) arrays at once (an add's
+    inputs and output; silu's x, e^-|x| and s), and at its end the joined
+    product and the scatter's (E, d) index. The rule holds the (t, d)
+    arrays of one tile, about ten at its peak, besides its running sums:
+    two (N, 2d) node-row sums, the (N, d) gradient of h, and feats' (E, r)
+    gradient when feats needs one (measured at d = 64 and E = 3,500 or
+    9,604: a forward peak of 2.5-2.6 (E, d) arrays above where it started,
+    and a rule peak 10-11 (t, d) arrays above those sums).
     """
     w1m, b1m, w2m, b2m, w1g, b1g, w2g, b2g = weights
     src = np.asarray(src, dtype=np.int64)
     dst = np.asarray(dst, dtype=np.int64)
     n, d = h.data.shape
+    if src.shape != dst.shape or feats.data.shape[:1] != dst.shape:
+        raise ShapeError("gated_message: src, dst and feats need one entry per edge")
+    tiles = _edge_tiles(len(dst), d)
     with no_grad():
-        w1 = concat([w1m, w1g], axis=1).data  # (2d + r, 2d): message | gate, kept
+        w1 = concat([w1m, w1g], axis=1).data  # (2d + r, 2d): message | gate
         p_dst = add(matmul(h, Tensor(w1[:d])), concat([b1m, b1g]))
         p_src = matmul(h, Tensor(w1[d:2 * d]))
-        # each (E, 2d) array is dropped after its last read
-        a = add(row_gather(p_dst, dst), row_gather(p_src, src))
-        a = add(a, matmul(feats, Tensor(w1[2 * d:])))
-        hidden = silu(a).data
-        del a
-        msg = add(matmul(Tensor(hidden[:, :d]), w2m), b2m)
-        gate = sigmoid(add(matmul(Tensor(hidden[:, d:]), w2g), b2g))
-        gated = mul(msg, gate)
-        del hidden, msg  # the rule remakes msg from the hidden layer it rebuilds
-        out = add(h, row_scatter_add(gated, dst, n))
-    p_dst, p_src, gate = p_dst.data, p_src.data, gate.data
+        w_e = Tensor(w1[2 * d:])
+        gated = []
+        for tile in tiles:  # each (t, 2d) array is dropped after its last read
+            a = add(row_gather(p_dst, dst[tile]), row_gather(p_src, src[tile]))
+            a = add(a, matmul(Tensor(feats.data[tile]), w_e))
+            hidden = silu(a).data
+            del a
+            msg = add(matmul(Tensor(hidden[:, :d]), w2m), b2m)
+            gate = sigmoid(add(matmul(Tensor(hidden[:, d:]), w2g), b2g))
+            del hidden
+            gated.append(mul(msg, gate))
+            del msg
+        if len(gated) > 1:  # one (E, d) array, scattered once
+            gated = [Tensor(np.concatenate([t.data for t in gated]))]
+        out = add(h, row_scatter_add(gated[0], dst, n))
+    p_dst, p_src, kept_gate = p_dst.data, p_src.data, gate.data
 
     def rule(g):
         """Every input's gradient contribution, in input order, each a new
         array (feats' is None when feats is off the tape)."""
+        w1 = np.concatenate([w1m.data, w1g.data], axis=1)
         g_h = g + 0.0  # the residual add's copy for h; the scatter's is equal
         halves = (slice(0, d), slice(d, 2 * d))
-        # per MLP half (message, gate): the pre-activation gradient scattered
-        # to dst and src node rows, its feats product, and the half itself
-        # only where g_feats needs it
-        g_dst, g_src, g_we, g_a, g_w2, g_b2 = [], [], [], [], [], []
-        for cols, w1_half, w2, which in zip(halves, (w1m, w1g), (w2m, w2g),
-                                            ("message", "gate")):
-            # the half's pre-activation a, rebuilt as the forward added it,
-            # and its activations; then the rules of silu(a) @ w2 + b2 in the
-            # sweep's order (the bias add's copy of g_out is an exact no-op)
-            a = p_dst[:, cols][dst]
-            a += p_src[:, cols][src]
-            a += feats.data @ w1_half.data[2 * d:]
+        # running sums over the tiles: the node-row gradients, and per MLP
+        # half those of w2, b2 and w1's feats block, started by the first
+        # tile the rule takes
+        g_dst, g_src = np.zeros((n, 2 * d)), np.zeros((n, 2 * d))
+        sums = None
+        g_feats = np.empty(feats.data.shape) if feats.requires_grad else None
+
+        def hidden(ends, cols):
+            """One MLP half's hidden layer silu(a) = a * s on a tile's edges,
+            and s, with its pre-activation a rebuilt as the forward added
+            it."""
+            tile_dst, tile_src, tile_feats = ends
+            a = p_dst[:, cols][tile_dst]
+            a += p_src[:, cols][tile_src]
+            a += tile_feats @ w1[2 * d:, cols]
             s = _sigmoid(a)
-            a *= s  # silu(a)
-            if which == "message":  # the forward's msg, remade for the gate half
-                msg = a @ w2.data
-                msg += b2m.data
-            g_out = _popped(g_h[dst] * (msg if which == "gate" else gate), f"the {which}")
-            if which == "gate":  # through the gate's sigmoid, onto its logit
-                del msg
-                g_out *= gate
-                g_out *= 1.0 - gate
-                _popped(g_out, "the gate's logit")
-            g_b2.append(g_out.sum(axis=0))
-            g_w2.append(a.T @ g_out)
-            # silu's rule, g * (s + a*s*(1 - s)), made in place on a*s
-            a *= np.subtract(1.0, s)
-            a += s
-            del s
-            a *= _popped(g_out @ w2.data.T, f"the {which} MLP's hidden layer")
-            del g_out
-            _popped(a, f"the {which} MLP's pre-activation")
-            # the gathers' rules, then the feats block of the weight product
-            g_dst.append(_scatter_rows(dst, a, n))
-            g_src.append(_scatter_rows(src, a, n))
-            g_we.append(feats.data.T @ a)
-            if feats.requires_grad:
+            a *= s
+            return a, s
+
+        for tile in reversed(tiles):
+            ends = tile_dst, tile_src, tile_feats = (dst[tile], src[tile],
+                                                     feats.data[tile])
+            spans = [(g_dst, tile_dst, *_span(tile_dst)),
+                     (g_src, tile_src, *_span(tile_src))]
+            g_in = g_h[tile_dst]  # the upstream gradient on the tile's edges
+            hiddens, gate = [None, None], kept_gate
+            if tile is not tiles[-1]:  # the gate, remade from its hidden layer
+                hiddens[1] = hidden(ends, halves[1])
+                gate = _sigmoid(hiddens[1][0] @ w2g.data + b2g.data)
+            # per MLP half (message, gate): the rules of silu(a) @ w2 + b2 in
+            # the sweep's order (the bias add's copy of g_out is an exact
+            # no-op), giving the tile's shares of the weight gradients and
+            # the half's pre-activation gradient
+            g_a, shares = [], []
+            for k, (cols, w2, which) in enumerate(zip(halves, (w2m, w2g),
+                                                      ("message", "gate"))):
+                a, s = hiddens[k] or hidden(ends, cols)
+                hiddens[k] = None
+                if which == "message":  # the forward's msg, for the gate half
+                    msg = a @ w2.data
+                    msg += b2m.data
+                g_out = _popped(g_in * (msg if which == "gate" else gate),
+                                f"the {which}")
+                if which == "gate":  # through the gate's sigmoid, onto its logit
+                    del msg
+                    g_out *= gate
+                    g_out *= 1.0 - gate
+                    _popped(g_out, "the gate's logit")
+                shares += [a.T @ g_out, g_out.sum(axis=0)]
+                # silu's rule, g * (s + a*s*(1 - s)), made in place on a*s
+                a *= np.subtract(1.0, s)
+                a += s
+                del s
+                a *= _popped(g_out @ w2.data.T, f"the {which} MLP's hidden layer")
+                del g_out
+                _popped(a, f"the {which} MLP's pre-activation")
+                shares.append(tile_feats.T @ a)  # the weight product's feats block
                 g_a.append(a)
-            del a
-        g_dst = _popped(np.concatenate(g_dst, axis=1), "the node rows h @ W_dst + b1")
-        g_src = _popped(np.concatenate(g_src, axis=1), "the node rows h @ W_src")
+                del a
+            # the gathers' rules, both halves at once, and feats' gradient
+            g_a = np.concatenate(g_a, axis=1)
+            for total, idx, lo, hi in spans:
+                total[lo:hi] += _scatter_rows(idx - lo, g_a, hi - lo)
+            if g_feats is not None:
+                g_feats[tile] = g_a @ w1[2 * d:].T
+            del g_a
+            if sums is None:
+                sums = shares
+            else:
+                for total, share in zip(sums, shares):
+                    total += share
+        _popped(g_dst, "the node rows h @ W_dst + b1")
+        _popped(g_src, "the node rows h @ W_src")
         g_b1, g_hw = g_dst.sum(axis=0), (h.data.T @ g_dst, h.data.T @ g_src)
+        g_w2m, g_b2m, g_wem, g_w2g, g_b2g, g_weg = sums
         g_w1 = [np.concatenate([g_hw[0][:, c], g_hw[1][:, c], we])
-                for we, c in zip(g_we, halves)]
-        g_feats = np.concatenate(g_a, axis=1) @ w1[2 * d:].T if g_a else None
-        del g_a
+                for c, we in zip(halves, (g_wem, g_weg))]
         g_h += g_dst @ w1[:d].T
         g_h += g_src @ w1[d:2 * d].T
-        return (g_h, g_feats, g_w1[0], g_b1[:d].copy(), g_w2[0], g_b2[0],
-                g_w1[1], g_b1[d:].copy(), g_w2[1], g_b2[1])
+        return (g_h, g_feats, g_w1[0], g_b1[:d].copy(), g_w2m, g_b2m,
+                g_w1[1], g_b1[d:].copy(), g_w2g, g_b2g)
 
     return Tensor(out.data, (h, feats, *weights), rule, "gated_message")
-

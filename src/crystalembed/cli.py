@@ -32,7 +32,7 @@ from .errors import (CrystalEmbedError, NumericsError, ParseError,
                      ValidationError, reading)
 from .periodic_graph import (NUM_MULTIPLICITY_CLASSES, build_periodic_graph,
                              multiplicity_targets)
-from .structures import load_jsonl, parse_cif, save_jsonl
+from .structures import load_cif, load_jsonl, save_jsonl
 from .training import (PretrainConfig, extract_embeddings, load_state,
                        pretrain)
 
@@ -87,18 +87,18 @@ def cmd_ingest(args, cfg) -> int:
     structures, failures = [], []
     for raw in args.inputs:
         path = Path(raw)
-        try:
+        try:  # each reader's errors name the file
             if path.suffix.lower() == ".cif":
-                with reading(path):
-                    structures.append(parse_cif(path.read_text(encoding="utf-8")))
+                structures.append(load_cif(path))
             elif path.suffix.lower() == ".jsonl":
                 structures.extend(load_jsonl(path))
             else:
-                raise ParseError(f"unsupported input extension {path.suffix!r}")
+                raise ParseError(f"{path}: unsupported input extension "
+                                 f"{path.suffix!r}")
         except CrystalEmbedError as exc:
-            failures.append((str(path), str(exc)))
-    for path, message in failures:
-        print(f"ingest failed: {path}: {message}", file=sys.stderr)
+            failures.append(str(exc))
+    for message in failures:
+        print(f"ingest failed: {message}", file=sys.stderr)
     if not structures and not failures:
         raise ValidationError("no structures in the given inputs")
 

@@ -150,13 +150,29 @@ def save_table_json(table: ElementEmbeddingTable, path) -> None:
         fh.write("\n")
 
 
+_JSON_KINDS = {int: "integer", float: "number", str: "string"}
+
+
 def load_table_json(path) -> ElementEmbeddingTable:
+    """A table from JSON whose dim, z and count are JSON integers, symbol a
+    string and vector a list of JSON numbers; a bool, or a number written
+    as a string, is none of them."""
     with reading(path), open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
+
+    def typed(value, what: str, *kinds):
+        if type(value) not in kinds:
+            raise ParseError(f"{path}: {what} must be a JSON "
+                             f"{_JSON_KINDS[kinds[-1]]}, got {value!r:.40}")
+        return value
+
     try:
-        return _table_from_rows(f"{path}: embedding JSON", int(obj["dim"]), [
-            (f"{path}: element {k}", int(e["z"]), str(e["symbol"]),
-             int(e["count"]), [float(x) for x in e["vector"]])
+        dim = typed(obj["dim"], "dim", int)
+        return _table_from_rows(f"{path}: embedding JSON", dim, [
+            (f"{path}: element {k}", typed(e["z"], f"element {k} z", int),
+             typed(e["symbol"], f"element {k} symbol", str),
+             typed(e["count"], f"element {k} count", int),
+             [typed(x, f"element {k} vector", int, float) for x in e["vector"]])
             for k, e in enumerate(obj["elements"])])
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise ParseError(f"{path}: malformed embedding JSON: {exc}") from exc

@@ -352,6 +352,16 @@ def serialize_jsonl(s: CrystalStructure) -> str:
     return "{" + ", ".join(parts) + "}"
 
 
+def load_cif(path) -> CrystalStructure:
+    """Read one CIF file; an error names the file."""
+    with reading(path), open(path, encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse_cif(text)
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
+
+
 def load_jsonl(path) -> list[CrystalStructure]:
     """Read a JSON-lines dataset file, skipping blank lines."""
     out = []

@@ -135,6 +135,25 @@ def test_ingest_counts_a_non_utf8_input_as_failed(tmp_path, capsys, name):
     assert stats["num_failed"] == 1
 
 
+@pytest.mark.parametrize("name, content, reason", [
+    ("bad.jsonl", b'{"lattice": [4, 0, 0, 0, 4, 0, 0, 0, 4], "frac_coords": '
+     b'[[0, 0, 0]], "atomic_numbers": [true]}\n',
+     ":1: field 'atomic_numbers' must hold JSON integers, got True"),
+    ("latin1.cif", CUBIC_NA_CIF.replace("na_test", "na_t\u00e9st").encode("latin-1"),
+     ": 'utf-8' codec can't decode byte 0xe9 in position "),
+    ("empty.cif", b"data_empty\n", ": missing required CIF tag _cell_length_a"),
+    ("data.txt", b"whatever", ": unsupported input extension '.txt'"),
+], ids=["jsonl-record", "cif-not-utf8", "cif-unparsable", "extension"])
+def test_ingest_failure_line_names_the_file_once(tmp_path, capsys, name,
+                                                 content, reason):
+    bad = tmp_path / name
+    bad.write_bytes(content)
+    assert main(["ingest", str(bad), "--out", str(tmp_path / "ing")]) == 1
+    line, = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"ingest failed: {bad}{reason}"), line
+    assert line.count(name) == 1, line
+
+
 def test_ingest_cubic_toy_multiplicity_histogram(tmp_path):
     # One-site cubic cell, a=4, cutoff 5: six face neighbors, all self-pairs,
     # so the single unordered pair lands in class 3.
@@ -194,7 +213,7 @@ def test_ingest_counts_a_malformed_jsonl_field_as_failed(tmp_path, capsys,
     out = tmp_path / "ing"
     assert main(["ingest", str(bad), str(good), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"ingest failed: {bad}: {bad}:1: " in err and reason in err
+    assert f"ingest failed: {bad}:1: " in err and reason in err
     stats = json.loads((out / "stats.json").read_text())
     assert stats["num_structures"] == 1
     assert stats["num_failed"] == 1
@@ -229,7 +248,7 @@ def test_ingest_counts_an_overflowing_lattice_as_failed(tmp_path, capsys):
     out = tmp_path / "ing"
     assert main(["ingest", str(bad), str(good), "--out", str(out)]) == 1
     err = capsys.readouterr().err
-    assert f"ingest failed: {bad}: " in err
+    assert f"ingest failed: {bad}:1: " in err
     assert "lattice determinant must be finite and > 0, got inf" in err
     assert "1e+308" not in (out / "dataset.jsonl").read_text()
     stats = json.loads((out / "stats.json").read_text())

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -158,6 +159,33 @@ class TestJsonRoundTrip:
         path.write_text(f'{{"dim": {dim}, "elements": [{{"z": {z}, "symbol": '
                         f'"H", "count": {count}, "vector": [1.0]}}]}}')
         with pytest.raises(ParseError):
+            load_table_json(path)
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda obj: obj.update(dim=2.9), "dim must be a JSON integer, got 2.9"),
+        (lambda obj: obj.update(dim=2.0), "dim must be a JSON integer, got 2.0"),
+        (lambda obj: obj["elements"][0].update(z=True),
+         "element 0 z must be a JSON integer, got True"),
+        (lambda obj: obj["elements"][0].update(z=1.0),
+         "element 0 z must be a JSON integer, got 1.0"),
+        (lambda obj: obj["elements"][3].update(count="7"),
+         "element 3 count must be a JSON integer, got '7'"),
+        (lambda obj: obj["elements"][0].update(symbol=1),
+         "element 0 symbol must be a JSON string, got 1"),
+        (lambda obj: obj["elements"][0]["vector"].__setitem__(1, "0.8"),
+         "element 0 vector must be a JSON number, got '0.8'"),
+        (lambda obj: obj["elements"][0]["vector"].__setitem__(1, False),
+         "element 0 vector must be a JSON number, got False"),
+    ], ids=["dim-float", "dim-integral-float", "z-bool", "z-float",
+            "count-string", "symbol-number", "vector-string", "vector-bool"])
+    def test_value_of_the_wrong_json_type_rejected(self, tmp_path, edit, message):
+        # int() and float() took each of these: dim 2, hydrogen, count 7, 0.8
+        path = tmp_path / "emb.json"
+        save_table_json(random_table(np.random.default_rng(5), dim=2), path)
+        obj = json.loads(path.read_text())
+        edit(obj)
+        path.write_text(json.dumps(obj))
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: {message}')}$"):
             load_table_json(path)
 
 

@@ -15,7 +15,7 @@ from crystalembed.encoder import (
     init_encoder_params,
     initial_embeddings,
 )
-from crystalembed.errors import ValidationError
+from crystalembed.errors import NumericsError, ShapeError, ValidationError
 from crystalembed.periodic_graph import (PeriodicGraph, batch_graphs,
                                          build_periodic_graph)
 from crystalembed.structures import CrystalStructure
@@ -406,6 +406,221 @@ def test_gated_message_keeps_one_edge_array_for_its_rule():
     assert held < node_rows + 1.5 * edge_array, (held - node_rows) / edge_array
     ag.sum_all(out).backward()
     assert np.isfinite(h.grad).all()
+
+
+def _one_tile(monkeypatch):
+    monkeypatch.setattr(ag, "EDGE_TILE_BYTES", 2**62)
+
+
+def _tiles_of(monkeypatch, edges, dim):
+    """Tiles of at most `edges` edges at width dim."""
+    monkeypatch.setattr(ag, "EDGE_TILE_BYTES", 16 * dim * edges)
+
+
+def _two_layer_run(g, dim, order=None, seed=0):
+    """A run of two gated layers on graph g's edges, taken in `order`
+    (default: as given): () -> (output, [grad of h0, of feats, of every
+    weight])."""
+    order = np.arange(g.num_edges) if order is None else order
+    rng = np.random.default_rng(seed)
+    p = init_encoder_params(rng, dim, num_layers=2, rbf_count=4, cutoff=5.0)
+    h0 = ag.parameter(rng.normal(size=(g.num_nodes, dim)), "h0")
+    feats = ag.Tensor(edge_features(g.distances, g.directions, 4, 5.0)[order],
+                      requires_grad=True)
+    src, dst = g.src[order], g.dst[order]
+    leaves = [h0, feats, *(t for layer in p.layers for t in layer.tensors())]
+    mix = rng.normal(size=h0.data.shape)
+
+    def run():
+        h = h0
+        for layer in p.layers:
+            h = ag.gated_message(h, feats, src, dst, layer.tensors())
+        return h
+
+    return lambda: _grads_by(run, leaves, mix)
+
+
+@pytest.fixture(scope="module")
+def tile_batches():
+    """Two views each of an N=2 cell, a k=2 supercell (N=16) and a k=3
+    supercell (N=54), as one union; and two views each of two k=3
+    supercells."""
+    cells = make_pretraining_structures(2, seed=4)
+    mixed = [build_periodic_graph(s, 5.0)
+             for s in (cells[0], supercell(cells[0], 2), supercell(cells[1], 3))]
+    assert [g.num_nodes for g in mixed] == [2, 16, 54]
+    k3 = [build_periodic_graph(supercell(s, 3), 5.0) for s in cells]
+    batches = {name: batch_views([v for i, g in enumerate(graphs)
+                                  for v in two_views(g, 0.3, 0.2, seed=i)]).graph
+               for name, graphs in (("mixed", mixed), ("k=3", k3))}
+    # nodes with more incoming edges than the smallest tiles hold
+    assert all(np.bincount(g.dst).max() > 3 for g in batches.values())
+    return batches
+
+
+class TestEdgeTiles:
+    """gated_message in tiles of a few edges against the same layer in one
+    tile: the output bitwise, every input gradient within 1e-12, as the
+    sums over edges are added tile by tile."""
+
+    @pytest.mark.parametrize("batch, order", [
+        ("mixed", "given"), ("k=3", "given"), ("k=3", "permuted")])
+    @pytest.mark.parametrize("dim, edges", [(8, 2), (8, 37), (64, 3), (64, 100)])
+    def test_output_bitwise_and_gradients_close(self, monkeypatch, tile_batches,
+                                                batch, order, dim, edges):
+        g = tile_batches[batch]
+        perm = (np.random.default_rng(1).permutation(g.num_edges)
+                if order == "permuted" else None)
+        run = _two_layer_run(g, dim, perm)
+        _one_tile(monkeypatch)
+        want_out, want = run()
+        _tiles_of(monkeypatch, edges, dim)
+        assert len(ag._edge_tiles(g.num_edges, dim)) == -(-g.num_edges // edges)
+        out, got = run()
+        assert np.array_equal(out, want_out)
+        for got_grad, want_grad in zip(got, want):
+            _assert_close(got_grad, want_grad)
+
+    def test_tiles_of_one_edge(self, monkeypatch, tile_batches):
+        # a one-row product is a matrix-vector one in NumPy, with other sums
+        # than the matrix-matrix product's rows, so here the output too is
+        # only within 1e-12
+        run = _two_layer_run(tile_batches["mixed"], 8)
+        _one_tile(monkeypatch)
+        want_out, want = run()
+        _tiles_of(monkeypatch, 1, 8)
+        out, got = run()
+        _assert_close(out, want_out)
+        for got_grad, want_grad in zip(got, want):
+            _assert_close(got_grad, want_grad)
+
+    @pytest.mark.parametrize("edges", [1, 2, 5])
+    def test_grad_check(self, monkeypatch, edges):
+        # the union of test_edge_cases_of_the_lift: self-image edges and
+        # nodes without edges, here with its edges reversed
+        one = build_periodic_graph(cubic_structure(a=2.0), 2.5)
+        lone = build_periodic_graph(cubic_structure(a=9.0, numbers=(8,)), 2.5)
+        pair = build_periodic_graph(cubic_structure(
+            a=3.0, numbers=(11, 17), coords=((0, 0, 0), (0.5, 0.5, 0.5))), 2.7)
+        g = batch_graphs([lone, one, pair, lone]).graph
+        order = np.arange(g.num_edges)[::-1]
+        rng = np.random.default_rng(7)
+        p = init_encoder_params(rng, 3, num_layers=1, rbf_count=2, cutoff=3.0)
+        h0 = ag.parameter(rng.normal(size=(g.num_nodes, 3)), "h0")
+        feats = ag.Tensor(edge_features(g.distances, g.directions, 2, 3.0)[order],
+                          requires_grad=True)
+        weights = p.layers[0].tensors()
+        mix = ag.constant(rng.normal(size=h0.data.shape))
+        _tiles_of(monkeypatch, edges, 3)
+        assert len(ag._edge_tiles(g.num_edges, 3)) > 1
+
+        def f():
+            return ag.sum_all(ag.mul(ag.gated_message(
+                h0, feats, g.src[order], g.dst[order], weights), mix))
+
+        err = grad_check(f, [h0, feats, *weights])
+        assert err < 1e-6, err
+
+    def test_zero_edges(self, monkeypatch):
+        # one empty tile: h's bits out, g passed to h bit for bit, and
+        # all-zero weight gradients
+        _tiles_of(monkeypatch, 1, 4)
+        rng = np.random.default_rng(3)
+        p = init_encoder_params(rng, 4, num_layers=1, rbf_count=2, cutoff=3.0)
+        h = ag.parameter(rng.normal(size=(3, 4)), "h")
+        weights = p.layers[0].tensors()
+        none = np.zeros(0, dtype=np.int64)
+        out = ag.gated_message(h, ag.constant(np.zeros((0, 5))), none, none,
+                               weights)
+        assert out.data.tobytes() == h.data.tobytes()
+        g = rng.normal(size=(3, 4))
+        ag.sum_all(ag.mul(out, ag.constant(g))).backward()
+        assert h.grad.tobytes() == g.tobytes()
+        for t in weights:
+            assert t.grad.tobytes() == np.zeros_like(t.data).tobytes(), t.name
+
+    @pytest.mark.parametrize("longer", ["src", "dst", "feats"])
+    def test_one_entry_per_edge(self, longer):
+        # the tiles cut the edge order, so no array may hold edges the others
+        # lack
+        rng = np.random.default_rng(0)
+        p = init_encoder_params(rng, 4, num_layers=1, rbf_count=2, cutoff=3.0)
+        edges = {"src": np.array([0, 1, 2]), "dst": np.array([1, 2, 0]),
+                 "feats": rng.normal(size=(3, 5))}
+        edges[longer] = np.concatenate([edges[longer], edges[longer][:1]])
+        with pytest.raises(ShapeError, match="one entry per edge"):
+            ag.gated_message(ag.parameter(rng.normal(size=(3, 4)), "h"),
+                             ag.constant(edges["feats"]), edges["src"],
+                             edges["dst"], p.layers[0].tensors())
+
+    @pytest.mark.parametrize("half", ["message", "gate"])
+    def test_nonfinite_gradient_in_an_early_tile_names_its_part(self, monkeypatch,
+                                                                half):
+        # the half's first layer is 0, so its hidden layer is silu(0) = 0 and
+        # the forward finite; its second layer is 1e308, so the gradient
+        # through it overflows where the upstream gradient is not 0: on the
+        # edges into node 0, all in the first of five tiles. (The message
+        # is then 1, so the gate's logit gradient is 0.25 per column.)
+        d, rng = 8, np.random.default_rng(0)
+        src = np.array([1, 2, 3, 1, 2, 3, 0, 0, 3, 2])
+        dst = np.array([0, 0, 1, 2, 3, 1, 2, 3, 2, 1])
+        mlp = {"message": [np.zeros((2 * d + 2, d)), np.zeros(d),
+                           np.full((d, d), 1e308), np.zeros(d)],
+               "gate": [np.zeros((2 * d + 2, d)), np.zeros(d),
+                        np.full((d, d), 1e308), np.zeros(d)]}
+        other = "gate" if half == "message" else "message"
+        mlp[other] = [rng.normal(size=(2 * d + 2, d)), np.zeros(d),
+                      rng.normal(size=(d, d)), np.zeros(d)]
+        if half == "gate":
+            mlp[other][2:] = [np.zeros((d, d)), np.ones(d)]  # msg = 1
+        h_data, feats = rng.normal(size=(4, d)), rng.normal(size=(10, 2))
+        upstream = np.zeros((4, d))
+        upstream[0] = 1.0
+
+        def failure():
+            weights = [ag.parameter(w, f"w{i}") for i, w in
+                       enumerate(mlp["message"] + mlp["gate"])]
+            out = ag.gated_message(ag.parameter(h_data, "h"), ag.constant(feats),
+                                   src, dst, weights)
+            with np.errstate(over="ignore"), pytest.raises(NumericsError) as exc:
+                ag.sum_all(ag.mul(out, ag.constant(upstream))).backward()
+            return str(exc.value)
+
+        _one_tile(monkeypatch)
+        want = failure()
+        assert want == ("backward: non-finite gradient inside gated_message, "
+                        f"at the {half} MLP's hidden layer")
+        _tiles_of(monkeypatch, 2, d)
+        assert ag._edge_tiles(len(dst), d)[0] == slice(0, 2)
+        assert failure() == want
+
+
+def test_gated_message_keeps_one_tile_of_gate():
+    # between its forward and its backward a layer holds its node rows (p_dst,
+    # p_src and the output), the last tile's gate, of at most
+    # EDGE_TILE_BYTES // (16 d) rows of d float64s, and a few small arrays,
+    # however many edges: 0.23 and 0.26 MB beyond the node rows here, where a
+    # layer keeping its (E, d) gate held 1.06 and 1.94 MB
+    cells = make_pretraining_structures(2, seed=3)
+    dim = 64
+    for k in (4, 5):
+        g = build_periodic_graph(supercell(cells[0], k), 5.0)
+        assert g.num_edges > ag.EDGE_TILE_BYTES // (16 * dim)
+        rng = np.random.default_rng(0)
+        p = init_encoder_params(rng, dim, num_layers=1, rbf_count=8, cutoff=5.0)
+        h = ag.parameter(rng.normal(size=(g.num_nodes, dim)), "h")
+        feats = ag.constant(edge_features(g.distances, g.directions, 8, 5.0))
+        node_rows = g.num_nodes * (2 * 2 * dim + dim) * 8
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = ag.gated_message(h, feats, g.src, g.dst, p.layers[0].tensors())
+            held = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert held - node_rows < ag.EDGE_TILE_BYTES // 2 + 2**14, (k, held)
+        ag.sum_all(out).backward()
+        assert np.isfinite(h.grad).all()
 
 
 class TestParamValidation:

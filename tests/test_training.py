@@ -181,6 +181,23 @@ class TestPretrainStep:
                 tracemalloc.stop()
         assert peak - before < 3.75 * edge_array, (peak - before) / edge_array
 
+    def test_encoder_peak_falls_with_edge_tiles(self):
+        # encode on the pair's four views plus the backward of sum_all: a
+        # 10.5 MB peak with each layer in edge tiles, 26.2 MB when each layer
+        # kept its (E, d) gate and built (E, 2d) arrays
+        cfg, graphs = large_cell_pair()
+        model = fast_model(cfg)
+        batch = batch_views([view for g, seed in zip(graphs, [0, 1]) for view in
+                             two_views(g, cfg.mask_ratio, cfg.drop_ratio, seed)])
+        tracemalloc.start()
+        try:
+            ag.sum_all(encode_graph(model.encoder, batch.graph,
+                                    batch.masked_nodes)).backward()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 14e6, peak
+
     def test_batch_of_one_rejected(self, graphs):
         cfg = fast_cfg()
         model = fast_model(cfg)
