@@ -523,14 +523,19 @@ def _popped(g: np.ndarray, part: str) -> np.ndarray:
     return g
 
 
+def tile_edges(d: int) -> int:
+    """Most edges in one tile of `gated_message` at width d: a (t, 2d)
+    float64 array fits in EDGE_TILE_BYTES."""
+    return max(1, EDGE_TILE_BYTES // (16 * d))
+
+
 def _edge_tiles(num_edges: int, d: int) -> list[slice]:
-    """Contiguous slices of the edge order, each of at most
-    EDGE_TILE_BYTES // (16 d) edges, so that a (t, 2d) float64 array fits in
-    EDGE_TILE_BYTES; one empty slice when there are no edges. Their sizes
+    """Contiguous slices of the edge order, each of at most tile_edges(d)
+    edges; one empty slice when there are no edges. Their sizes
     differ by at most one edge, so no slice holds a single edge unless all
     do: NumPy runs a one-row product as a matrix-vector one, whose sums
     differ from those of the matrix-matrix product's rows."""
-    count = max(1, -(-num_edges // max(1, EDGE_TILE_BYTES // (16 * d))))
+    count = max(1, -(-num_edges // tile_edges(d)))
     ends = [k * num_edges // count for k in range(count + 1)]
     return [slice(lo, hi) for lo, hi in zip(ends, ends[1:])]
 

@@ -80,6 +80,15 @@ def _load_structures(path):
     return structures
 
 
+def _multiplicity_histogram(g) -> np.ndarray:
+    """Pairs (i, j), i <= j, of g per multiplicity class. The classes are
+    symmetric, so every entry plus the diagonal counts each pair twice."""
+    classes = multiplicity_targets(g).classes
+    twice = (np.bincount(classes.ravel(), minlength=NUM_MULTIPLICITY_CLASSES)
+             + np.bincount(classes.diagonal(), minlength=NUM_MULTIPLICITY_CLASSES))
+    return twice // 2
+
+
 # -- subcommands ---------------------------------------------------------
 
 def cmd_ingest(args, cfg) -> int:
@@ -110,10 +119,7 @@ def cmd_ingest(args, cfg) -> int:
         key = str(g.num_nodes)
         site_hist[key] = site_hist.get(key, 0) + 1
         edge_counts.append(g.num_edges)
-        # classes is symmetric: its upper triangle counts each pair once
-        classes = multiplicity_targets(g).classes
-        mult_hist += np.bincount(classes[np.triu_indices(g.num_nodes)],
-                                 minlength=NUM_MULTIPLICITY_CLASSES)
+        mult_hist += _multiplicity_histogram(g)
 
     out_dir.mkdir(parents=True, exist_ok=True)
     save_jsonl(out_dir / "dataset.jsonl", structures)

@@ -65,24 +65,24 @@ class PeriodicGraph:
             raise ValidationError("edge array lengths disagree")
         if self.atomic_numbers.shape != (self.num_nodes,):
             raise ValidationError("atomic_numbers length != num_nodes")
-        if np.any((self.atomic_numbers < 1) | (self.atomic_numbers > MAX_Z)):
+        if ((self.atomic_numbers < 1) | (self.atomic_numbers > MAX_Z)).any():
             raise ValidationError(f"atomic numbers must lie in 1..{MAX_Z}")
         # the initial values let an edgeless graph pass, also one of no nodes
         if self.src.min(initial=0) < 0 or self.src.max(initial=-1) >= self.num_nodes:
             raise ValidationError("edge src index out of range")
         if self.dst.min(initial=0) < 0 or self.dst.max(initial=-1) >= self.num_nodes:
             raise ValidationError("edge dst index out of range")
-        if np.any(self.distances <= 0) or np.any(self.distances > self.cutoff):
+        if (self.distances <= 0).any() or (self.distances > self.cutoff).any():
             raise ValidationError("edge distance outside (0, cutoff]")
         x, y, z = self.directions.T
         # np.linalg.norm's order of adds over a row of 3, so equal bits
         norms = np.sqrt((x * x + y * y) + z * z)
-        if np.any(np.abs(norms - 1.0) > DIRECTION_NORM_TOL):
+        if (np.abs(norms - 1.0) > DIRECTION_NORM_TOL).any():
             raise ValidationError("direction vectors must have unit norm")
         keys = _edge_keys(self.num_nodes, self.src, self.dst, self.offsets)
         # _edge_keys has bounded the offsets, so negating them cannot wrap
         mirrors = _edge_keys(self.num_nodes, self.dst, self.src, -self.offsets)
-        if np.any(keys == mirrors):
+        if (keys == mirrors).any():
             raise ValidationError("self edge with zero offset")
         # every unordered connection needs as many (i, j, o) halves as
         # (j, i, -o) halves
@@ -122,10 +122,8 @@ def _edge_keys(n: int, src, dst, offsets) -> np.ndarray:
         raise ValidationError(
             f"edge offsets up to {m} in magnitude over {n} nodes do not fit "
             f"one int64 edge key")
-    key = src * n + dst
-    for o in offsets.T:
-        key = key * w + (o + m)
-    return key
+    # the bound above keeps every partial sum in [0, 2**63): none wraps
+    return (src * n + dst) * w ** 3 + (offsets + m) @ np.array([w * w, w, 1])
 
 
 @dataclass
@@ -205,9 +203,11 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
         raise ValidationError(f"degenerate lattice (det={det})")
     inv = np.linalg.inv(s.lattice)
     # cartesian -> fractional is r @ inv; column norms bound how far one
-    # cutoff length reaches along each fractional axis
-    with np.errstate(over="ignore"):  # an infinite reach is rejected next
-        reach = (cutoff * np.linalg.norm(inv, axis=0)).tolist()
+    # cutoff length reaches along each fractional axis. np.linalg.norm's
+    # order of adds, so equal bits; a Python float overflows to inf without
+    # a warning, and an infinite reach is rejected next
+    reach = [float(cutoff) * math.sqrt((a * a + b * b) + c * c)
+             for a, b, c in zip(*inv.tolist())]
     # a reach of x needs over 2x shifts, so this also bounds the grid below;
     # it rejects inf and nan too
     if not all(x <= MAX_SEARCH_PAIRS for x in reach):
@@ -236,9 +236,9 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     nb = np.array(nb)
     bins = np.minimum((s.frac_coords * nb).astype(np.int64), nb - 1)
     site_bin = bins @ strides
-    order = np.argsort(site_bin, kind="stable")
+    order = site_bin.argsort(kind="stable")
     counts = np.bincount(site_bin, minlength=strides[0] * nb[0])
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
 
     # each (site, shift) pair names one wrapped bin and its lattice image;
     # shifts are distinct, so no (j, offset) candidate is emitted twice
@@ -246,32 +246,32 @@ def build_periodic_graph(s: CrystalStructure, cutoff: float) -> PeriodicGraph:
     images = images.reshape(-1, 3)
     flat = (wrapped @ strides).ravel()
     per_pair = counts[flat]
-    pair = np.repeat(np.arange(len(flat)), per_pair)
+    pair = np.arange(len(flat)).repeat(per_pair)
     # candidate c is site starts[bin] + (c - first candidate of its pair)
-    lag = np.cumsum(per_pair) - per_pair - starts[flat]
+    lag = per_pair.cumsum() - per_pair - starts[flat]
     i_idx = pair // len(shifts)
     j_idx = order[np.arange(len(pair)) - lag[pair]]
 
     # coordinates as (3, .) rows: each gather is one 1-D take per axis
     r = s.cart_coords().T
-    disp = np.take(r, j_idx, axis=1)
-    disp -= np.take(r, i_idx, axis=1)
-    disp += np.take((images.astype(np.float64) @ s.lattice).T, pair, axis=1)
+    disp = r.take(j_idx, axis=1)
+    disp -= r.take(i_idx, axis=1)
+    disp += (images.astype(np.float64) @ s.lattice).T.take(pair, axis=1)
     sq = disp * disp
     # np.linalg.norm's order of adds over a row of 3, so equal bits
     dist = sq[0] + sq[1]
     dist += sq[2]
     np.sqrt(dist, out=dist)
     del sq
-    keep = np.flatnonzero((dist > 0.0) & (dist <= cutoff))
+    keep = ((dist > 0.0) & (dist <= cutoff)).nonzero()[0]
     i_idx, j_idx, offsets = i_idx[keep], j_idx[keep], images[pair[keep]]
     # canonical edge order: lexicographic by (src, dst, offset); the keys
     # are distinct, so any sort kind gives this one order
-    order = np.argsort(_edge_keys(n, i_idx, j_idx, offsets))
+    order = _edge_keys(n, i_idx, j_idx, offsets).argsort()
     keep = keep[order]
     distances = dist[keep]
     directions = np.empty((len(keep), 3))
-    np.divide(np.take(disp, keep, axis=1), distances, out=directions.T)
+    np.divide(disp.take(keep, axis=1), distances, out=directions.T)
     return PeriodicGraph(
         num_nodes=n,
         atomic_numbers=s.atomic_numbers.copy(),

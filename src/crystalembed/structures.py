@@ -19,7 +19,6 @@ import numpy as np
 
 from .elements import MAX_Z, symbol_to_z
 from .errors import ParseError, ValidationError, reading
-from .embeddings import format_float17
 
 
 def _wrap_frac(coords: np.ndarray) -> np.ndarray:
@@ -50,7 +49,7 @@ class CrystalStructure:
         self.atomic_numbers = np.asarray(self.atomic_numbers, dtype=np.int64)
         if self.lattice.shape != (3, 3):
             raise ValidationError(f"lattice must be 3x3, got {self.lattice.shape}")
-        if not np.all(np.isfinite(self.lattice)):
+        if not np.isfinite(self.lattice).all():
             raise ValidationError("lattice contains non-finite entries")
         with np.errstate(over="ignore"):
             det = np.linalg.det(self.lattice)
@@ -61,7 +60,7 @@ class CrystalStructure:
             raise ValidationError(
                 f"frac_coords must be Nx3, got {self.frac_coords.shape}"
             )
-        if not np.all(np.isfinite(self.frac_coords)):
+        if not np.isfinite(self.frac_coords).all():
             raise ValidationError("frac_coords contains non-finite entries")
         n = self.frac_coords.shape[0]
         if n < 1:
@@ -71,7 +70,7 @@ class CrystalStructure:
                 f"atomic_numbers length {self.atomic_numbers.shape} does not "
                 f"match {n} sites"
             )
-        if np.any(self.atomic_numbers < 1) or np.any(self.atomic_numbers > MAX_Z):
+        if (self.atomic_numbers < 1).any() or (self.atomic_numbers > MAX_Z).any():
             raise ValidationError("atomic numbers must lie in 1..118")
         if self.label is not None:
             # a bool is an int, and float() would also take a numeric string
@@ -297,11 +296,16 @@ def parse_cif(text: str) -> CrystalStructure:
 def parse_jsonl(line: str) -> CrystalStructure:
     """Parse one JSON-lines record into a CrystalStructure. The lattice is 9
     JSON numbers in row-major order, frac_coords N rows of 3 JSON numbers and
-    atomic_numbers N JSON integers; a bool or a string is neither."""
+    atomic_numbers N JSON integers; a bool or a string is neither. An id,
+    when present, is a JSON string."""
     with reading("malformed JSON record"):
         obj = json.loads(line)
     if not isinstance(obj, dict):
         raise ParseError(f"expected a JSON object, got {type(obj).__name__}")
+    struct_id = obj.get("id", "")
+    if not isinstance(struct_id, str):
+        raise ValidationError(
+            f"field 'id' must hold a JSON string, got {struct_id!r:.40}")
     # np.asarray would coerce a bool, a numeric string or, to int64, a float
     for key, kinds in (("lattice", (int, float)), ("frac_coords", (int, float)),
                        ("atomic_numbers", (int,))):
@@ -332,23 +336,24 @@ def parse_jsonl(line: str) -> CrystalStructure:
         frac_coords=frac,
         atomic_numbers=numbers,
         label=obj.get("label"),
-        id=str(obj.get("id", "")),
+        id=struct_id,
     )
 
 
 def serialize_jsonl(s: CrystalStructure) -> str:
-    """Serialize to a single JSON line: fixed key order, 17-digit floats."""
-    f = format_float17
+    """Serialize to a single JSON line: fixed key order, 17-digit floats
+    (format_float17's "%.17g", applied to the Python floats of .tolist())."""
+    lattice = ", ".join(["%.17g" % x for x in s.lattice.ravel().tolist()])
+    rows = ", ".join(["[%.17g, %.17g, %.17g]" % tuple(row)
+                      for row in s.frac_coords.tolist()])
     parts = [
         f'"id": {json.dumps(s.id)}',
-        '"lattice": [' + ", ".join(f(x) for x in s.lattice.ravel()) + "]",
-        '"frac_coords": ['
-        + ", ".join("[" + ", ".join(f(x) for x in row) + "]" for row in s.frac_coords)
-        + "]",
-        '"atomic_numbers": [' + ", ".join(str(int(z)) for z in s.atomic_numbers) + "]",
+        f'"lattice": [{lattice}]',
+        f'"frac_coords": [{rows}]',
+        '"atomic_numbers": [' + ", ".join(map(str, s.atomic_numbers.tolist())) + "]",
     ]
     if s.label is not None:
-        parts.append(f'"label": {f(s.label)}')
+        parts.append('"label": %.17g' % s.label)
     return "{" + ", ".join(parts) + "}"
 
 

@@ -48,9 +48,6 @@ from .optim import AdamState, adam_step
 from .periodic_graph import batch_graphs, multiplicity_targets
 
 LOSS_KEYS = ("L_node", "L_adj", "L_infonce", "L_total")
-# edges per extraction union: about a dozen two-site cells share one pass,
-# and a union's intermediates stay small (a larger graph is encoded alone)
-EXTRACT_UNION_EDGES = 512
 
 
 @dataclass
@@ -333,7 +330,9 @@ def _unions(graphs, max_edges: int):
     """Consecutive runs of graphs, each filled in input order while its
     edges stay within max_edges; a larger graph is a run of its own. An
     edgeless graph counts as one edge, so at most max_edges graphs share
-    a run."""
+    a run. Extraction passes one encoder tile's edges, so the fixed cost of
+    a union's pass (its batch, its tile bookkeeping) is paid once per tile
+    of work."""
     run, edges = [], 0
     for g in graphs:
         size = max(g.num_edges, 1)
@@ -350,7 +349,10 @@ def extract_embeddings(model: ModelParams, graphs) -> ElementEmbeddingTable:
     """Mean node embedding per element over clean graphs, L2-normalized.
 
     Forward-only, so it runs under `autograd.no_grad`, encoding the graphs
-    as disjoint unions of at most EXTRACT_UNION_EDGES edges (`_unions`).
+    as disjoint unions of at most one encoder tile of edges each,
+    `autograd.tile_edges(dim)` (`_unions`): 2,048 edges at dim 16, so
+    dozens of two-site cells share one pass, and the encoder layer runs
+    each union as one tile (a larger graph is encoded alone, in tiles).
     Each union's per-(graph, element) sums are folded into the running sums
     graph by graph, the order in which encoding the graphs one at a time
     would add them, so the table does not depend on how they are grouped.
@@ -364,7 +366,7 @@ def extract_embeddings(model: ModelParams, graphs) -> ElementEmbeddingTable:
     sums = np.zeros((MAX_Z, model.encoder.dim))
     counts = np.zeros(MAX_Z, dtype=np.int64)
     with ag.no_grad():
-        for run in _unions(graphs, EXTRACT_UNION_EDGES):
+        for run in _unions(graphs, ag.tile_edges(model.encoder.dim)):
             batch = batch_graphs(run)
             z = batch.graph.atomic_numbers - 1
             h = encode_graph(model.encoder, batch.graph)

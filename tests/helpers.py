@@ -4,6 +4,7 @@ Everything here is deliberately naive (brute force, explicit loops) so it
 stays independent of the library code paths it checks.
 """
 
+import json
 import math
 from collections import Counter
 from itertools import product
@@ -13,10 +14,14 @@ import numpy as np
 
 from crystalembed import autograd as ag
 from crystalembed.elements import MAX_Z
-from crystalembed.embeddings import table_from_sums
+from crystalembed.embeddings import format_float17, table_from_sums
 from crystalembed.encoder import edge_features, encode_graph
-from crystalembed.periodic_graph import BIN_REACH_RTOL, PeriodicGraph
+from crystalembed.periodic_graph import (BIN_REACH_RTOL,
+                                         NUM_MULTIPLICITY_CLASSES,
+                                         PeriodicGraph, build_periodic_graph,
+                                         multiplicity_targets)
 from crystalembed.structures import CrystalStructure
+from crystalembed.synthetic import make_pretraining_structures
 
 
 def brute_force_edges(structure, cutoff, pad=2):
@@ -119,6 +124,60 @@ def brute_force_multiplicities(edges, n):
     for i in range(n):
         counts[i, i] //= 2
     return np.minimum(counts, 5)
+
+
+def edge_keys_by_digits(n, src, dst, offsets):
+    """`periodic_graph._edge_keys` one mixed-radix digit at a time: i, j,
+    then each offset shifted by the largest magnitude m, radix 2m + 1."""
+    m = max(int(offsets.max()), -int(offsets.min())) if len(offsets) else 0
+    w = 2 * m + 1
+    key = src * n + dst
+    for o in offsets.T:
+        key = key * w + (o + m)
+    return key
+
+
+def multiplicity_histogram_by_triangle(g):
+    """`cli._multiplicity_histogram` from the upper triangle, i <= j, of
+    the multiplicity classes, each pair read once."""
+    classes = multiplicity_targets(g).classes
+    return np.bincount(classes[np.triu_indices(g.num_nodes)],
+                       minlength=NUM_MULTIPLICITY_CLASSES)
+
+
+def serialize_jsonl_by_value(s):
+    """`structures.serialize_jsonl` with one format_float17 call per
+    NumPy value."""
+    f = format_float17
+    parts = [
+        f'"id": {json.dumps(s.id)}',
+        '"lattice": [' + ", ".join(f(x) for x in s.lattice.ravel()) + "]",
+        '"frac_coords": ['
+        + ", ".join("[" + ", ".join(f(x) for x in row) + "]" for row in s.frac_coords)
+        + "]",
+        '"atomic_numbers": [' + ", ".join(str(int(z)) for z in s.atomic_numbers) + "]",
+    ]
+    if s.label is not None:
+        parts.append(f'"label": {f(s.label)}')
+    return "{" + ", ".join(parts) + "}"
+
+
+def ingest_extract_layout(seed, files=4, per_file=20, ks=(2, 2, 2, 3, 3, 4)):
+    """The structures of perfbench's ingest-extract files at a seed: runs
+    of per_file consecutive synthetic cells, in which the cells with the
+    corpus's commonest edge count at cutoff 5 become k-supercells, k taken
+    from ks in order."""
+    cells = make_pretraining_structures(files * per_file, seed=seed)
+    edges = [build_periodic_graph(c, 5.0).num_edges for c in cells]
+    common = Counter(edges).most_common(1)[0][0]
+    out = []
+    for f in range(files):
+        k_of = iter(ks)
+        for c, e in zip(cells[f * per_file:(f + 1) * per_file],
+                        edges[f * per_file:(f + 1) * per_file]):
+            k = next(k_of, 1) if e == common else 1
+            out.append(c if k == 1 else supercell(c, k))
+    return out
 
 
 def edge_keys(g):

@@ -11,12 +11,15 @@ from crystalembed.cli import build_parser, main
 from crystalembed.downstream import DownstreamConfig, validate_report
 from crystalembed.embeddings import load_table, save_table_csv
 from crystalembed.errors import NumericsError
+from crystalembed.periodic_graph import build_periodic_graph
 from crystalembed.structures import (CrystalStructure, save_jsonl,
                                      serialize_jsonl)
 from crystalembed.synthetic import (make_labeled_structures,
                                     make_pretraining_structures)
 from crystalembed.training import PretrainConfig, load_state
 
+from helpers import (cubic_structure, multiplicity_histogram_by_triangle,
+                     rocksalt_structure, supercell)
 from test_downstream import small_table, with_a_test_only_element
 
 CUBIC_NA_CIF = """\
@@ -167,6 +170,24 @@ def test_ingest_cubic_toy_multiplicity_histogram(tmp_path):
         "0": 0, "1": 0, "2": 0, "3": 1, "4": 0, "5": 0}
 
 
+@pytest.mark.parametrize("structure, cutoff", [
+    (rocksalt_structure(a=1.0), 1.05),
+    (rocksalt_structure(a=1.0), 2.5),
+    (cubic_structure(a=1.0), 2.5),
+    *[(supercell(make_pretraining_structures(1, seed=3)[0], k), 5.0)
+      for k in (2, 3, 4)],
+    *[(supercell(rocksalt_structure(a=1.0), k), 1.5) for k in (2, 3, 4)],
+], ids=["rocksalt", "rocksalt-far", "one-site", "synthetic-k2", "synthetic-k3",
+        "synthetic-k4", "rocksalt-k2", "rocksalt-k3", "rocksalt-k4"])
+def test_ingest_histogram_equals_the_upper_triangle_count(structure, cutoff):
+    g = build_periodic_graph(structure, cutoff)
+    got = cli._multiplicity_histogram(g)
+    assert np.array_equal(got, multiplicity_histogram_by_triangle(g))
+    assert got.sum() == g.num_nodes * (g.num_nodes + 1) // 2
+    if g.num_nodes == 1:  # its one pair, a self pair, has 5+ connections
+        assert got.tolist() == [0, 0, 0, 0, 0, 1]
+
+
 def test_ingest_of_inputs_without_structures_exits_2_saying_so(tmp_path, capsys):
     empty = tmp_path / "empty.jsonl"
     empty.write_text("")
@@ -198,9 +219,12 @@ def test_ingest_bad_cutoff_exits_2(tmp_path, capsys):
     ("frac_coords", [[True, 0, 0]], "field 'frac_coords' must hold JSON numbers"),
     ("lattice", ["4", 0, 0, 0, 4, 0, 0, 0, 4],
      "field 'lattice' must hold JSON numbers"),
+    ("id", None, "field 'id' must hold a JSON string, got None"),
+    ("id", [1, 2], "field 'id' must hold a JSON string, got [1, 2]"),
+    ("id", 7, "field 'id' must hold a JSON string, got 7"),
 ], ids=["label-x", "label-empty", "label-list", "label-numeric-string",
         "label-bool", "label-past-float64", "z-beyond-int64", "z-float", "z-bool", "coord-bool",
-        "lattice-string"])
+        "lattice-string", "id-null", "id-list", "id-number"])
 def test_ingest_counts_a_malformed_jsonl_field_as_failed(tmp_path, capsys,
                                                          field, value, reason):
     record = json.loads(serialize_jsonl(CrystalStructure(

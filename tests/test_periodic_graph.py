@@ -1,5 +1,6 @@
 import re
 import tracemalloc
+from itertools import product
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from helpers import (
     cubic_structure,
     edge_groups_by_rows,
     edge_keys,
+    edge_keys_by_digits,
     edge_multiset,
     random_structure,
     rocksalt_structure,
@@ -24,6 +26,7 @@ from crystalembed.structures import CrystalStructure, lattice_from_cell
 from crystalembed.periodic_graph import (
     MAX_SEARCH_PAIRS,
     PeriodicGraph,
+    _edge_keys,
     batch_graphs,
     build_periodic_graph,
     multiplicity_targets,
@@ -446,3 +449,73 @@ def test_edgeless_graph_has_no_connections():
     num_groups, inverse = g.edge_groups()
     assert num_groups == 0
     assert inverse.tolist() == [] and inverse.dtype == np.int64
+
+
+class TestEdgeKeys:
+    """_edge_keys, one expression, against the digit-by-digit loop."""
+
+    @staticmethod
+    def assert_keys_match(n, src, dst, offsets):
+        for args in ((n, src, dst, offsets), (n, dst, src, -offsets)):
+            want = edge_keys_by_digits(*args)
+            got = _edge_keys(*args)
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+
+    def test_built_graphs(self):
+        rng = np.random.default_rng(28)
+        cases = [(random_structure(rng, skewed=k % 2 == 1), 2.5)
+                 for k in range(20)]
+        cases += [(supercell(make_pretraining_structures(1, seed=3)[0], k), 5.0)
+                  for k in (1, 2, 3)]
+        cases += [(cubic_structure(a=1.0), 0.5)]  # no edges
+        for s, cutoff in cases:
+            g = build_periodic_graph(s, cutoff)
+            self.assert_keys_match(g.num_nodes, g.src, g.dst, g.offsets)
+
+    @pytest.mark.parametrize("n, m", [(1, 2**20 - 1), (2, 2**19), (5, 2**18)])
+    def test_largest_offsets_that_fit(self, n, m):
+        # (n^2) (2m + 1)^3 < 2^63 for each case; the corners of the offset
+        # cube and random offsets within it
+        rng = np.random.default_rng(n)
+        corners = np.array(list(product((-m, m), repeat=3)))
+        offsets = np.concatenate([corners, rng.integers(-m, m + 1, (200, 3))])
+        src = rng.integers(0, n, len(offsets))
+        dst = rng.integers(0, n, len(offsets))
+        self.assert_keys_match(n, src, dst, offsets)
+        keys = _edge_keys(n, src, dst, offsets)
+        rows = np.column_stack([src, dst, offsets])
+        assert np.array_equal(np.argsort(keys, kind="stable"),
+                              np.lexsort(rows.T[::-1]))
+
+
+class TestCutoffReach:
+    """The reach an unsearchable cell's error names has the bits of
+    cutoff * np.linalg.norm(inv, axis=0), overflow to inf included."""
+
+    @staticmethod
+    def lattices():
+        fixed = [[[1e6, 0, 0], [0, 1e-9, 0], [0, 0, 1]],
+                 [[1, 0, 0], [0.999999, 1e-7, 0], [0.3, 0.7, 2]],
+                 [[4, 0, 0], [1e308, 3, 0], [0, 0, 4]],
+                 [[4, 0, 0], [1e30, 3, 0], [0, 0, 4]],
+                 [[3e-4, 0, 0], [1e-4, 2e-4, 0], [0.5, 0.25, 1e-4]]]
+        rng = np.random.default_rng(28)
+        rand = []
+        for _ in range(200):
+            # a rotated cell with one short axis: that axis reaches past
+            # MAX_SEARCH_PAIRS cells, and the inverse's column for it holds
+            # three entries of one magnitude, whose sum's bits depend on
+            # the order of adds
+            q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+            q *= np.sign(np.linalg.det(q))
+            rand.append(np.diag([1.0, 2.0, 10.0 ** -rng.uniform(6, 9)]) @ q)
+        return [np.array(L, dtype=float) for L in fixed] + rand
+
+    def test_reach_has_the_norms_bits(self):
+        for lattice in self.lattices():
+            s = CrystalStructure(lattice, np.zeros((1, 3)), [1], id="far")
+            with np.errstate(over="ignore"):
+                want = (5.0 * np.linalg.norm(np.linalg.inv(lattice), axis=0)).tolist()
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"reaches {want} cells")):
+                build_periodic_graph(s, 5.0)

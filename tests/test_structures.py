@@ -13,7 +13,11 @@ from crystalembed.structures import (
     serialize_jsonl,
 )
 
-from helpers import structures_equal
+from crystalembed.synthetic import (make_labeled_structures,
+                                    make_pretraining_structures)
+
+from helpers import (ingest_extract_layout, serialize_jsonl_by_value,
+                     structures_equal)
 
 CUBIC_NA_CIF = """\
 data_na_test
@@ -240,6 +244,47 @@ class TestJsonl:
         for s, golden in GOLDEN_CASES:
             assert serialize_jsonl(s) == golden
             assert structures_equal(parse_jsonl(golden), s)
+
+
+class TestJsonlWriterMatchesTheOracle:
+    """serialize_jsonl writes the bytes of one format_float17 call per
+    NumPy value."""
+
+    @pytest.mark.parametrize("corpus", [
+        lambda: make_pretraining_structures(48, seed=3),
+        lambda: make_labeled_structures(64, seed=11),
+        lambda: ingest_extract_layout(3),
+        lambda: ingest_extract_layout(5),
+        lambda: ingest_extract_layout(17),
+    ], ids=["pretraining", "labeled", "ingest-extract-3", "ingest-extract-5",
+            "ingest-extract-17"])
+    def test_corpora(self, corpus):
+        for s in corpus():
+            assert serialize_jsonl(s) == serialize_jsonl_by_value(s)
+
+    def test_odd_values_and_a_quoted_id(self):
+        odd = (-0.0, 5e-324, 1e-300, 0.1, 1 / 3, 2.0, 1e16, 1e150,
+               0.9999999999999999)
+        lattice = [[2.0, -0.0, 1e-300], [0.1, 1e16, 5e-324], [1 / 3, -0.0, 1e150]]
+        frac = [[5e-324, 1e-300, 0.1], [1 / 3, 0.9999999999999999, -0.0]]
+        for label in odd:
+            s = CrystalStructure(lattice, frac, [1, 118], label=label,
+                                 id='say "hi"')
+            assert serialize_jsonl(s) == serialize_jsonl_by_value(s)
+
+    def test_random_magnitudes(self):
+        rng = np.random.default_rng(28)
+        for k in range(300):
+            n = int(rng.integers(1, 6))
+            # upper-triangular, so the determinant is the diagonal's product
+            lattice = np.diag(10.0 ** rng.uniform(-3, 3, 3)) + np.triu(
+                rng.normal(size=(3, 3)) * 10.0 ** rng.integers(-300, 300, (3, 3)), 1)
+            frac = rng.random((n, 3)) * 10.0 ** rng.integers(-320, 1, (n, 3))
+            label = float(rng.normal() * 10.0 ** rng.integers(-300, 300))
+            s = CrystalStructure(lattice, frac, rng.integers(1, 119, n),
+                                 label=label if k % 4 else None,
+                                 id=["", 'q"uote', "back\\slash", "\u00fcn"][k % 4])
+            assert serialize_jsonl(s) == serialize_jsonl_by_value(s)
 
 
 class TestInvariants:

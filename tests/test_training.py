@@ -25,7 +25,6 @@ from crystalembed.periodic_graph import (batch_graphs, build_periodic_graph,
                                          multiplicity_targets)
 from crystalembed.synthetic import make_pretraining_structures
 from crystalembed.training import (
-    EXTRACT_UNION_EDGES,
     PretrainConfig,
     extract_embeddings,
     load_state,
@@ -790,6 +789,10 @@ class TestExtractionUnions:
     """Unions of graphs give the table of a one-graph-at-a-time pass, bit
     for bit, however the graphs fall into unions."""
 
+    # a union holds one encoder tile of edges; at dim 64 that is 512 edges,
+    # below the fixture's k = 3 and 4 supercells
+    DIM = 64
+
     @pytest.fixture(scope="class")
     def mixed(self):
         cells = make_pretraining_structures(24, seed=3)
@@ -803,31 +806,44 @@ class TestExtractionUnions:
 
     def test_the_list_covers_every_case(self, mixed):
         assert {g.num_nodes for g in mixed} == {2, 16, 54, 128}
-        runs = list(training._unions(mixed, EXTRACT_UNION_EDGES))
+        bound = ag.tile_edges(self.DIM)
+        assert bound == 512
+        runs = list(training._unions(mixed, bound))
         alone = [r[0] for r in runs if len(r) == 1]
-        assert any(g.num_edges > EXTRACT_UNION_EDGES for g in alone)
+        assert any(g.num_edges > bound for g in alone)
         shared = [r for r in runs if len(r) > 1]
         assert len(shared) >= 2
         assert sum(len(r) for r in runs) == len(mixed)
-        assert all(sum(g.num_edges for g in r) <= EXTRACT_UNION_EDGES
-                   for r in shared)
+        assert all(sum(g.num_edges for g in r) <= bound for r in shared)
 
     def test_edgeless_graphs_share_unions_of_bounded_count(self):
         g = build_periodic_graph(rocksalt_structure(3.0), cutoff=1.0)
         assert g.num_edges == 0
-        runs = training._unions([g] * (2 * EXTRACT_UNION_EDGES + 3),
-                                EXTRACT_UNION_EDGES)
-        assert [len(r) for r in runs] == [EXTRACT_UNION_EDGES] * 2 + [3]
+        bound = ag.tile_edges(self.DIM)
+        runs = training._unions([g] * (2 * bound + 3), bound)
+        assert [len(r) for r in runs] == [bound] * 2 + [3]
         model = fast_model(fast_cfg(cutoff=1.0))
         got = extract_embeddings(model, [g] * 3)
         want = extract_one_graph_at_a_time(model, [g] * 3)
         assert np.array_equal(got.vectors, want.vectors)
 
-    @pytest.mark.parametrize("bound", [EXTRACT_UNION_EDGES, 100, 1])
-    @pytest.mark.parametrize("dim", [8, 64])
+    @pytest.mark.parametrize("bound", [512, 100, 1])
+    @pytest.mark.parametrize("dim", [8, 16, 64])
     def test_table_equals_the_per_graph_oracle_bitwise(self, mixed, bound, dim,
                                                        monkeypatch):
-        monkeypatch.setattr(training, "EXTRACT_UNION_EDGES", bound)
+        # tiles, and so unions, of bound edges, in the extraction and the
+        # oracle alike; 512 is the module's tile at dim 64
+        monkeypatch.setattr(ag, "EDGE_TILE_BYTES", 16 * dim * bound)
+        self.check_against_the_oracle(mixed, dim)
+
+    @pytest.mark.parametrize("dim", [8, 16])
+    def test_table_at_the_module_tile_equals_the_oracle_bitwise(self, mixed,
+                                                                dim):
+        assert ag.tile_edges(dim) > max(g.num_edges for g in mixed)
+        self.check_against_the_oracle(mixed, dim)
+
+    @staticmethod
+    def check_against_the_oracle(mixed, dim):
         model = fast_model(fast_cfg(dim=dim, num_layers=2))
         got = extract_embeddings(model, mixed)
         want = extract_one_graph_at_a_time(model, mixed)
